@@ -9,9 +9,13 @@ Grammar (whitespace-insensitive, '#' has no meaning here):
     ident  := 'x' positive-integer
     func   := 'sqrt' | 'exp' | 'log' | 'sin' | 'cos'
 
-Exponents are integer literals only.  Derivatives are propagated forward
-through the tree together with the value, so a single walk produces the
-value and the full gradient.
+Exponents are integer literals only.  ``parse`` emits a ``Tape``: the
+nodes in post-order, held in numpy arrays.  ``eval_grad`` runs it over a
+stack, carrying each node's gradient forward with its value, so one pass
+yields the value and the full gradient.  Nothing here recurses except
+the parser, which limits nesting to MAX_NESTING.  ``affine_terms``
+recognizes c0 + c1 * xi + ..., which ``model`` folds per block into
+coefficient arrays.  Node trees compile to tapes (``compile_tree``).
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from .errors import (
 )
 
 FUNCTIONS = ("sqrt", "exp", "log", "sin", "cos")
+MAX_NESTING = 100
 
 
 @dataclass(frozen=True)
@@ -77,6 +82,39 @@ class GradedValue:
     partials: np.ndarray
 
 
+# opcodes; ADD..DIV follow the order of BINARY
+LIT, VAR, NEG, POW, CALL, ADD, SUB, MUL, DIV = range(9)
+BINARY = "+-*/"
+
+
+class Tape:
+    """Post-order nodes: ``args[k]`` is the ``lits`` index (LIT), the variable
+    (VAR), the exponent (POW) or the FUNCTIONS index (CALL) of node k, else 0;
+    ``spans[k]`` is its source offset, -1 if unknown.
+    """
+
+    __slots__ = ("ops", "args", "spans", "lits")
+
+    def __init__(self, built):
+        self.ops = np.array(built.ops, dtype=np.int8)
+        self.args = np.array(built.args, dtype=np.int32)
+        self.spans = np.array(built.spans, dtype=np.int32)
+        self.lits = np.array(built.lits, dtype=float)
+
+
+class _Builder:
+    def __init__(self):
+        self.ops, self.args, self.spans, self.lits = [], [], [], []
+
+    def emit(self, op, arg, span):
+        if op == LIT:  # arg is the value; keep its pool index
+            self.lits.append(arg)
+            arg = len(self.lits) - 1
+        self.ops.append(op)
+        self.args.append(arg)
+        self.spans.append(-1 if span is None else span)
+
+
 _TOKEN_RE = re.compile(
     r"(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
@@ -86,27 +124,26 @@ _TOKEN_RE = re.compile(
 _VAR_RE = re.compile(r"^x(\d+)$")
 
 
-class _Tokenizer:
-    def __init__(self, source):
-        self.source = source
-        self.pos = 0
-        self.tokens = []
-        self._scan()
-        self.cursor = 0
+def _scan(src):
+    tokens, i = [], 0
+    while i < len(src):
+        if src[i].isspace():
+            i += 1
+            continue
+        m = _TOKEN_RE.match(src, i)
+        if m is None:
+            raise ExprSyntaxError("unexpected character %r" % src[i], i)
+        tokens.append((m.lastgroup, m.group(), i))
+        i = m.end()
+    return tokens + [("end", "", len(src))]
 
-    def _scan(self):
-        i, src = 0, self.source
-        while i < len(src):
-            if src[i].isspace():
-                i += 1
-                continue
-            m = _TOKEN_RE.match(src, i)
-            if m is None:
-                raise ExprSyntaxError("unexpected character %r" % src[i], i)
-            kind = m.lastgroup
-            self.tokens.append((kind, m.group(), i))
-            i = m.end()
-        self.tokens.append(("end", "", len(src)))
+
+class _Parser(_Builder):
+    """Recursive descent emitting post-order; each rule returns its node's span."""
+
+    def __init__(self, source, n):
+        super().__init__()
+        self.tokens, self.cursor, self.n, self.depth = _scan(source), 0, n, 0
 
     def peek(self):
         return self.tokens[self.cursor]
@@ -117,76 +154,69 @@ class _Tokenizer:
             self.cursor += 1
         return tok
 
-
-class _Parser:
-    def __init__(self, source, n):
-        self.toks = _Tokenizer(source)
-        self.n = n
-
     def parse(self):
-        e = self.expr()
-        kind, text, off = self.toks.peek()
+        self.expr()
+        kind, text, off = self.peek()
         if kind != "end":
             raise ExprSyntaxError("unexpected trailing input %r" % text, off)
-        return e
+        return Tape(self)
 
     def expr(self):
-        node = self.term()
-        while True:
-            kind, text, off = self.toks.peek()
-            if kind == "op" and text in "+-":
-                self.toks.advance()
-                rhs = self.term()
-                node = Bin(text, node, rhs, span=node.span)
-            else:
-                return node
+        return self._chain(self.term, "+-")
 
     def term(self):
-        node = self.factor()
+        return self._chain(self.factor, "*/")
+
+    def _chain(self, operand, symbols):
+        span = operand()
         while True:
-            kind, text, off = self.toks.peek()
-            if kind == "op" and text in "*/":
-                self.toks.advance()
-                rhs = self.factor()
-                node = Bin(text, node, rhs, span=node.span)
-            else:
-                return node
+            kind, text, off = self.peek()
+            if kind != "op" or text not in symbols:
+                return span
+            self.advance()
+            operand()
+            self.emit(ADD + BINARY.index(text), 0, span)
 
     def factor(self):
-        kind, text, off = self.toks.peek()
-        negated = False
-        if kind == "op" and text == "-":
-            self.toks.advance()
-            negated = True
-        node = self.atom()
-        pk, pt, poff = self.toks.peek()
-        if pk == "op" and pt == "^":
-            self.toks.advance()
-            node = Pow(node, self._integer(), span=node.span)
+        kind, text, off = self.peek()
+        negated = kind == "op" and text == "-"
         if negated:
-            # fold a unary minus on a literal so printing round-trips
-            if isinstance(node, Lit):
-                node = Lit(-node.value, span=off)
-            else:
-                node = Neg(node, span=off)
-        return node
+            self.advance()
+        start = len(self.ops)
+        span = self.atom()
+        pk, pt, poff = self.peek()
+        if pk == "op" and pt == "^":
+            self.advance()
+            self.emit(POW, self._integer(), span)
+        if not negated:
+            return span
+        # fold a unary minus on a literal so printing round-trips
+        if self.ops[start:] == [LIT]:
+            self.lits[-1] = -self.lits[-1]
+            self.spans[start] = off
+        else:
+            self.emit(NEG, 0, off)
+        return off
 
     def _integer(self):
-        kind, text, off = self.toks.peek()
+        kind, text, off = self.peek()
         sign = 1
         if kind == "op" and text == "-":
-            self.toks.advance()
+            self.advance()
             sign = -1
-            kind, text, off = self.toks.peek()
+            kind, text, off = self.peek()
         if kind != "num" or not text.isdigit():
             raise ExprSyntaxError("exponent must be an integer literal", off)
-        self.toks.advance()
+        if int(text) >= 2**31:
+            raise ExprSyntaxError("exponent out of range", off)
+        self.advance()
         return sign * int(text)
 
     def atom(self):
-        kind, text, off = self.toks.advance()
+        kind, text, off = self.advance()
         if kind == "num":
-            return Lit(float(text), span=off)
+            self.emit(LIT, float(text), off)
+            return off
         if kind == "ident":
             m = _VAR_RE.match(text)
             if m:
@@ -195,130 +225,181 @@ class _Parser:
                     raise VariableIndexError(
                         "variable index out of range: %s (n=%d)" % (text, self.n), off
                     )
-                return Var(index - 1, span=off)
+                self.emit(VAR, index - 1, off)
+                return off
             if text in FUNCTIONS:
                 self._expect("(")
-                arg = self.expr()
+                self._nested(off)
                 self._expect(")")
-                return Call(text, arg, span=off)
+                self.emit(CALL, FUNCTIONS.index(text), off)
+                return off
             raise UnknownIdentifierError("unknown identifier %r" % text, off)
         if kind == "op" and text == "(":
-            node = self.expr()
+            span = self._nested(off)
             self._expect(")")
-            return node
+            return span
         raise ExprSyntaxError("expected a number, variable or '('", off)
 
+    def _nested(self, off):
+        if self.depth >= MAX_NESTING:
+            raise ExprSyntaxError("nesting deeper than %d levels" % MAX_NESTING, off)
+        self.depth += 1
+        span = self.expr()
+        self.depth -= 1
+        return span
+
     def _expect(self, symbol):
-        kind, text, off = self.toks.advance()
+        kind, text, off = self.advance()
         if kind != "op" or text != symbol:
             raise ExprSyntaxError("expected %r" % symbol, off)
 
 
 def parse(source, n):
-    """Parse ``source`` into an expression over x1..xn."""
+    """Parse ``source`` into a tape over x1..xn."""
     return _Parser(source, n).parse()
 
 
-def _eval(e, x):
-    if isinstance(e, Lit):
-        return e.value, np.zeros(len(x))
-    if isinstance(e, Var):
-        g = np.zeros(len(x))
-        if e.index >= len(x):
-            raise DomainError("variable x%d beyond point dimension" % (e.index + 1), e.span)
-        g[e.index] = 1.0
-        return float(x[e.index]), g
-    if isinstance(e, Neg):
-        v, g = _eval(e.arg, x)
-        return -v, -g
-    if isinstance(e, Bin):
-        lv, lg = _eval(e.left, x)
-        rv, rg = _eval(e.right, x)
-        if e.op == "+":
-            return lv + rv, lg + rg
-        if e.op == "-":
-            return lv - rv, lg - rg
-        if e.op == "*":
-            return lv * rv, rv * lg + lv * rg
-        if rv == 0.0:
-            raise DomainError("division by zero", e.span)
-        return lv / rv, (lg - (lv / rv) * rg) / rv
-    if isinstance(e, Pow):
-        v, g = _eval(e.base, x)
-        k = e.exponent
-        if k == 0:
-            return 1.0, np.zeros(len(x))
-        if v == 0.0 and k < 0:
-            raise DomainError("zero raised to a negative power", e.span)
-        try:
-            val = float(v**k)
-            dv = float(k) * v ** (k - 1)
-        except OverflowError:
-            raise DomainError("overflow in power", e.span) from None
-        return val, dv * g
-    if isinstance(e, Call):
-        v, g = _eval(e.arg, x)
-        try:
-            if e.func == "sqrt":
-                if v < 0.0:
-                    raise DomainError("sqrt of a negative value", e.span)
-                if v == 0.0:
-                    raise DomainError("sqrt derivative undefined at zero", e.span)
-                s = math.sqrt(v)
-                return s, g / (2.0 * s)
-            if e.func == "exp":
-                s = math.exp(v)
-                return s, s * g
-            if e.func == "log":
-                if v <= 0.0:
-                    raise DomainError("log of a non-positive value", e.span)
-                return math.log(v), g / v
-            if e.func == "sin":
-                return math.sin(v), math.cos(v) * g
-            return math.cos(v), -math.sin(v) * g
-        except OverflowError:
-            raise DomainError("overflow in %s" % e.func, e.span) from None
-    raise TypeError("not an expression node: %r" % (e,))
+_CHILDREN = {Neg: ("arg",), Call: ("arg",), Pow: ("base",), Bin: ("left", "right")}
+
+
+def compile_tree(e):
+    """Compile an expression tree into a tape, without recursion."""
+    order, stack = [], [e]
+    while stack:  # each node before its subtrees, the right one first
+        node = stack.pop()
+        order.append(node)
+        stack.extend(getattr(node, child) for child in _CHILDREN.get(type(node), ()))
+    out = _Builder()
+    for node in reversed(order):
+        if isinstance(node, Lit):
+            out.emit(LIT, float(node.value), node.span)
+        elif isinstance(node, Var):
+            out.emit(VAR, node.index, node.span)
+        elif isinstance(node, Neg):
+            out.emit(NEG, 0, node.span)
+        elif isinstance(node, Pow):
+            out.emit(POW, node.exponent, node.span)
+        elif isinstance(node, Bin):
+            out.emit(ADD + BINARY.index(node.op), 0, node.span)
+        elif isinstance(node, Call):
+            out.emit(CALL, FUNCTIONS.index(node.func), node.span)
+        else:
+            raise TypeError("not an expression node: %r" % (node,))
+    return Tape(out)
+
+
+def affine_terms(tape):
+    """(c0, coefficients, variables) if ``tape`` parsed c0 + c1 * xi + ..., else None."""
+    ops = tape.ops
+    if ops.size % 4 != 1 or ops[0] != LIT or np.any(ops[1:].reshape(-1, 4) != (LIT, VAR, MUL, ADD)):
+        return None
+    return float(tape.lits[0]), tape.lits[1:], tape.args[2::4]
 
 
 def eval_grad(e, x):
-    """Evaluate ``e`` at ``x`` returning the value and all partials."""
+    """Evaluate a tape (or tree) at ``x`` returning the value and all partials."""
+    tape = e if isinstance(e, Tape) else compile_tree(e)
     x = np.asarray(x, dtype=float)
-    v, g = _eval(e, x)
-    return GradedValue(float(v), g)
-
-
-# precedence levels used by the printer: sum=1, product=2, unary minus=3,
-# power=4, atom=5
-def _print(e, prec):
-    if isinstance(e, Lit):
-        if not math.isfinite(e.value):
-            raise ValueError("cannot print non-finite literal %r" % e.value)
-        text = format(e.value, ".17g")
-        if e.value < 0 and prec > 3:
-            return "(%s)" % text
-        return text
-    if isinstance(e, Var):
-        return "x%d" % (e.index + 1)
-    if isinstance(e, Call):
-        return "%s(%s)" % (e.func, _print(e.arg, 1))
-    if isinstance(e, Neg):
-        inner = _print(e.arg, 4)
-        text = "-%s" % inner
-        return "(%s)" % text if prec > 3 else text
-    if isinstance(e, Pow):
-        text = "%s^%d" % (_print(e.base, 5), e.exponent)
-        return "(%s)" % text if prec > 4 else text
-    if isinstance(e, Bin):
-        if e.op in "+-":
-            mine, left, right = 1, 1, 2
+    n = len(x)
+    lits = tape.lits.tolist()
+    args = tape.args.tolist()
+    vals, grads = [], []
+    for k, op in enumerate(tape.ops.tolist()):
+        if op >= ADD:
+            rv, rg = vals.pop(), grads.pop()
+            lv, lg = vals[-1], grads[-1]
+            if op == ADD:
+                vals[-1], grads[-1] = lv + rv, lg + rg
+            elif op == SUB:
+                vals[-1], grads[-1] = lv - rv, lg - rg
+            elif op == MUL:
+                vals[-1], grads[-1] = lv * rv, rv * lg + lv * rg
+            elif rv == 0.0:
+                raise DomainError("division by zero", _span(tape, k))
+            else:
+                vals[-1], grads[-1] = lv / rv, (lg - (lv / rv) * rg) / rv
+        elif op == LIT:
+            vals.append(lits[args[k]])
+            grads.append(np.zeros(n))
+        elif op == VAR:
+            i = args[k]
+            if i >= n:
+                raise DomainError("variable x%d beyond point dimension" % (i + 1), _span(tape, k))
+            g = np.zeros(n)
+            g[i] = 1.0
+            vals.append(float(x[i]))
+            grads.append(g)
+        elif op == NEG:
+            vals[-1], grads[-1] = -vals[-1], -grads[-1]
         else:
-            mine, left, right = 2, 2, 3
-        text = "%s %s %s" % (_print(e.left, left), e.op, _print(e.right, right))
-        return "(%s)" % text if prec > mine else text
-    raise TypeError("not an expression node: %r" % (e,))
+            vals[-1], grads[-1] = _unary(op, args[k], vals[-1], grads[-1], _span(tape, k))
+    return GradedValue(float(vals[0]), grads[0])
+
+
+def _span(tape, k):
+    span = int(tape.spans[k])
+    return None if span < 0 else span
+
+
+def _unary(op, arg, v, g, span):
+    """Value and gradient of x^arg (POW) or FUNCTIONS[arg] (CALL) at v."""
+    name = "power" if op == POW else FUNCTIONS[arg]
+    try:
+        if op == POW:
+            if arg == 0:
+                return 1.0, np.zeros(len(g))
+            if v == 0.0 and arg < 0:
+                raise DomainError("zero raised to a negative power", span)
+            return float(v**arg), float(arg) * v ** (arg - 1) * g
+        if name == "sqrt":
+            if v < 0.0:
+                raise DomainError("sqrt of a negative value", span)
+            if v == 0.0:
+                raise DomainError("sqrt derivative undefined at zero", span)
+            s = math.sqrt(v)
+            return s, g / (2.0 * s)
+        if name == "exp":
+            s = math.exp(v)
+            return s, s * g
+        if name == "log":
+            if v <= 0.0:
+                raise DomainError("log of a non-positive value", span)
+            return math.log(v), g / v
+        if name == "sin":
+            return math.sin(v), math.cos(v) * g
+        return math.cos(v), -math.sin(v) * g
+    except OverflowError:
+        raise DomainError("overflow in %s" % name, span) from None
+
+
+def _wrap(item, prec):
+    text, mine = item
+    return "(%s)" % text if prec > mine else text
 
 
 def to_source(e):
-    """Render an expression so that parsing the result rebuilds the tree."""
-    return _print(e, 1)
+    """Render an expression so that parsing the result rebuilds it."""
+    tape = e if isinstance(e, Tape) else compile_tree(e)
+    lits = tape.lits.tolist()
+    # items are (text, precedence of the top node): sum=1, product=2,
+    # unary minus=3, power=4, atom=5
+    stack = []
+    for op, arg in zip(tape.ops.tolist(), tape.args.tolist()):
+        if op == LIT:
+            value = lits[arg]
+            if not math.isfinite(value):
+                raise ValueError("cannot print non-finite literal %r" % value)
+            stack.append((format(value, ".17g"), 3 if value < 0 else 5))
+        elif op == VAR:
+            stack.append(("x%d" % (arg + 1), 5))
+        elif op == NEG:
+            stack[-1] = ("-%s" % _wrap(stack[-1], 4), 3)
+        elif op == POW:
+            stack[-1] = ("%s^%d" % (_wrap(stack[-1], 5), arg), 4)
+        elif op == CALL:
+            stack[-1] = ("%s(%s)" % (FUNCTIONS[arg], stack[-1][0]), 5)
+        else:
+            right = stack.pop()
+            mine = 1 if op <= SUB else 2
+            stack[-1] = ("%s %s %s" % (_wrap(stack[-1], mine), BINARY[op - ADD], _wrap(right, mine + 1)), mine)
+    return stack[0][0]

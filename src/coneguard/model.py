@@ -19,7 +19,7 @@ semidefinite matrices of order m.  The text format is line oriented:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,22 +36,49 @@ from .cones import (
 from .errors import ConeguardError, DimensionMismatchError, DomainError, ProblemFormatError
 
 
+class AffineFold:
+    """Block entries c0 + c1 * xi + ... as (term, entry) arrays.
+
+    Row 0 holds c0, row t term t; variable n is the constant 1, and a
+    missing term is -0.0 * 1, which changes no sum.  Summing rows in
+    order gives each entry's tape value; the Jacobian is summed alike.
+    """
+
+    def __init__(self, terms, n):
+        shape = (1 + max(len(coef) for _, coef, _ in terms), len(terms))
+        self.coef = np.full(shape, -0.0)
+        self.var = np.full(shape, n, dtype=np.int32)
+        for e, (c0, coef, var) in enumerate(terms):
+            self.coef[: len(coef) + 1, e] = (c0, *coef)
+            self.var[1 : len(var) + 1, e] = var
+        jac = np.zeros((shape[1], n + 1))
+        for t in range(1, shape[0]):
+            jac[np.arange(shape[1]), self.var[t]] += self.coef[t]
+        self.jac = jac[:, :n].copy()
+
+    def values(self, x):
+        return np.add.accumulate(self.coef * np.concatenate((x, [1.0]))[self.var])[-1]
+
+
 @dataclass(frozen=True)
 class ConicBlock:
     name: str
     kind: str  # "soc" | "psd"
     dim: int
-    entries: tuple
+    entries: tuple  # of ex.Tape
+    affine: AffineFold | None = field(default=None, compare=False, repr=False)
 
-    @property
-    def entry_count(self):
-        return self.dim if self.kind == "soc" else svec_dim(self.dim)
+
+def _block(name, kind, dim, entries, n):
+    terms = [ex.affine_terms(entry) for entry in entries]
+    fold = None if None in terms else AffineFold(terms, n)
+    return ConicBlock(name, kind, dim, tuple(entries), fold)
 
 
 @dataclass(frozen=True)
 class ConicProgram:
     n: int
-    objective: ex.Expr
+    objective: ex.Tape
     eq_names: tuple
     equalities: tuple
     blocks: tuple
@@ -144,7 +171,7 @@ def loads(text):
             for _ in range(count):
                 entry_no, entry_body = take()
                 entries.append(_parse_expr(entry_body, n, entry_no))
-            blocks.append(ConicBlock(name, key, m, tuple(entries)))
+            blocks.append(_block(name, key, m, entries, n))
         else:
             raise ProblemFormatError("unknown directive %r" % key, line_no)
 
@@ -196,56 +223,64 @@ class EvaluatedPoint:
     residual: float
 
 
-def _eval_entry(entry, x, block_name, slot):
-    try:
-        return ex.eval_grad(entry, x)
-    except DomainError as err:
-        raise DomainError("block %r entry %d: %s" % (block_name, slot, err)) from err
+def _rows(tapes, x, where):
+    """Values and gradient rows of tapes at x; ``where(i)`` names tape i."""
+    vals, jac = np.zeros(len(tapes)), np.zeros((len(tapes), x.size))
+    for i, tape in enumerate(tapes):
+        try:
+            gv = ex.eval_grad(tape, x)
+        except DomainError as err:
+            raise DomainError("%s: %s" % (where(i), err)) from err
+        vals[i], jac[i] = gv.value, gv.partials
+    return _finite(vals, jac, where)
+
+
+def _finite(vals, jac, where):
+    if np.count_nonzero(np.isfinite(jac)) + np.count_nonzero(np.isfinite(vals)) < jac.size + len(vals):
+        bad = ~(np.isfinite(vals) & np.isfinite(jac).all(axis=1))
+        raise DomainError("%s: non-finite value or derivative" % where(int(np.argmax(bad))))
+    return vals, jac
 
 
 def evaluate(prog, x):
-    """Evaluate objective, constraints, Jacobians, and cone residuals at x."""
+    """Evaluate objective, constraints, Jacobians, and cone residuals at x.
+
+    Raises DomainError outside a domain or on a non-finite value.
+    """
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.size != prog.n:
         raise DimensionMismatchError("point has %d coordinates, program has %d" % (x.size, prog.n))
     gf = ex.eval_grad(prog.objective, x)
-    h = np.zeros(prog.p)
-    jac_h = np.zeros((prog.p, prog.n))
-    for i, eq in enumerate(prog.equalities):
-        gv = ex.eval_grad(eq, x)
-        h[i] = gv.value
-        jac_h[i] = gv.partials
+    _finite(np.array([gf.value]), gf.partials[None], lambda i: "objective")
+    h, jac_h = _rows(prog.equalities, x, lambda i: "equality %r" % prog.eq_names[i])
     values = []
     distances = []
     for blk in prog.blocks:
+        where = lambda i: "block %r entry %d" % (blk.name, i)
+        if blk.affine is None:
+            vals, jac = _rows(blk.entries, x, where)
+        else:
+            vals, jac = _finite(blk.affine.values(x), blk.affine.jac.copy(), where)
         if blk.kind == "soc":
-            vals = np.zeros(blk.dim)
-            jac = np.zeros((blk.dim, prog.n))
-            for r, entry in enumerate(blk.entries):
-                gv = _eval_entry(entry, x, blk.name, r)
-                vals[r] = gv.value
-                jac[r] = gv.partials
             z = SocVector(vals[0], vals[1:])
             values.append(SocBlockValue(z, jac))
             distances.append(soc_distance(z))
         else:
             m = blk.dim
-            mat = np.zeros((m, m))
-            partials = np.zeros((prog.n, m, m))
             rows, cols = np.triu_indices(m)
-            for slot, entry in enumerate(blk.entries):
-                gv = _eval_entry(entry, x, blk.name, slot)
-                a, b = int(rows[slot]), int(cols[slot])
-                mat[a, b] = gv.value
-                mat[b, a] = gv.value
-                partials[:, a, b] = gv.partials
-                partials[:, b, a] = gv.partials
+            mat = np.zeros((m, m))
+            mat[rows, cols] = vals
+            mat[cols, rows] = vals
+            partials = np.zeros((prog.n, m, m))
+            partials[:, rows, cols] = jac.T
+            partials[:, cols, rows] = jac.T
             sym = SymMatrix(mat)
             spectral = eig_sym(sym)
             values.append(PsdBlockValue(sym, partials, spectral))
             distances.append(psd_distance(sym, spectral))
     hres = float(np.max(np.abs(h))) if prog.p else 0.0
-    residual = max([hres] + distances) if distances else hres
+    # np.max keeps a NaN, which max would drop
+    residual = float(np.max([hres] + distances))
     return EvaluatedPoint(prog, x.copy(), gf.value, gf.partials, h, jac_h, tuple(values), residual)
 
 
@@ -276,47 +311,24 @@ def apply_jacobian_adjoint(pt, j, multiplier):
 def embed_block_diagonal(prog):
     """Merge all PSD blocks into a single block-diagonal PSD block."""
     for blk in prog.blocks:
-        if blk.kind != "soc" and blk.kind != "psd":
-            raise DimensionMismatchError("unknown block kind %r" % blk.kind)
-        if blk.kind == "soc":
+        if blk.kind != "psd":
             raise DimensionMismatchError(
-                "diagonal embedding needs an all-psd program; block %r is soc" % blk.name
+                "diagonal embedding needs an all-psd program; block %r is %s" % (blk.name, blk.kind)
             )
-    if not prog.blocks:
+    if len(prog.blocks) <= 1:
         return prog
-    if len(prog.blocks) == 1:
-        blk = prog.blocks[0]
-        return ConicProgram(
-            prog.n, prog.objective, prog.eq_names, prog.equalities, (blk,)
-        )
     total = sum(blk.dim for blk in prog.blocks)
-    offsets = []
-    acc = 0
+    zero = ex.parse("0", prog.n)
+    grid = [[zero] * total for _ in range(total)]
+    off = 0
     for blk in prog.blocks:
-        offsets.append(acc)
-        acc += blk.dim
-    # index entry expressions of each block by local (row, col)
-    lookup = []
-    for blk in prog.blocks:
-        rows, cols = np.triu_indices(blk.dim)
-        table = {}
-        for slot in range(len(blk.entries)):
-            table[(int(rows[slot]), int(cols[slot]))] = blk.entries[slot]
-        lookup.append(table)
-    zero = ex.Lit(0.0)
-    entries = []
-    for a in range(total):
-        for b in range(a, total):
-            owner_a = max(k for k, off in enumerate(offsets) if off <= a)
-            owner_b = max(k for k, off in enumerate(offsets) if off <= b)
-            if owner_a == owner_b:
-                off = offsets[owner_a]
-                entries.append(lookup[owner_a][(a - off, b - off)])
-            else:
-                entries.append(zero)
+        for entry, a, b in zip(blk.entries, *np.triu_indices(blk.dim)):
+            grid[off + a][off + b] = entry
+        off += blk.dim
+    entries = [grid[a][b] for a, b in zip(*np.triu_indices(total))]
     name = "diag"
     taken = {blk.name for blk in prog.blocks}
     while name in taken:
         name += "_"
-    block = ConicBlock(name, "psd", total, tuple(entries))
+    block = _block(name, "psd", total, entries, prog.n)
     return ConicProgram(prog.n, prog.objective, prog.eq_names, prog.equalities, (block,))

@@ -14,7 +14,7 @@ from coneguard.cli import (
     parse_report,
     render_report,
 )
-from coneguard.model import loads
+from coneguard.model import dumps, loads
 
 BOUNDARY = "vars 1\nobjective (x1 - 1) * (x1 - 1)\nsoc g 2\nx1\nx1\n"
 PAIR = "vars 2\nobjective x1 + x2\npsd a 1\nx1\npsd b 1\nx2\n"
@@ -385,3 +385,30 @@ class TestEmbedDiag:
         )
         assert code == EXIT_USAGE
         assert "soc" in err
+
+
+class TestHostileInput:
+    def _write(self, tmp_path, text):
+        path = tmp_path / "hostile.txt"
+        path.write_text(text)
+        return str(path)
+
+    def test_long_sum_classifies_and_round_trips(self, tmp_path, capsys):
+        text = "vars 1\nobjective %s\nsoc g 2\nx1\nx1\n" % " + ".join(["x1"] * 3000)
+        code, out, _ = run(["classify", "--problem", self._write(tmp_path, text), "--point", "1.0"], capsys)
+        assert code == EXIT_OK
+        assert row(out, "status") == ("status", "feasible")
+        assert dumps(loads(text)) == text
+
+    def test_deep_parentheses_are_a_format_error(self, tmp_path, capsys):
+        text = "vars 1\nobjective %sx1%s\n" % ("(" * 1200, ")" * 1200)
+        code, _, err = run(["classify", "--problem", self._write(tmp_path, text), "--point", "1.0"], capsys)
+        assert code == EXIT_USAGE
+        assert "nesting deeper than" in err
+
+    def test_overflowing_entry_is_not_feasible(self, tmp_path, capsys):
+        text = "vars 1\nobjective x1\nsoc g 2\n1e200 * 1e200\nx1\n"
+        code, out, err = run(["classify", "--problem", self._write(tmp_path, text), "--point", "0"], capsys)
+        assert code == EXIT_USAGE
+        assert "non-finite" in err
+        assert "feasible" not in out

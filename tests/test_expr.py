@@ -1,5 +1,7 @@
 """Expression parsing, printing, and forward-mode differentiation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,121 @@ def tame_corpus(seed, count, depth=6, n_max=4):
         yield tree, x, gv, scale
 
 
+def reference_eval(e, x):
+    """The recursive tree walk that the tape replaced, kept as a reference."""
+    if isinstance(e, ex.Lit):
+        return e.value, np.zeros(len(x))
+    if isinstance(e, ex.Var):
+        g = np.zeros(len(x))
+        if e.index >= len(x):
+            raise DomainError("variable x%d beyond point dimension" % (e.index + 1), e.span)
+        g[e.index] = 1.0
+        return float(x[e.index]), g
+    if isinstance(e, ex.Neg):
+        v, g = reference_eval(e.arg, x)
+        return -v, -g
+    if isinstance(e, ex.Bin):
+        lv, lg = reference_eval(e.left, x)
+        rv, rg = reference_eval(e.right, x)
+        if e.op == "+":
+            return lv + rv, lg + rg
+        if e.op == "-":
+            return lv - rv, lg - rg
+        if e.op == "*":
+            return lv * rv, rv * lg + lv * rg
+        if rv == 0.0:
+            raise DomainError("division by zero", e.span)
+        return lv / rv, (lg - (lv / rv) * rg) / rv
+    if isinstance(e, ex.Pow):
+        v, g = reference_eval(e.base, x)
+        k = e.exponent
+        if k == 0:
+            return 1.0, np.zeros(len(x))
+        if v == 0.0 and k < 0:
+            raise DomainError("zero raised to a negative power", e.span)
+        try:
+            val = float(v**k)
+            dv = float(k) * v ** (k - 1)
+        except OverflowError:
+            raise DomainError("overflow in power", e.span) from None
+        return val, dv * g
+    if isinstance(e, ex.Call):
+        v, g = reference_eval(e.arg, x)
+        try:
+            if e.func == "sqrt":
+                if v < 0.0:
+                    raise DomainError("sqrt of a negative value", e.span)
+                if v == 0.0:
+                    raise DomainError("sqrt derivative undefined at zero", e.span)
+                s = math.sqrt(v)
+                return s, g / (2.0 * s)
+            if e.func == "exp":
+                s = math.exp(v)
+                return s, s * g
+            if e.func == "log":
+                if v <= 0.0:
+                    raise DomainError("log of a non-positive value", e.span)
+                return math.log(v), g / v
+            if e.func == "sin":
+                return math.sin(v), math.cos(v) * g
+            return math.cos(v), -math.sin(v) * g
+        except OverflowError:
+            raise DomainError("overflow in %s" % e.func, e.span) from None
+    raise TypeError("not an expression node: %r" % (e,))
+
+
+def test_tape_equals_reference_walk_on_1000_trees():
+    for tree, x, gv, _ in tame_corpus(4321, 1000):
+        value, partials = reference_eval(tree, x)
+        assert gv.value == value
+        assert np.array_equal(gv.partials, partials)
+        # the parsed text compiles to the same tape as the tree
+        again = ex.eval_grad(ex.parse(ex.to_source(tree), x.size), x)
+        assert again.value == value
+        assert np.array_equal(again.partials, partials)
+
+
+def test_tape_and_reference_agree_on_domain_errors():
+    rng = np.random.default_rng(77)
+    raised = 0
+    for _ in range(1000):
+        n = int(rng.integers(1, 4))
+        tree = random_tree(rng, int(rng.integers(1, 7)), n)
+        x = rng.uniform(-1.5, 1.5, size=n)
+        try:
+            value, partials = reference_eval(tree, x)
+        except DomainError as err:
+            raised += 1
+            with pytest.raises(DomainError) as got:
+                ex.eval_grad(tree, x)
+            assert str(got.value) == str(err)
+            continue
+        gv = ex.eval_grad(tree, x)
+        assert gv.value == value or (math.isnan(gv.value) and math.isnan(value))
+        assert np.array_equal(gv.partials, partials, equal_nan=True)
+    assert raised > 0
+
+
+def test_deep_trees_evaluate_and_print_without_recursion():
+    tree = ex.Var(0)
+    for _ in range(5000):
+        tree = ex.Bin("+", tree, ex.Lit(1.0))
+    gv = ex.eval_grad(tree, [0.5])
+    assert gv.value == 5000.5
+    assert gv.partials[0] == 1.0
+    text = ex.to_source(tree)
+    assert ex.eval_grad(ex.parse(text, 1), [0.5]).value == 5000.5
+
+
+def test_nesting_limit():
+    deep = ex.MAX_NESTING
+    assert ex.eval_grad(ex.parse("(" * deep + "x1" + ")" * deep, 1), [2.0]).value == 2.0
+    assert ex.eval_grad(ex.parse("sin(" * deep + "x1" + ")" * deep, 1), [0.0]).value == 0.0
+    for source in ["(" * (deep + 1) + "x1" + ")" * (deep + 1), "(" * 1200 + "x1" + ")" * 1200]:
+        with pytest.raises(ExprSyntaxError):
+            ex.parse(source, 1)
+
+
 def test_gradients_match_finite_differences_on_1000_trees():
     checked = 0
     for tree, x, gv, scale in tame_corpus(1234, 1000):
@@ -152,7 +269,7 @@ def test_seventeen_digit_literals_round_trip():
 
 @pytest.mark.parametrize(
     "source",
-    ["x1 +", "", "(x1", "x1 ) ", "x1 ^ x1", "x1 ^ 2.5", "1 $ 2", "x1 x2", "sin x1"],
+    ["x1 +", "", "(x1", "x1 ) ", "x1 ^ x1", "x1 ^ 2.5", "1 $ 2", "x1 x2", "sin x1", "x1 ^ 9999999999"],
 )
 def test_syntax_errors(source):
     with pytest.raises(ExprSyntaxError):

@@ -1,8 +1,11 @@
 """Problem text format, evaluation, Jacobians, and diagonal embedding."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import coneguard.expr as ex
 from coneguard.errors import (
     DimensionMismatchError,
     DomainError,
@@ -17,7 +20,13 @@ from coneguard.model import (
     loads,
 )
 
-from conftest import fd_gradient, fd_tolerance, random_feasible_program
+from conftest import (
+    affine_entry_text,
+    build_program_text,
+    fd_gradient,
+    fd_tolerance,
+    random_feasible_program,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +219,75 @@ def test_apply_jacobian_adjoint_matches_direct_contraction():
             expect = np.tensordot(bv.partials, mu, axes=([1, 2], [0, 1]))
         got = apply_jacobian_adjoint(pt, j, mu)
         assert np.all(np.abs(got - expect) <= 1e-14)
+
+
+# ---------------------------------------------------------------------------
+# affine blocks folded to coefficient arrays
+
+
+def affine_program_text(rng, n=30, psd_dims=(10, 10, 8, 8), soc_dims=(5, 5, 5, 5), keep=1.0):
+    """Entries c0 + sum 0.3 N(0, 1) x_i; each term is kept with probability ``keep``.
+
+    With the default shape the text has 212 lines.
+    """
+    blocks = []
+    for kind, dims in (("psd", psd_dims), ("soc", soc_dims)):
+        for b, m in enumerate(dims):
+            count = m if kind == "soc" else m * (m + 1) // 2
+            coeffs = 0.3 * rng.standard_normal((count, n)) * (rng.random((count, n)) < keep)
+            consts = rng.integers(-3, 4, size=count) / 2.0
+            lines = ["%s %s%d %d" % (kind, kind, b + 1, m)]
+            blocks.append(lines + [affine_entry_text(row, c) for row, c in zip(coeffs, consts)])
+    return build_program_text(n, "x1", blocks=blocks)
+
+
+@pytest.mark.parametrize("keep", [1.0, 0.3])
+def test_affine_fold_equals_entry_tapes(keep):
+    rng = np.random.default_rng(31)
+    for _ in range(2):
+        prog = loads(affine_program_text(rng, keep=keep))
+        for _ in range(5):
+            x = rng.standard_normal(prog.n)
+            for blk in prog.blocks:
+                assert blk.affine is not None
+                graded = [ex.eval_grad(entry, x) for entry in blk.entries]
+                assert np.array_equal(blk.affine.values(x), [gv.value for gv in graded])
+                assert np.array_equal(blk.affine.jac, [gv.partials for gv in graded])
+
+
+def test_only_all_affine_blocks_are_folded():
+    prog = loads("vars 2\nobjective x1\nsoc a 2\n1 + 2 * x1\n0.5\nsoc b 2\n1 + 2 * x1\nx2\n")
+    assert prog.blocks[0].affine is not None
+    assert prog.blocks[1].affine is None
+
+
+def test_loads_holds_under_a_megabyte_for_a_212_line_affine_program():
+    text = affine_program_text(np.random.default_rng(32))
+    assert len(text.splitlines()) == 212
+    loads(text)
+    tracemalloc.start()
+    try:
+        prog = loads(text)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert prog.n == 30
+    assert held < 1_000_000
+
+
+@pytest.mark.parametrize(
+    "text,where",
+    [
+        ("vars 1\nobjective 1e200 * 1e200 * x1\n", "objective"),
+        ("vars 1\nobjective x1\neq h 1e308 * x1 * x1\n", "equality 'h'"),
+        ("vars 1\nobjective x1\nsoc g 2\nx1\n1e200 * 1e200\n", "block 'g' entry 1"),
+        ("vars 1\nobjective x1\nsoc g 2\n1e308 + 1e308 * x1\n0 + 1e308 * x1\n", "block 'g' entry 0"),
+    ],
+    ids=["objective", "equality", "block-entry", "folded-block"],
+)
+def test_non_finite_values_are_domain_errors(text, where):
+    with pytest.raises(DomainError, match=where):
+        evaluate(loads(text), [2.0])
 
 
 # ---------------------------------------------------------------------------
