@@ -36,7 +36,7 @@ from .certificates import (
     verify_dependence,
 )
 from .classify import TOL_ACT, TOL_GAP, classify
-from .cones import SocVector, eig_sym, psd_distance, reflect, soc_distance
+from .cones import SocVector, eig_sym, psd_distance, reflect, soc_distance, upper_triangle
 from .errors import (
     DimensionMismatchError,
     ProblemFormatError,
@@ -130,11 +130,7 @@ def dumps_trace(trace: AkktTrace) -> str:
             lines.append("lambda " + " ".join(_F % v for v in rec.lam))
         for name in sorted(rec.mu):
             arr = np.asarray(rec.mu[name], dtype=float)
-            if arr.ndim == 1:
-                vals = arr
-            else:
-                iu = np.triu_indices(arr.shape[0])
-                vals = arr[iu]
+            vals = arr if arr.ndim == 1 else arr[upper_triangle(arr.shape[0])]
             lines.append("mu %s " % name + " ".join(_F % v for v in vals))
         for name in sorted(rec.alpha):
             lines.append("alpha %s " % name + _F % rec.alpha[name])
@@ -227,7 +223,7 @@ def loads_trace(prog: ConicProgram, text: str) -> AkktTrace:
                             line=line_no,
                         )
                     mat = np.zeros((blk.dim, blk.dim))
-                    iu = np.triu_indices(blk.dim)
+                    iu = upper_triangle(blk.dim)
                     mat[iu] = vals
                     mat.T[iu] = vals
                     current["mu"][name] = mat

@@ -50,7 +50,6 @@ class AlmConfig:
     eps_floor: float = 1e-10
     tol_stat: float = 1e-8
     tol_feas: float = 1e-8
-    seed: int = 42  # reserved for future randomized restarts
 
     def __post_init__(self):
         if self.rho0 <= 0:

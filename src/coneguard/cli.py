@@ -11,10 +11,11 @@ lines are printed outside the fence.
 Exit codes: 0 for positive outcomes (feasible, Holds, converged,
 certified, recovered KKT point), 1 for negative ones (Fails, rejected
 trace, diverging-multiplier witness, unbounded descent), 2 for an
-infeasible point, 3 for undecided or inconclusive outcomes, and 64 for
-unusable inputs (bad flags, malformed files or vectors).
+infeasible point, 3 for undecided or inconclusive outcomes (also when an
+internal iteration budget runs out or a factorization does not converge),
+and 64 for unusable inputs (bad flags, malformed files or vectors).
 
-The environment variable CONEGUARD_SEED, when set, overrides --seed.
+The environment variable CONEGUARD_SEED, when set, overrides check --seed.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .akkt import certify_akkt, dump_trace, load_trace, recover_kkt
 from .alm import AlmConfig, solve
 from .certificates import DEFAULT_BUDGET, TOL_CERT, TOL_RANK
 from .classify import TOL_ACT, TOL_GAP, classify
+from .cones import upper_triangle
 from .cqchecks import (
     DELTA,
     SAMPLES,
@@ -42,6 +44,7 @@ from .cqchecks import (
     check_robinson,
 )
 from .errors import (
+    BudgetExhaustedError,
     ConeguardError,
     DimensionMismatchError,
     DomainError,
@@ -95,8 +98,7 @@ def _fmt_vec(values):
 
 def _fmt_upper(mat):
     mat = np.asarray(mat, dtype=float)
-    iu = np.triu_indices(mat.shape[0])
-    return [_fmt(v) for v in mat[iu]]
+    return [_fmt(v) for v in mat[upper_triangle(mat.shape[0])]]
 
 
 class Report:
@@ -126,12 +128,6 @@ def parse_report(text):
     except ValueError:
         raise ValueError("no machine-readable report section found")
     return [tuple(line.split()) for line in lines[start + 1 : stop]]
-
-
-def render_report(parsed):
-    """Inverse of parse_report for round-trip checks."""
-    body = [" ".join(line) for line in parsed]
-    return "\n".join([REPORT_BEGIN] + body + [REPORT_END]) + "\n"
 
 
 def _emit_detail(rep, scope, detail):
@@ -388,7 +384,6 @@ def _cmd_solve(args):
     started = time.perf_counter()
     prog = _load_program(args.problem)
     x0 = _parse_vector(args.x0, prog.n, "--x0")
-    seed = _resolve_seed(args)
     cfg = AlmConfig(
         rho0=args.rho0,
         gamma=args.gamma,
@@ -397,7 +392,6 @@ def _cmd_solve(args):
         inner_max=args.inner_max,
         tol_stat=args.tol_stat,
         tol_feas=args.tol_feas,
-        seed=seed,
     )
     _evaluate_checked(prog, x0, "--x0")
     trace, status = solve(prog, x0, cfg)
@@ -418,7 +412,6 @@ def _cmd_solve(args):
     rep.add("inner-max", "%d" % cfg.inner_max)
     rep.add("tol-stat", _fmt(cfg.tol_stat))
     rep.add("tol-feas", _fmt(cfg.tol_feas))
-    rep.add("seed", "%d" % cfg.seed)
     rep.add("status", status)
     rep.add("records", "%d" % len(trace.records))
     rep.add("final-x", *_fmt_vec(final.x))
@@ -611,7 +604,6 @@ def build_parser():
     p.add_argument("--inner-max", type=int, default=5000)
     p.add_argument("--tol-stat", type=float, default=1e-8)
     p.add_argument("--tol-feas", type=float, default=1e-8)
-    p.add_argument("--seed", type=int, default=SEED)
     p.set_defaults(func=_cmd_solve)
 
     p = subs.add_parser("certify", description="Certify a trace as approximately stationary at a point.")
@@ -658,6 +650,9 @@ def main(argv=None):
     except _INPUT_ERRORS as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
+    except (BudgetExhaustedError, np.linalg.LinAlgError) as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_UNDECIDED
     except ConeguardError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_NEGATIVE

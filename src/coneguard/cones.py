@@ -2,18 +2,19 @@
 
 Second-order cone vectors are split as z = (z0, zbar) with
 K_m = {z : z0 >= ||zbar||} and K_1 the nonnegative reals.  Symmetric
-matrices carry their own spectral decomposition, computed by a cyclic
-Jacobi sweep so that results are deterministic and dependency-free.
+matrices are decomposed by LAPACK (numpy's ``eigh``), with eigenvector
+signs fixed so that repeated calls agree bitwise.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EigenConvergenceError, SymmetryError
+from .errors import DimensionMismatchError, SymmetryError
 
 SYMMETRY_TOL = 1e-12
 
@@ -36,25 +37,6 @@ class SocVector:
 
     def norm(self):
         return float(np.sqrt(self.z0**2 + self.zbar @ self.zbar))
-
-
-def soc_from_array(values):
-    values = np.asarray(values, dtype=float).reshape(-1)
-    if values.size < 1:
-        raise DimensionMismatchError("a cone vector needs at least one component")
-    return SocVector(values[0], values[1:])
-
-
-def jordan_product(y, s):
-    """Symmetrized product (<y, s>, y0*sbar + s0*ybar) on K_m."""
-    if y.m != s.m:
-        raise DimensionMismatchError("cone dimensions differ: %d vs %d" % (y.m, s.m))
-    top = float(y.as_array() @ s.as_array())
-    return SocVector(top, y.z0 * s.zbar + s.z0 * y.zbar)
-
-
-def jordan_identity(m):
-    return SocVector(1.0, np.zeros(m - 1))
 
 
 def reflect(z):
@@ -130,53 +112,6 @@ class SpectralData:
     eigenvectors: np.ndarray  # orthonormal columns, matching order
 
 
-def _jacobi(a, max_sweeps=64):
-    """Cyclic Jacobi diagonalization of a symmetric array.
-
-    Returns (eigenvalues, eigenvector columns), both unordered.  Rotations
-    are applied in a fixed row-major order, so the result is deterministic
-    for a given input.
-    """
-    m = a.shape[0]
-    v = np.eye(m)
-    if m == 1:
-        return a.ravel().copy(), v
-    a = a.copy()
-    scale = max(1.0, float(np.linalg.norm(a, "fro")))
-    for _ in range(max_sweeps):
-        off = float(np.sqrt(np.sum(np.tril(a, -1) ** 2) * 2.0))
-        if off <= 1e-14 * scale:
-            return np.diag(a).copy(), v
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                apq = a[p, q]
-                if abs(apq) <= 1e-18 * scale:
-                    continue
-                theta = 0.5 * (a[q, q] - a[p, p]) / apq
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-        a = 0.5 * (a + a.T)
-    off = float(np.sqrt(np.sum(np.tril(a, -1) ** 2) * 2.0))
-    raise EigenConvergenceError(off)
-
-
 def eig_sym(a):
     """Spectral decomposition with ascending eigenvalues.
 
@@ -184,20 +119,10 @@ def eig_sym(a):
     noticeable magnitude is positive) so repeated calls agree bitwise.
     """
     mat = a.mat if isinstance(a, SymMatrix) else SymMatrix(a).mat
-    vals, vecs = _jacobi(mat)
-    order = np.argsort(vals, kind="stable")
-    vals = vals[order]
-    vecs = vecs[:, order]
-    for j in range(vecs.shape[1]):
-        col = vecs[:, j]
-        top = float(np.max(np.abs(col)))
-        if top == 0.0:
-            continue
-        for comp in col:
-            if abs(comp) > 1e-12 * top:
-                if comp < 0.0:
-                    vecs[:, j] = -col
-                break
+    vals, vecs = np.linalg.eigh(mat)  # ascending
+    mag = np.abs(vecs)
+    lead = np.argmax(mag > 1e-12 * mag.max(axis=0, initial=0.0), axis=0)
+    vecs[:, vecs[lead, np.arange(vecs.shape[1])] < 0.0] *= -1.0
     return SpectralData(vals, vecs)
 
 
@@ -221,6 +146,18 @@ def svec_dim(m):
     return m * (m + 1) // 2
 
 
+@functools.cache
+def upper_triangle(m):
+    """Read-only (rows, cols) of the upper triangle of order m, row-major.
+
+    The one definition of the entry order used by the problem format,
+    traces, svec/smat and the reports.
+    """
+    rows, cols = np.triu_indices(m)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 _SQRT2 = float(np.sqrt(2.0))
 
 
@@ -230,14 +167,13 @@ def svec(mat):
     Chosen so the Euclidean inner product of two svec images equals the
     Frobenius inner product of the matrices.
     """
-    m = mat.shape[0]
-    i, j = np.triu_indices(m)
+    i, j = upper_triangle(mat.shape[0])
     w = np.where(i == j, 1.0, _SQRT2)
     return mat[i, j] * w
 
 
 def smat(vec, m):
-    i, j = np.triu_indices(m)
+    i, j = upper_triangle(m)
     w = np.where(i == j, 1.0, _SQRT2)
     out = np.zeros((m, m))
     out[i, j] = vec / w

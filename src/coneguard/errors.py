@@ -49,16 +49,6 @@ class SymmetryError(ConeguardError):
     """Matrix input that is not symmetric within tolerance."""
 
 
-class EigenConvergenceError(ConeguardError):
-    """Jacobi sweeps exhausted before the off-diagonal vanished."""
-
-    def __init__(self, off_norm):
-        super().__init__(
-            "eigensolver did not converge; remaining off-diagonal norm %.3e" % off_norm
-        )
-        self.off_norm = off_norm
-
-
 class InfeasiblePointError(ConeguardError):
     """Point handed to classification is not feasible within tolerance."""
 

@@ -32,6 +32,7 @@ from .cones import (
     psd_distance,
     soc_distance,
     svec_dim,
+    upper_triangle,
 )
 from .errors import ConeguardError, DimensionMismatchError, DomainError, ProblemFormatError
 
@@ -178,11 +179,6 @@ def loads(text):
     return ConicProgram(n, objective, tuple(eq_names), tuple(equalities), tuple(blocks))
 
 
-def load(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
-
-
 def dumps(prog):
     out = ["vars %d" % prog.n, "objective %s" % ex.to_source(prog.objective)]
     for name, eq in zip(prog.eq_names, prog.equalities):
@@ -191,11 +187,6 @@ def dumps(prog):
         out.append("%s %s %d" % (blk.kind, blk.name, blk.dim))
         out.extend(ex.to_source(entry) for entry in blk.entries)
     return "\n".join(out) + "\n"
-
-
-def dump(prog, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(prog))
 
 
 @dataclass(eq=False)
@@ -242,6 +233,7 @@ def _finite(vals, jac, where):
     return vals, jac
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _finite reports these
 def evaluate(prog, x):
     """Evaluate objective, constraints, Jacobians, and cone residuals at x.
 
@@ -267,7 +259,7 @@ def evaluate(prog, x):
             distances.append(soc_distance(z))
         else:
             m = blk.dim
-            rows, cols = np.triu_indices(m)
+            rows, cols = upper_triangle(m)
             mat = np.zeros((m, m))
             mat[rows, cols] = vals
             mat[cols, rows] = vals
@@ -322,10 +314,10 @@ def embed_block_diagonal(prog):
     grid = [[zero] * total for _ in range(total)]
     off = 0
     for blk in prog.blocks:
-        for entry, a, b in zip(blk.entries, *np.triu_indices(blk.dim)):
+        for entry, a, b in zip(blk.entries, *upper_triangle(blk.dim)):
             grid[off + a][off + b] = entry
         off += blk.dim
-    entries = [grid[a][b] for a, b in zip(*np.triu_indices(total))]
+    entries = [grid[a][b] for a, b in zip(*upper_triangle(total))]
     name = "diag"
     taken = {blk.name for blk in prog.blocks}
     while name in taken:

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .classify import TOL_GAP
 from .cones import reflect
 from .errors import DimensionMismatchError, NonSimpleEigenvalueError
-
-TOL_GAP = 1e-6
 
 
 @dataclass(frozen=True)

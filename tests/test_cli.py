@@ -1,5 +1,10 @@
 """End-to-end tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,11 +15,18 @@ from coneguard.cli import (
     EXIT_OK,
     EXIT_UNDECIDED,
     EXIT_USAGE,
+    REPORT_BEGIN,
+    REPORT_END,
     main,
+    Report,
     parse_report,
-    render_report,
 )
+from coneguard.errors import BudgetExhaustedError
 from coneguard.model import dumps, loads
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
+PROBLEMS = ROOT / "problems"
 
 BOUNDARY = "vars 1\nobjective (x1 - 1) * (x1 - 1)\nsoc g 2\nx1\nx1\n"
 PAIR = "vars 2\nobjective x1 + x2\npsd a 1\nx1\npsd b 1\nx2\n"
@@ -141,8 +153,9 @@ class TestClassify:
         _, out, _ = run(
             ["classify", "--problem", files["kernel"], "--point", "0"], capsys
         )
-        fenced = render_report(parse_report(out))
-        assert fenced in out
+        rep = Report()
+        rep.lines = parse_report(out)
+        assert rep.render() in out
 
     def test_fenced_section_is_reproducible(self, files, capsys):
         args = ["classify", "--problem", files["kernel"], "--point", "0"]
@@ -412,3 +425,48 @@ class TestHostileInput:
         assert code == EXIT_USAGE
         assert "non-finite" in err
         assert "feasible" not in out
+
+
+class TestInternalFailures:
+    def test_budget_exhaustion_is_undecided(self, files, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise BudgetExhaustedError("nnls iteration budget exhausted", 1.0)
+
+        monkeypatch.setattr("coneguard.cqchecks.cone_membership", exhausted)
+        code, _, err = run(
+            ["check", "--problem", files["pair"], "--point", "0,0", "--cq", "crsc"], capsys
+        )
+        assert code == EXIT_UNDECIDED
+        assert err.startswith("error: nnls iteration budget exhausted")
+
+    def test_eigensolver_failure_is_undecided(self, files, capsys, monkeypatch):
+        def diverged(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr("coneguard.model.eig_sym", diverged)
+        code, _, err = run(["classify", "--problem", files["kernel"], "--point", "0"], capsys)
+        assert code == EXIT_UNDECIDED
+        assert err == "error: Eigenvalues did not converge\n"
+        assert "Traceback" not in err
+
+
+def _fenced_under_threads(threads, argv):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "coneguard.cli", *argv], env=env, capture_output=True, text=True, check=False
+    )
+    return done.returncode, done.stdout[done.stdout.index(REPORT_BEGIN) : done.stdout.index(REPORT_END)]
+
+
+def test_check_report_ignores_blas_thread_count():
+    argv = ["check", "--problem", str(PROBLEMS / "psd_pair_line.txt"), "--point", "0", "--cq", "all"]
+    assert _fenced_under_threads(1, argv) == _fenced_under_threads(4, argv)
+
+
+def test_solve_report_and_trace_ignore_blas_thread_count(tmp_path):
+    argv = ["solve", "--problem", str(PROBLEMS / "soc_boundary_line.txt"), "--x0", "3", "--trace"]
+    one = _fenced_under_threads(1, argv + [str(tmp_path / "one.trace")])
+    four = _fenced_under_threads(4, argv + [str(tmp_path / "four.trace")])
+    assert one == four
+    assert (tmp_path / "one.trace").read_bytes() == (tmp_path / "four.trace").read_bytes()

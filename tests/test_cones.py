@@ -1,4 +1,4 @@
-"""Cone primitives: Jordan algebra, projections, spectral code, svec."""
+"""Cone primitives: projections, spectral code, svec."""
 
 import numpy as np
 import pytest
@@ -9,15 +9,12 @@ from coneguard.cones import (
     SymMatrix,
     classify_soc,
     eig_sym,
-    jordan_identity,
-    jordan_product,
     project_psd,
     project_soc,
     psd_distance,
     reflect,
     smat,
     soc_distance,
-    soc_from_array,
     svec,
     svec_dim,
 )
@@ -25,48 +22,13 @@ from coneguard.errors import DimensionMismatchError, SymmetryError
 
 
 def random_soc(rng, m):
-    return soc_from_array(rng.uniform(-2.0, 2.0, size=m))
+    v = rng.uniform(-2.0, 2.0, size=m)
+    return SocVector(v[0], v[1:])
 
 
 def random_sym(rng, m):
     a = rng.uniform(-2.0, 2.0, size=(m, m))
     return 0.5 * (a + a.T)
-
-
-# ---------------------------------------------------------------------------
-# Jordan algebra identities
-
-
-def test_jordan_product_commutes_and_pairs_with_identity():
-    rng = np.random.default_rng(7)
-    for _ in range(1000):
-        m = int(rng.integers(1, 7))
-        y, s = random_soc(rng, m), random_soc(rng, m)
-        ys = jordan_product(y, s)
-        sy = jordan_product(s, y)
-        scale = max(1.0, y.norm() * s.norm())
-        assert abs(ys.z0 - sy.z0) <= 1e-12 * scale
-        assert np.all(np.abs(ys.zbar - sy.zbar) <= 1e-12 * scale)
-        e = jordan_identity(m)
-        lhs = float(ys.as_array() @ e.as_array())
-        rhs = float(y.as_array() @ s.as_array())
-        assert abs(lhs - rhs) <= 1e-12 * scale
-
-
-def test_jordan_product_rejects_dimension_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        jordan_product(jordan_identity(2), jordan_identity(3))
-
-
-def test_vertex_annihilates_under_jordan_product():
-    rng = np.random.default_rng(8)
-    for _ in range(50):
-        m = int(rng.integers(1, 6))
-        zero = SocVector(0.0, np.zeros(m - 1))
-        assert classify_soc(zero) is SocRegion.VERTEX
-        mu = project_soc(random_soc(rng, m))  # arbitrary cone member
-        prod = jordan_product(mu, zero)
-        assert prod.norm() == 0.0
 
 
 # ---------------------------------------------------------------------------
