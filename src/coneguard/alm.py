@@ -15,11 +15,11 @@ Moreau identity grad(1/2 ||P(z)||^2) = P(z):
 Each outer iteration minimizes L by gradient descent with an Armijo line
 search to a scheduled inner tolerance, then updates multipliers with the
 same projected quantities, so the outer stationarity norm equals the inner
-gradient norm at acceptance.  Multiplier estimates are clamped
-componentwise before the next round (the safeguard).  Every outer iterate
-is appended to a trace whose cone coefficients are split, at the final
-classification, into irreducible-block multipliers and reduced-block
-scalars.
+gradient norm at acceptance.  The safeguard then clips lam_hat
+componentwise and scales each mu_hat radially into the ball of radius
+cap.  Every outer iterate is appended to a trace whose cone
+coefficients are split, at the final classification, into
+irreducible-block multipliers and reduced-block scalars.
 """
 
 from __future__ import annotations
@@ -89,6 +89,12 @@ def _penalty_terms(pt, lam_hat, mu_hats, rho):
             grad = grad - np.tensordot(bv.partials, proj, axes=([1, 2], [0, 1]))
         projections.append(proj)
     return val, grad, projections
+
+
+def _cap_radially(mu, cap):
+    """mu scaled into the ball of radius cap, so it stays in its cone."""
+    norm = float(np.linalg.norm(mu))
+    return mu if norm <= cap else mu * (cap / norm)
 
 
 def _inner_minimize(prog, x, lam_hat, mu_hats, rho, eps, inner_max):
@@ -202,14 +208,15 @@ def solve(prog: ConicProgram, x0, cfg: AlmConfig | None = None, log=None):
             rho *= cfg.gamma
         feas_prev = feas
         lam_hat = np.clip(lam_new, -cfg.cap, cfg.cap)
-        mu_hats = [np.clip(m, -cfg.cap, cfg.cap) for m in mu_new]
+        mu_hats = [_cap_radially(m, cfg.cap) for m in mu_new]
 
     final_pt = evaluate(prog, raw[-1][1])
     tol_act = TOL_ACT
     try:
         cls = classify(final_pt, tol_act, TOL_GAP)
     except InfeasiblePointError:
-        tol_act = max(final_pt.residual * 1.01, TOL_ACT)
+        # just outside an SOC, classify_soc sees sqrt(2) * residual
+        tol_act = max(final_pt.residual * 1.5, TOL_ACT)
         cls = classify(final_pt, tol_act, TOL_GAP)
     records = [_split_record(prog, k, x_k, lam_k, mus_k, cls) for k, x_k, lam_k, mus_k in raw]
     return build_trace(prog, records), status

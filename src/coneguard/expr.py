@@ -14,8 +14,8 @@ nodes in post-order, held in numpy arrays.  ``eval_grad`` runs it over a
 stack, carrying each node's gradient forward with its value, so one pass
 yields the value and the full gradient.  Nothing here recurses except
 the parser, which limits nesting to MAX_NESTING.  ``affine_terms``
-recognizes c0 + c1 * xi + ..., which ``model`` folds per block into
-coefficient arrays.  Node trees compile to tapes (``compile_tree``).
+recognizes c0 + c1 * xi + ... in source text, which ``model`` folds per
+block into coefficient arrays.  Node trees compile to tapes (``compile_tree``).
 """
 
 from __future__ import annotations
@@ -115,10 +115,12 @@ class _Builder:
         self.spans.append(-1 if span is None else span)
 
 
-_TOKEN_RE = re.compile(
-    r"(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()])"
+_NUMBER = r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
+_TOKEN_RE = re.compile(r"(?P<num>%s)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()])" % _NUMBER)
+# a literal of c0 + c1 * xi + ..., maybe under '-' and '(' as in -(-2), with a
+# term's '+' and variable; only tokens take blanks after them: no backtracking
+_AFFINE_RE = re.compile(
+    r"\s*(\+\s*)?((?:(?:-\s*)?\(\s*)*(?:-\s*)?)(%s)\s*((?:\)\s*)*)(?:\*\s*x(\d+)\s*)?" % _NUMBER
 )
 
 _VAR_RE = re.compile(r"^x(\d+)$")
@@ -288,12 +290,28 @@ def compile_tree(e):
     return Tape(out)
 
 
-def affine_terms(tape):
-    """(c0, coefficients, variables) if ``tape`` parsed c0 + c1 * xi + ..., else None."""
-    ops = tape.ops
-    if ops.size % 4 != 1 or ops[0] != LIT or np.any(ops[1:].reshape(-1, 4) != (LIT, VAR, MUL, ADD)):
-        return None
-    return float(tape.lits[0]), tape.lits[1:], tape.args[2::4]
+def affine_terms(source, n):
+    """(c0, coefficients, variables) if ``source`` reads c0 + c1 * xi + ..., else None.
+
+    Literals fold unary minuses and parentheses and convert as in ``parse``.
+    None also for a variable outside x1..xn or too deep a nesting, which
+    ``parse`` reports.
+    """
+    values, var, pos = [], [], 0
+    while pos < len(source) or not values:
+        m = _AFFINE_RE.match(source, pos)
+        if m is None:
+            return None
+        plus, prefix, num, suffix, index = m.groups()
+        term, depth = bool(values), prefix.count("(")
+        if (plus is None) == term or (index is None) == term or depth != suffix.count(")"):
+            return None
+        if depth > MAX_NESTING or (term and not 1 <= int(index) <= n):
+            return None
+        values.append(-float(num) if prefix.count("-") % 2 else float(num))
+        var.append(int(index or 0) - 1)
+        pos = m.end()
+    return values[0], values[1:], var[1:]
 
 
 def eval_grad(e, x):

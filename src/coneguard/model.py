@@ -14,12 +14,14 @@ semidefinite matrices of order m.  The text format is line oriented:
     psd <name> <m>              # followed by m(m+1)/2 expression lines,
                                 # upper triangle in row-major order
 
-'#' starts a comment; blank lines are ignored.
+'#' starts a comment; blank lines are ignored.  A block of affine lines
+folds into an ``AffineFold``, no tapes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +45,7 @@ class AffineFold:
     Row 0 holds c0, row t term t; variable n is the constant 1, and a
     missing term is -0.0 * 1, which changes no sum.  Summing rows in
     order gives each entry's tape value; the Jacobian is summed alike.
+    The Jacobian and PSD partials are read-only, built once and shared.
     """
 
     def __init__(self, terms, n):
@@ -56,9 +59,41 @@ class AffineFold:
         for t in range(1, shape[0]):
             jac[np.arange(shape[1]), self.var[t]] += self.coef[t]
         self.jac = jac[:, :n].copy()
+        self.jac.flags.writeable = False
+        self._partials = None
 
     def values(self, x):
-        return np.add.accumulate(self.coef * np.concatenate((x, [1.0]))[self.var])[-1]
+        # a view would hold the whole table
+        return np.add.accumulate(self.coef * np.concatenate((x, [1.0]))[self.var])[-1].copy()
+
+    def partials(self, m):
+        """The (n, m, m) partials of the PSD block of order m."""
+        if self._partials is None:
+            self._partials = _psd_partials(self.jac, m)
+            self._partials.flags.writeable = False
+        return self._partials
+
+    def terms(self):
+        """Per entry (c0, coefficients, variables), as from ``expr.affine_terms``."""
+        ends = 1 + np.count_nonzero(self.var[1:] < self.jac.shape[1], axis=0)
+        coef, var = self.coef.T.tolist(), self.var.T.tolist()
+        return [(c[0], c[1:k], v[1:k]) for c, v, k in zip(coef, var, ends.tolist())]
+
+
+def _tape(c0, coef, var):
+    """``expr.parse``'s tape of c0 + c1 * xi + ..., spans aside."""
+    tree = ex.Lit(c0)
+    for c, i in zip(coef, var):
+        tree = ex.Bin("+", tree, ex.Bin("*", ex.Lit(c), ex.Var(i)))
+    return ex.compile_tree(tree)
+
+
+def _psd_partials(jac, m):
+    rows, cols = upper_triangle(m)
+    partials = np.zeros((jac.shape[1], m, m))
+    partials[:, rows, cols] = jac.T
+    partials[:, cols, rows] = jac.T
+    return partials
 
 
 @dataclass(frozen=True)
@@ -66,14 +101,20 @@ class ConicBlock:
     name: str
     kind: str  # "soc" | "psd"
     dim: int
-    entries: tuple  # of ex.Tape
+    tapes: tuple | None = None  # None when folded
     affine: AffineFold | None = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def entries(self):
+        """Entry tapes; a folded block builds them on first use."""
+        return self.tapes if self.affine is None else tuple(_tape(*terms) for terms in self.affine.terms())
 
 
 def _block(name, kind, dim, entries, n):
-    terms = [ex.affine_terms(entry) for entry in entries]
-    fold = None if None in terms else AffineFold(terms, n)
-    return ConicBlock(name, kind, dim, tuple(entries), fold)
+    """A block of entry tapes, or folded if all entries are terms."""
+    if all(isinstance(entry, tuple) for entry in entries):
+        return ConicBlock(name, kind, dim, affine=AffineFold(entries, n))
+    return ConicBlock(name, kind, dim, tuple(_tape(*e) if isinstance(e, tuple) else e for e in entries))
 
 
 @dataclass(frozen=True)
@@ -171,7 +212,8 @@ def loads(text):
             entries = []
             for _ in range(count):
                 entry_no, entry_body = take()
-                entries.append(_parse_expr(entry_body, n, entry_no))
+                terms = ex.affine_terms(entry_body, n)
+                entries.append(_parse_expr(entry_body, n, entry_no) if terms is None else terms)
             blocks.append(_block(name, key, m, entries, n))
         else:
             raise ProblemFormatError("unknown directive %r" % key, line_no)
@@ -249,10 +291,11 @@ def evaluate(prog, x):
     distances = []
     for blk in prog.blocks:
         where = lambda i: "block %r entry %d" % (blk.name, i)
-        if blk.affine is None:
+        fold = blk.affine
+        if fold is None:
             vals, jac = _rows(blk.entries, x, where)
         else:
-            vals, jac = _finite(blk.affine.values(x), blk.affine.jac.copy(), where)
+            vals, jac = _finite(fold.values(x), fold.jac, where)
         if blk.kind == "soc":
             z = SocVector(vals[0], vals[1:])
             values.append(SocBlockValue(z, jac))
@@ -263,9 +306,7 @@ def evaluate(prog, x):
             mat = np.zeros((m, m))
             mat[rows, cols] = vals
             mat[cols, rows] = vals
-            partials = np.zeros((prog.n, m, m))
-            partials[:, rows, cols] = jac.T
-            partials[:, cols, rows] = jac.T
+            partials = _psd_partials(jac, m) if fold is None else fold.partials(m)
             sym = SymMatrix(mat)
             spectral = eig_sym(sym)
             values.append(PsdBlockValue(sym, partials, spectral))
@@ -310,11 +351,10 @@ def embed_block_diagonal(prog):
     if len(prog.blocks) <= 1:
         return prog
     total = sum(blk.dim for blk in prog.blocks)
-    zero = ex.parse("0", prog.n)
-    grid = [[zero] * total for _ in range(total)]
+    grid = [[(0.0, [], [])] * total for _ in range(total)]
     off = 0
     for blk in prog.blocks:
-        for entry, a, b in zip(blk.entries, *upper_triangle(blk.dim)):
+        for entry, a, b in zip(blk.affine.terms() if blk.affine else blk.tapes, *upper_triangle(blk.dim)):
             grid[off + a][off + b] = entry
         off += blk.dim
     entries = [grid[a][b] for a, b in zip(*upper_triangle(total))]

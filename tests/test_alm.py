@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from coneguard.akkt import certify_akkt, dumps_trace, recover_kkt, verify_kkt
-from coneguard.alm import AlmConfig, _penalty_terms, solve
+from coneguard.alm import AlmConfig, _cap_radially, _penalty_terms, solve
+from coneguard.cli import REPORT_BEGIN, main, parse_report
 from coneguard.model import evaluate, loads
 
 
@@ -231,3 +232,40 @@ class TestPenaltyGradient:
             t = 0.5 * (z0 + tail)
             expect = np.concatenate([[t], t * z[1:] / tail])
         assert projections[0] == pytest.approx(expect, abs=1e-14)
+
+
+class TestSafeguard:
+    def test_capped_psd_multiplier_stays_psd(self):
+        mu = np.array([[3.0, 2.0], [2.0, 1.5]])
+        assert np.linalg.det(np.clip(mu, -2.0, 2.0)) == pytest.approx(-1.0)
+        capped = _cap_radially(mu, 2.0)
+        assert np.linalg.norm(capped) == pytest.approx(2.0)
+        assert np.min(np.linalg.eigvalsh(capped)) >= 0.0
+        assert _cap_radially(mu, 10.0) is mu
+
+    def test_capped_soc_multiplier_stays_in_the_cone(self):
+        capped = _cap_radially(np.array([6.0, 3.0, -4.0]), 2.0)
+        assert capped[0] >= np.linalg.norm(capped[1:])
+
+
+# the capped final iterate sits just outside the cone, where the boundary
+# test of classify_soc sees sqrt(2) times the residual
+OUTSIDE_SOC = """vars 2
+objective (x1 - 0.19132401064736168)^2 + (x2 - -2.99389297119149)^2
+soc s1 3
+1.0 + -0.030428320778559136 * x1 + 0.16006868841418953 * x2
+0.0 + 0.10184769460218464 * x1 + 0.26440294067504755 * x2
+0.0 + -0.8785364472383538 * x1 + 1.3967670545580937 * x2
+"""
+
+
+def test_capped_iterate_just_outside_an_soc_still_reports(tmp_path, capsys):
+    problem, trace = tmp_path / "outside.txt", tmp_path / "outside.trace"
+    problem.write_text(OUTSIDE_SOC)
+    argv = ["solve", "--problem", str(problem), "--x0", "0,0", "--trace", str(trace),
+            "--outer-max", "5", "--inner-max", "30"]
+    assert main(argv) == 3
+    out = capsys.readouterr().out
+    assert REPORT_BEGIN in out
+    assert ("status", "iteration-limit") in [tuple(r) for r in parse_report(out)]
+    assert trace.read_text().strip()

@@ -1,17 +1,21 @@
 """Expression parsing, printing, and forward-mode differentiation."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
 import coneguard.expr as ex
 from coneguard.errors import (
+    ConeguardError,
     DomainError,
     ExprSyntaxError,
     UnknownIdentifierError,
     VariableIndexError,
 )
+
+from coneguard.model import AffineFold
 
 from conftest import fd_gradient, fd_tolerance
 
@@ -174,6 +178,104 @@ def test_tape_equals_reference_walk_on_1000_trees():
         again = ex.eval_grad(ex.parse(ex.to_source(tree), x.size), x)
         assert again.value == value
         assert np.array_equal(again.partials, partials)
+
+
+def reference_affine_terms(tape):
+    """The tape-level recognizer that the text one replaced, kept as a reference."""
+    ops = tape.ops
+    if ops.size % 4 != 1 or ops[0] != ex.LIT or np.any(ops[1:].reshape(-1, 4) != (ex.LIT, ex.VAR, ex.MUL, ex.ADD)):
+        return None
+    return float(tape.lits[0]), tape.lits[1:], tape.args[2::4]
+
+
+def random_affine_tree(rng, n):
+    """c0 + c1 * xi + ..., literals now and then under unary minuses; one in
+    four trees has a last term that breaks the form."""
+
+    def lit():
+        node = ex.Lit(float(rng.choice([-1.0, 1.0]) * rng.random() * 10.0 ** int(rng.integers(-3, 4))))
+        for _ in range(int(rng.integers(1, 3)) if rng.random() < 0.3 else 0):
+            node = ex.Neg(node)
+        return node
+
+    tree = lit()
+    for _ in range(int(rng.integers(0, 5))):
+        tree = ex.Bin("+", tree, ex.Bin("*", lit(), ex.Var(int(rng.integers(0, n)))))
+    var = ex.Var(int(rng.integers(0, n)))
+    broken = [
+        ex.Bin("-", tree, ex.Bin("*", lit(), var)),
+        ex.Bin("+", tree, ex.Bin("*", var, lit())),
+        ex.Bin("+", tree, ex.Neg(ex.Bin("*", lit(), var))),
+        ex.Bin("+", tree, ex.Bin("*", lit(), ex.Pow(var, 1))),
+    ]
+    return broken[int(rng.integers(0, 4))] if rng.random() < 0.25 else tree
+
+
+def _assert_recognizers_agree(source, n, x):
+    """The text recognizer accepts ``source`` exactly when the tape one accepts
+    its parse, with the same terms, and the fold equals the tape bitwise."""
+    terms = ex.affine_terms(source, n)
+    try:
+        tape = ex.parse(source, n)
+    except ConeguardError:
+        assert terms is None, source
+        return False
+    ref = reference_affine_terms(tape)
+    assert (terms is None) == (ref is None), source
+    if terms is None:
+        return False
+    c0, coef, var = terms
+    assert np.array([c0, *coef]).tobytes() == np.array([ref[0], *ref[1]]).tobytes(), source
+    assert var == ref[2].tolist(), source
+    fold, gv = AffineFold([terms], n), ex.eval_grad(tape, x)
+    assert fold.values(x).tobytes() == np.array([gv.value]).tobytes(), source
+    assert fold.jac.tobytes() == gv.partials[None].tobytes(), source
+    return True
+
+
+def test_text_recognizer_agrees_with_the_tape_on_1000_trees():
+    accepted = sum(_assert_recognizers_agree(ex.to_source(tree), x.size, x) for tree, x, _, _ in tame_corpus(4321, 1000))
+    assert accepted > 100  # the lone literals, -(-1) among them
+
+
+def test_text_recognizer_agrees_with_the_tape_on_affine_trees():
+    rng = np.random.default_rng(5)
+    accepted = 0
+    for _ in range(1000):
+        n = int(rng.integers(1, 5))
+        accepted += _assert_recognizers_agree(ex.to_source(random_affine_tree(rng, n)), n, rng.standard_normal(n))
+    assert 600 < accepted < 900
+
+
+@pytest.mark.parametrize(
+    "source,terms",
+    [
+        ("- 0.5 + 1 * x1", (-0.5, [1.0], [0])),
+        ("1.e5 + .5 * x2", (1e5, [0.5], [1])),
+        ("1 + 2 * x0", None),
+        ("1 + 2 * x3", None),
+        ("1 + 2 * x1x", None),
+        ("1 - 2 * x1", None),
+        ("2 * x1", None),
+        ("1e400 + 1 * x1", (math.inf, [1.0], [0])),
+        ("-(-(2)) + (-3) * x2 + - 4e-1*x1", (2.0, [-3.0, -0.4], [1, 0])),
+        ("-" * 2 + "1", None),
+        ("(" * ex.MAX_NESTING + "1" + ")" * ex.MAX_NESTING, (1.0, [], [])),
+        ("(" * (ex.MAX_NESTING + 1) + "1" + ")" * (ex.MAX_NESTING + 1), None),
+    ],
+)
+def test_text_recognizer_edge_strings(source, terms):
+    assert ex.affine_terms(source, 2) == terms
+    assert _assert_recognizers_agree(source, 2, np.array([0.5, -1.5])) == (terms is not None)
+
+
+def test_text_recognizer_is_linear_in_blank_runs():
+    # blanks are only consumed after a token, so failing costs no backtracking;
+    # were two blank runs to meet, each of the first two would take over ten seconds
+    for source in ["(" + " " * 20000 + "x", "1 +" + " " * 20000 + "x", "( - " * 5000 + "x"]:
+        started = time.perf_counter()
+        assert ex.affine_terms(source, 1) is None
+        assert time.perf_counter() - started < 2.0
 
 
 def test_tape_and_reference_agree_on_domain_errors():

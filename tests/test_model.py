@@ -258,10 +258,30 @@ def test_affine_fold_equals_entry_tapes(keep):
 def test_only_all_affine_blocks_are_folded():
     prog = loads("vars 2\nobjective x1\nsoc a 2\n1 + 2 * x1\n0.5\nsoc b 2\n1 + 2 * x1\nx2\n")
     assert prog.blocks[0].affine is not None
+    assert prog.blocks[0].tapes is None
     assert prog.blocks[1].affine is None
+    assert len(prog.blocks[1].tapes) == 2
 
 
-def test_loads_holds_under_a_megabyte_for_a_212_line_affine_program():
+def test_folded_entries_print_as_their_parsed_lines():
+    text = affine_program_text(np.random.default_rng(33), keep=0.3)
+    prog = loads(text)
+    lines = [line for line in text.splitlines()[2:] if not line.startswith(("soc", "psd"))]
+    printed = [ex.to_source(entry) for blk in prog.blocks for entry in blk.entries]
+    assert printed == [ex.to_source(ex.parse(line, prog.n)) for line in lines]
+    assert dumps(loads(dumps(prog))) == dumps(prog)
+
+
+def test_loads_parses_only_the_objective_of_an_affine_program(monkeypatch):
+    text = affine_program_text(np.random.default_rng(32))
+    calls = []
+    parse = ex.parse
+    monkeypatch.setattr(ex, "parse", lambda source, n: calls.append(source) or parse(source, n))
+    loads(text)
+    assert calls == ["x1"]
+
+
+def test_loads_holds_under_300_kb_for_a_212_line_affine_program():
     text = affine_program_text(np.random.default_rng(32))
     assert len(text.splitlines()) == 212
     loads(text)
@@ -272,7 +292,19 @@ def test_loads_holds_under_a_megabyte_for_a_212_line_affine_program():
     finally:
         tracemalloc.stop()
     assert prog.n == 30
-    assert held < 1_000_000
+    assert held < 300_000
+
+
+def test_folded_derivatives_are_shared_and_read_only():
+    prog = loads(affine_program_text(np.random.default_rng(34), n=3, psd_dims=(3,), soc_dims=(2,)))
+    rng = np.random.default_rng(35)
+    pa, pb = evaluate(prog, rng.standard_normal(3)), evaluate(prog, rng.standard_normal(3))
+    assert pa.blocks[0].partials is pb.blocks[0].partials
+    assert pa.blocks[1].jac is pb.blocks[1].jac
+    with pytest.raises(ValueError):
+        pa.blocks[0].partials[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        pa.blocks[1].jac[0, 0] = 1.0
 
 
 @pytest.mark.parametrize(
