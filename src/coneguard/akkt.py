@@ -22,6 +22,7 @@ block.  Missing multipliers default to zero.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,14 +37,14 @@ from .certificates import (
     verify_dependence,
 )
 from .classify import TOL_ACT, TOL_GAP, classify
-from .cones import SocVector, eig_sym, psd_distance, reflect, soc_distance, upper_triangle
+from .cones import SocVector, eig_sym, psd_distance, soc_distance, upper_triangle
 from .errors import (
     DimensionMismatchError,
     ProblemFormatError,
     ReconstructionError,
 )
 from .model import ConicProgram, apply_jacobian_adjoint, evaluate
-from .reduction import eigen_gap, reduced_view
+from .reduction import conic_base, eigen_gap, reduced_view
 
 CONE_SLACK = 1e-9
 ALPHA_SLACK = -1e-12
@@ -253,18 +254,13 @@ def load_trace(prog: ConicProgram, path) -> AkktTrace:
 
 
 def _check_record_names(cls, record):
-    conic_names = set(cls.names(cls.conic()))
-    reduced_names = set(cls.names(cls.reduced()))
-    extra_mu = set(record.mu) - conic_names
-    if extra_mu:
-        raise DimensionMismatchError(
-            "cone multipliers for non-irreducible blocks: %s" % sorted(extra_mu)
-        )
-    extra_alpha = set(record.alpha) - reduced_names
-    if extra_alpha:
-        raise DimensionMismatchError(
-            "reduced coefficients for non-reduced blocks: %s" % sorted(extra_alpha)
-        )
+    for given, allowed, what in (
+        (record.mu, cls.conic(), "cone multipliers for non-irreducible"),
+        (record.alpha, cls.reduced(), "reduced coefficients for non-reduced"),
+    ):
+        extra = set(given) - set(cls.names(allowed))
+        if extra:
+            raise DimensionMismatchError("%s blocks: %s" % (what, sorted(extra)))
 
 
 def _stationarity(prog, cls, record):
@@ -280,10 +276,8 @@ def _stationarity(prog, cls, record):
         vec = vec + ptk.jac_h.T @ record.lam
     names = cls.block_names
     for j in cls.conic():
-        mu = record.mu.get(names[j])
-        if mu is None:
-            continue
-        vec = vec - apply_jacobian_adjoint(ptk, j, mu)
+        if names[j] in record.mu:
+            vec = vec - apply_jacobian_adjoint(ptk, j, record.mu[names[j]])
     flags = []
     view = reduced_view(ptk, cls, strict=False)
     for entry in view.entries:
@@ -371,23 +365,11 @@ def certify_akkt(prog, x_star, trace, tol=1e-6, tol_act=TOL_ACT, tol_gap=TOL_GAP
                 continue
             spec_mu = eig_sym(np.asarray(mu, dtype=float))
             scores = np.abs(spec_mu.eigenvectors.T @ g_vecs)
-            m = g_vals.size
             match = {}
-            used_rows = set()
-            used_cols = set()
-            for _ in range(m):
-                best = (-1.0, None, None)
-                for a in range(m):
-                    if a in used_rows:
-                        continue
-                    for b in range(m):
-                        if b in used_cols:
-                            continue
-                        if scores[a, b] > best[0]:
-                            best = (scores[a, b], a, b)
-                _, a, b = best
-                used_rows.add(a)
-                used_cols.add(b)
+            for _ in range(g_vals.size):
+                a, b = divmod(int(np.argmax(scores)), scores.shape[1])
+                scores[a, :] = -1.0
+                scores[:, b] = -1.0
                 match[b] = a
             for b in positive:
                 sigma = float(spec_mu.eigenvalues[match[b]])
@@ -454,6 +436,10 @@ class RecoveryOutcome:
     m_values: tuple = ()
     certificate: Certificate | None = None
     detail: dict = field(default_factory=dict)
+
+
+def _zero_multiplier(blk):
+    return np.zeros(blk.dim) if blk.kind == "soc" else np.zeros((blk.dim, blk.dim))
 
 
 def recover_kkt(
@@ -532,10 +518,7 @@ def recover_kkt(
         alpha_hat = {reduced[i]: float(c) for i, c in zip(result.kept, result.coeffs)}
         mvals = [float(np.max(np.abs(result.fixed_coeffs), initial=0.0))]
         mvals.append(float(np.max(np.abs(result.coeffs), initial=0.0)))
-        for j in cls.conic():
-            mu = rec.mu.get(names[j])
-            if mu is not None:
-                mvals.append(_mu_norm(mu))
+        mvals.extend(_mu_norm(rec.mu[names[j]]) for j in cls.conic() if names[j] in rec.mu)
         subrecords.append(
             {
                 "rec": rec,
@@ -552,8 +535,6 @@ def recover_kkt(
     modal = sorted(counts.items(), key=lambda item: (-item[1], item[0]))[0][0]
     chain = [sr for sr in subrecords if sr["subset"] == modal]
     m_values = tuple(sr["m"] for sr in chain)
-    modal_names = tuple(names[j] for j in modal)
-    frequency = counts[modal]
     base_detail = {
         "tail_length": len(tail),
         "reexpression_residual": reexpress_worst,
@@ -561,78 +542,49 @@ def recover_kkt(
             (tuple(names[j] for j in sub), cnt) for sub, cnt in sorted(counts.items())
         ),
     }
+    outcome = functools.partial(
+        RecoveryOutcome,
+        equality_basis=basis_names,
+        modal_subset=tuple(names[j] for j in modal),
+        modal_frequency=counts[modal],
+        m_values=m_values,
+        detail=base_detail,
+    )
 
     last = chain[-1]
+    last_mu = last["rec"].mu
+    view_star = reduced_view(pt_star, cls, strict=False)
     if max(m_values) <= m_cap:
         lam_full = np.zeros(prog.p)
-        for pos, i in enumerate(basis_i):
-            lam_full[i] = last["lam"][pos]
-        mu_map = {}
-        for j, blk in enumerate(prog.blocks):
-            name = blk.name
-            if j in cls.conic():
-                mu = last["rec"].mu.get(name)
-                if mu is None:
-                    mu = np.zeros(blk.dim) if blk.kind == "soc" else np.zeros((blk.dim, blk.dim))
-                mu_map[name] = np.asarray(mu, dtype=float)
-            elif j in reduced:
-                a = float(last["alpha"].get(j, 0.0))
-                if j in cls.soc_boundary:
-                    mu_map[name] = a * reflect(pt_star.blocks[j].value).as_array()
-                elif j in cls.soc_scalar_active:
-                    mu_map[name] = np.array([a])
-                else:
-                    v = pt_star.blocks[j].spectral.eigenvectors[:, 0]
-                    mu_map[name] = a * np.outer(v, v)
-            else:
-                mu_map[name] = (
-                    np.zeros(blk.dim) if blk.kind == "soc" else np.zeros((blk.dim, blk.dim))
-                )
+        lam_full[list(basis_i)] = last["lam"]
+        mu_map = {blk.name: _zero_multiplier(blk) for blk in prog.blocks}
+        for j in cls.conic():
+            mu_map[names[j]] = np.asarray(last_mu.get(names[j], mu_map[names[j]]), dtype=float)
+        for entry in view_star.entries:
+            mu_map[names[entry.block]] = entry.multiplier(float(last["alpha"].get(entry.block, 0.0)))
         ok, vdetail = verify_kkt(pt_star, lam_full, mu_map, 10.0 * tol)
         base_detail.update(vdetail)
         if ok:
-            return RecoveryOutcome(
+            return outcome(
                 "kkt",
                 multipliers={"lambda": lam_full, "mu": mu_map},
                 residual=vdetail["stationarity"],
-                equality_basis=basis_names,
-                modal_subset=modal_names,
-                modal_frequency=frequency,
-                m_values=m_values,
-                detail=base_detail,
             )
         base_detail["reason"] = "bounded multipliers fail first-order verification"
-        return RecoveryOutcome(
-            "inconclusive",
-            equality_basis=basis_names,
-            modal_subset=modal_names,
-            modal_frequency=frequency,
-            m_values=m_values,
-            detail=base_detail,
-        )
+        return outcome("inconclusive")
 
     if m_values[-1] >= GROWTH_FACTOR * max(m_values[0], 1.0):
         m_last = max(m_values[-1], 1.0)
         eq_basis = [pt_star.jac_h[i] for i in basis_i]
-        socs = [pt_star.blocks[j].jac for j in cls.soc_vertex_multi]
-        psds = [pt_star.blocks[j].partials for j in cls.psd_multiple]
-        view_star = reduced_view(pt_star, cls, strict=False)
+        socs, psds = conic_base(pt_star, cls)
         rays = [view_star[j].gradient for j in modal]
         lam_w = -np.asarray(last["lam"], dtype=float) / m_last
-        soc_w = []
-        for j in cls.soc_vertex_multi:
-            mu = last["rec"].mu.get(names[j])
-            soc_w.append(
-                np.asarray(mu, dtype=float) / m_last if mu is not None else np.zeros(prog.blocks[j].dim)
-            )
-        psd_w = []
-        for j in cls.psd_multiple:
-            mu = last["rec"].mu.get(names[j])
-            psd_w.append(
-                np.asarray(mu, dtype=float) / m_last
-                if mu is not None
-                else np.zeros((prog.blocks[j].dim, prog.blocks[j].dim))
-            )
+
+        def scaled(j):
+            return np.asarray(last_mu.get(names[j], _zero_multiplier(prog.blocks[j])), dtype=float) / m_last
+
+        soc_w = [scaled(j) for j in cls.soc_vertex_multi]
+        psd_w = [scaled(j) for j in cls.psd_multiple]
         alpha_w = np.array([last["alpha"].get(j, 0.0) / m_last for j in modal])
         normalization = (
             sum(float(mu[0]) for mu in soc_w)
@@ -641,14 +593,7 @@ def recover_kkt(
         )
         if normalization <= 1e-12:
             base_detail["reason"] = "diverging coefficients carry no cone mass"
-            return RecoveryOutcome(
-                "inconclusive",
-                equality_basis=basis_names,
-                modal_subset=modal_names,
-                modal_frequency=frequency,
-                m_values=m_values,
-                detail=base_detail,
-            )
+            return outcome("inconclusive")
         witness = DependenceWitness(
             lam_w / normalization,
             tuple(mu / normalization for mu in soc_w),
@@ -669,31 +614,9 @@ def recover_kkt(
                 iterations=0,
                 detail={"source": "diverging multiplier trace", "cone_gap": cone_gap},
             )
-            return RecoveryOutcome(
-                "unbounded",
-                equality_basis=basis_names,
-                modal_subset=modal_names,
-                modal_frequency=frequency,
-                m_values=m_values,
-                certificate=cert,
-                detail=base_detail,
-            )
+            return outcome("unbounded", certificate=cert)
         base_detail["reason"] = "divergence witness failed substitution"
-        return RecoveryOutcome(
-            "inconclusive",
-            equality_basis=basis_names,
-            modal_subset=modal_names,
-            modal_frequency=frequency,
-            m_values=m_values,
-            detail=base_detail,
-        )
+        return outcome("inconclusive")
 
     base_detail["reason"] = "coefficients exceed the cap without sustained growth"
-    return RecoveryOutcome(
-        "inconclusive",
-        equality_basis=basis_names,
-        modal_subset=modal_names,
-        modal_frequency=frequency,
-        m_values=m_values,
-        detail=base_detail,
-    )
+    return outcome("inconclusive")

@@ -29,11 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .akkt import AkktRecord, AkktTrace, build_trace
+from .akkt import AkktRecord, AkktTrace, _zero_multiplier, build_trace
 from .classify import TOL_ACT, TOL_GAP, classify
-from .cones import SocVector, project_psd, project_soc, reflect
+from .cones import SocVector, project_psd, project_soc
 from .errors import DomainError, InfeasiblePointError
 from .model import ConicProgram, evaluate
+from .reduction import reduced_view
 
 UNBOUNDED_OBJECTIVE = -1e12
 
@@ -133,24 +134,11 @@ def _inner_minimize(prog, x, lam_hat, mu_hats, rho, eps, inner_max):
 
 def _split_record(prog, k, x, lam, mu_full, cls):
     """Express one raw iterate in trace form under a fixed classification."""
-    pt = evaluate(prog, x)
     names = cls.block_names
-    mu = {}
-    alpha = {}
-    for j, blk in enumerate(prog.blocks):
-        if j in cls.conic():
-            arr = np.asarray(mu_full[j], dtype=float)
-            if float(np.linalg.norm(arr)) > 0.0:
-                mu[names[j]] = arr
-        elif j in cls.soc_boundary:
-            w = reflect(pt.blocks[j].value).as_array()
-            denom = max(float(w @ w), 1e-30)
-            alpha[names[j]] = max(0.0, float(mu_full[j] @ w) / denom)
-        elif j in cls.soc_scalar_active:
-            alpha[names[j]] = max(0.0, float(mu_full[j][0]))
-        elif j in cls.psd_simple:
-            v = pt.blocks[j].spectral.eigenvectors[:, 0]
-            alpha[names[j]] = max(0.0, float(v @ mu_full[j] @ v))
+    arrays = {names[j]: np.asarray(mu_full[j], dtype=float) for j in cls.conic()}
+    mu = {name: arr for name, arr in arrays.items() if float(np.linalg.norm(arr)) > 0.0}
+    view = reduced_view(evaluate(prog, x), cls, strict=False)
+    alpha = {names[e.block]: e.coefficient(mu_full[e.block]) for e in view.entries}
     return AkktRecord(k, np.asarray(x, dtype=float).copy(), np.asarray(lam, dtype=float).copy(), mu, alpha)
 
 
@@ -170,10 +158,7 @@ def solve(prog: ConicProgram, x0, cfg: AlmConfig | None = None, log=None):
     if x.size != prog.n:
         raise ValueError("starting point has %d entries, expected %d" % (x.size, prog.n))
     lam_hat = np.zeros(prog.p)
-    mu_hats = [
-        np.zeros(blk.dim) if blk.kind == "soc" else np.zeros((blk.dim, blk.dim))
-        for blk in prog.blocks
-    ]
+    mu_hats = [_zero_multiplier(blk) for blk in prog.blocks]
     pt = evaluate(prog, x)
     feas_prev = pt.residual
     rho = cfg.rho0

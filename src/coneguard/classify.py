@@ -1,4 +1,12 @@
-"""Index classification of constraint blocks at a feasible point."""
+"""Index classification of constraint blocks at a feasible point.
+
+Each block gets one label, the one reports print: a second-order-cone
+block is "interior", "boundary", "vertex-scalar" (an active block of
+dimension 1) or "vertex"; a semidefinite block is "inactive",
+"kernel-simple" (active with a simple smallest eigenvalue) or
+"kernel-multiple".  Every index set is read from the labels, so each
+block lies in exactly one of the seven leaf sets.
+"""
 
 from __future__ import annotations
 
@@ -14,90 +22,64 @@ TOL_GAP = 1e-6
 
 @dataclass(frozen=True)
 class IndexClassification:
-    soc_interior: tuple
-    soc_boundary: tuple
-    soc_vertex: tuple  # every active vertex block, any dimension
-    soc_scalar_active: tuple  # vertex blocks with m = 1
-    soc_vertex_multi: tuple  # vertex blocks with m > 1
-    psd_inactive: tuple
-    psd_simple: tuple  # active with a simple smallest eigenvalue
-    psd_multiple: tuple  # active with a repeated smallest eigenvalue
+    labels: tuple  # one label per block
     tol_act: float
     tol_gap: float
     block_names: tuple
 
+    def _having(self, *labels):
+        return tuple(j for j, label in enumerate(self.labels) if label in labels)
+
+    soc_interior = property(lambda self: self._having("interior"))
+    soc_boundary = property(lambda self: self._having("boundary"))
+    soc_vertex = property(lambda self: self._having("vertex-scalar", "vertex"))  # any dimension
+    soc_scalar_active = property(lambda self: self._having("vertex-scalar"))
+    soc_vertex_multi = property(lambda self: self._having("vertex"))
+    psd_inactive = property(lambda self: self._having("inactive"))
+    psd_simple = property(lambda self: self._having("kernel-simple"))
+    psd_multiple = property(lambda self: self._having("kernel-multiple"))
+
     def reduced(self):
         """Blocks that contribute a single reduction gradient."""
-        return tuple(sorted(self.soc_boundary + self.soc_scalar_active + self.psd_simple))
+        return self._having("boundary", "vertex-scalar", "kernel-simple")
 
     def conic(self):
         """Blocks whose multiplier stays a full cone element."""
-        return tuple(sorted(self.soc_vertex_multi + self.psd_multiple))
+        return self._having("vertex", "kernel-multiple")
 
     def names(self, indices):
         return tuple(self.block_names[j] for j in indices)
 
 
+def _label(pt, j, tol_act, tol_gap):
+    blk = pt.program.blocks[j]
+    bv = pt.blocks[j]
+    if blk.kind == "soc":
+        region = classify_soc(bv.value, tol_act)
+        if region is SocRegion.INFEASIBLE:
+            raise InfeasiblePointError(pt.residual, block_distances(pt))
+        if region is SocRegion.VERTEX:
+            return "vertex-scalar" if blk.dim == 1 else "vertex"
+        return region.value
+    vals = bv.spectral.eigenvalues
+    if vals[0] > tol_act:
+        return "inactive"
+    gap = float(vals[1] - vals[0]) if blk.dim > 1 else float("inf")
+    return "kernel-simple" if gap > tol_gap * max(1.0, bv.value.norm()) else "kernel-multiple"
+
+
 def classify(pt, tol_act=TOL_ACT, tol_gap=TOL_GAP):
-    """Partition the blocks of an evaluated point by activity structure.
+    """Label every block of an evaluated point by its activity structure.
 
     The point must be feasible within tol_act; infeasibility is an error,
     never a classification.
     """
     if pt.residual > tol_act:
         raise InfeasiblePointError(pt.residual, block_distances(pt))
-    soc_int, soc_bd, soc_vx, scalar, vertex_multi = [], [], [], [], []
-    psd_off, psd_simple, psd_multiple = [], [], []
-    for j, blk in enumerate(pt.program.blocks):
-        bv = pt.blocks[j]
-        if blk.kind == "soc":
-            region = classify_soc(bv.value, tol_act)
-            if region is SocRegion.INTERIOR:
-                soc_int.append(j)
-            elif region is SocRegion.BOUNDARY:
-                soc_bd.append(j)
-            elif region is SocRegion.VERTEX:
-                soc_vx.append(j)
-                if blk.dim == 1:
-                    scalar.append(j)
-                else:
-                    vertex_multi.append(j)
-            else:
-                raise InfeasiblePointError(pt.residual, block_distances(pt))
-        else:
-            vals = bv.spectral.eigenvalues
-            scale = max(1.0, bv.value.norm())
-            if vals[0] > tol_act:
-                psd_off.append(j)
-                continue
-            gap = float(vals[1] - vals[0]) if blk.dim > 1 else float("inf")
-            if gap > tol_gap * scale:
-                psd_simple.append(j)
-            else:
-                psd_multiple.append(j)
-    cls = IndexClassification(
-        tuple(soc_int),
-        tuple(soc_bd),
-        tuple(soc_vx),
-        tuple(scalar),
-        tuple(vertex_multi),
-        tuple(psd_off),
-        tuple(psd_simple),
-        tuple(psd_multiple),
+    blocks = pt.program.blocks
+    return IndexClassification(
+        tuple(_label(pt, j, tol_act, tol_gap) for j in range(len(blocks))),
         tol_act,
         tol_gap,
-        tuple(blk.name for blk in pt.program.blocks),
+        tuple(blk.name for blk in blocks),
     )
-    # every block lands in exactly one leaf set
-    leaves = (
-        cls.soc_interior
-        + cls.soc_boundary
-        + cls.soc_scalar_active
-        + cls.soc_vertex_multi
-        + cls.psd_inactive
-        + cls.psd_simple
-        + cls.psd_multiple
-    )
-    assert sorted(leaves) == list(range(len(pt.program.blocks)))
-    assert sorted(cls.soc_vertex) == sorted(cls.soc_scalar_active + cls.soc_vertex_multi)
-    return cls

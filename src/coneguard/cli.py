@@ -221,25 +221,9 @@ def _finish(rep, started, human_lines):
     print("elapsed %.3f s" % (time.perf_counter() - started))
 
 
-def _classification_label(cls, j):
-    if j in cls.soc_interior:
-        return "interior"
-    if j in cls.soc_boundary:
-        return "boundary"
-    if j in cls.soc_scalar_active:
-        return "vertex-scalar"
-    if j in cls.soc_vertex_multi:
-        return "vertex"
-    if j in cls.psd_inactive:
-        return "inactive"
-    if j in cls.psd_simple:
-        return "kernel-simple"
-    return "kernel-multiple"
-
-
 def _emit_classification(rep, prog, cls):
     for j, blk in enumerate(prog.blocks):
-        rep.add("block", blk.name, blk.kind, "%d" % blk.dim, _classification_label(cls, j))
+        rep.add("block", blk.name, blk.kind, "%d" % blk.dim, cls.labels[j])
     rep.add("set", "soc-interior", *cls.names(cls.soc_interior))
     rep.add("set", "soc-boundary", *cls.names(cls.soc_boundary))
     rep.add("set", "soc-vertex-scalar", *cls.names(cls.soc_scalar_active))
@@ -281,9 +265,7 @@ def _cmd_classify(args):
     _emit_classification(rep, prog, cls)
     human = ["classification at the given point:"]
     for j, blk in enumerate(prog.blocks):
-        human.append(
-            "  %-12s %s dim %d: %s" % (blk.name, blk.kind, blk.dim, _classification_label(cls, j))
-        )
+        human.append("  %-12s %s dim %d: %s" % (blk.name, blk.kind, blk.dim, cls.labels[j]))
     _finish(rep, started, human)
     return EXIT_OK
 

@@ -30,7 +30,7 @@ from .classify import IndexClassification
 from .cones import svec, svec_dim
 from .errors import DomainError, NonSimpleEigenvalueError
 from .model import EvaluatedPoint, evaluate
-from .reduction import reduced_view
+from .reduction import conic_base, reduced_view
 
 DELTA = 1e-3
 SAMPLES = 20
@@ -144,7 +144,7 @@ def _face_system(pt: EvaluatedPoint, cls: IndexClassification):
     block: full cones for vertex soc blocks and fully-degenerate psd
     kernels, single rays for boundary / scalar / simple-eigenvalue blocks.
     """
-    socs = [pt.blocks[j].jac for j in cls.soc_vertex_multi]
+    socs = conic_base(pt, cls)[0]
     psds = []
     psd_indices = []
     for j in cls.psd_multiple:
@@ -207,13 +207,6 @@ def check_robinson(
     return CqReport("robinson", "Undecided", detail, cert)
 
 
-def _conic_base(pt: EvaluatedPoint, cls: IndexClassification):
-    """Irreducible cone blocks of the constant-rank systems (full cones)."""
-    socs = [pt.blocks[j].jac for j in cls.soc_vertex_multi]
-    psds = [pt.blocks[j].partials for j in cls.psd_multiple]
-    return socs, psds
-
-
 def _reduced_gradients_at(sample: EvaluatedPoint, cls: IndexClassification):
     view = reduced_view(sample, cls)
     return {entry.block: entry.gradient for entry in view.entries}
@@ -273,7 +266,7 @@ def check_rcpld(
     detail["equality_basis"] = tuple(pt.program.eq_names[i] for i in basis_i)
     basis_rows = [eq_rows[i] for i in basis_i]
 
-    socs, psds = _conic_base(pt, cls)
+    socs, psds = conic_base(pt, cls)
     grads_star = _reduced_gradients_at(pt, cls)
     try:
         grads_samples = [_reduced_gradients_at(sp, cls) for sp in sampled]
@@ -389,7 +382,7 @@ def check_crsc(
         detail["gap"] = exc.gap
         return CqReport("crsc", "Undecided", detail)
 
-    socs, psds = _conic_base(pt, cls)
+    socs, psds = conic_base(pt, cls)
     eq_basis = basis_rows + [grads_star[j] for j in j_basis]
     rays = [grads_star[j] for j in j_plus]
     cert = conic_dependence(eq_basis, socs, psds, rays, budget=budget, tol_cert=tol_cert)

@@ -126,6 +126,12 @@ _AFFINE_RE = re.compile(
 _VAR_RE = re.compile(r"^x(\d+)$")
 
 
+def _bounded(digits):
+    """Value of a digit string, 2**31 past 10 digits: int() refuses over 4300."""
+    digits = digits.lstrip("0")
+    return int(digits or "0") if len(digits) <= 10 else 2**31
+
+
 def _scan(src):
     tokens, i = [], 0
     while i < len(src):
@@ -209,10 +215,11 @@ class _Parser(_Builder):
             kind, text, off = self.peek()
         if kind != "num" or not text.isdigit():
             raise ExprSyntaxError("exponent must be an integer literal", off)
-        if int(text) >= 2**31:
+        value = _bounded(text)
+        if value >= 2**31:
             raise ExprSyntaxError("exponent out of range", off)
         self.advance()
-        return sign * int(text)
+        return sign * value
 
     def atom(self):
         kind, text, off = self.advance()
@@ -222,7 +229,7 @@ class _Parser(_Builder):
         if kind == "ident":
             m = _VAR_RE.match(text)
             if m:
-                index = int(m.group(1))
+                index = _bounded(m.group(1))
                 if index < 1 or index > self.n:
                     raise VariableIndexError(
                         "variable index out of range: %s (n=%d)" % (text, self.n), off
@@ -306,10 +313,11 @@ def affine_terms(source, n):
         term, depth = bool(values), prefix.count("(")
         if (plus is None) == term or (index is None) == term or depth != suffix.count(")"):
             return None
-        if depth > MAX_NESTING or (term and not 1 <= int(index) <= n):
+        index = _bounded(index) if term else 0
+        if depth > MAX_NESTING or (term and not 1 <= index <= n):
             return None
         values.append(-float(num) if prefix.count("-") % 2 else float(num))
-        var.append(int(index or 0) - 1)
+        var.append(index - 1)
         pos = m.end()
     return values[0], values[1:], var[1:]
 

@@ -1,4 +1,4 @@
-"""Scalar reductions of active cone blocks.
+"""Scalar reductions of active cone blocks, and the full-cone blocks.
 
 A boundary second-order-cone block is summarized by
 phi(x) = (g0(x)^2 - ||gbar(x)||^2) / 2, whose gradient is
@@ -6,6 +6,11 @@ J_g(x)^T R g(x) with R the reflection diag(1, -1, ..., -1).  An active
 scalar block keeps its own value.  An active semidefinite block with a
 simple smallest eigenvalue is summarized by that eigenvalue, whose
 gradient has entries v^T (d_i G) v for the corresponding unit eigenvector.
+
+A reduced entry owns the map between a coefficient a and its cone
+multiplier a R g, a e0 or a v v^T, both ways.  The other active blocks
+(vertex blocks of dimension > 1, semidefinite blocks with a repeated
+smallest eigenvalue) keep full cones; ``conic_base`` collects them.
 """
 
 from __future__ import annotations
@@ -18,6 +23,8 @@ from .classify import TOL_GAP
 from .cones import reflect
 from .errors import DimensionMismatchError, NonSimpleEigenvalueError
 
+_ENTRY_LABELS = {"boundary": "soc-boundary", "vertex-scalar": "scalar", "kernel-simple": "eigen-min"}
+
 
 @dataclass(frozen=True)
 class ReducedEntry:
@@ -25,6 +32,20 @@ class ReducedEntry:
     label: str  # "soc-boundary" | "scalar" | "eigen-min"
     value: float
     gradient: np.ndarray
+    axis: np.ndarray  # R g, e0, or the unit eigenvector v
+
+    def multiplier(self, a):
+        """Cone multiplier of coefficient a: a R g, a e0, or a v v^T."""
+        if self.label == "eigen-min":
+            return a * np.outer(self.axis, self.axis)
+        return a * self.axis
+
+    def coefficient(self, mu):
+        """Nonnegative coefficient of the cone multiplier mu along the axis."""
+        if self.label == "eigen-min":
+            return max(0.0, float(self.axis @ mu @ self.axis))
+        w = self.axis
+        return max(0.0, float(mu @ w) / max(float(w @ w), 1e-30))
 
 
 @dataclass(frozen=True)
@@ -41,6 +62,12 @@ class ReducedGradients:
         return tuple(entry.block for entry in self.entries)
 
 
+def _phi_soc(bv):
+    z = bv.value
+    axis = reflect(z).as_array()
+    return 0.5 * (z.z0**2 - float(z.zbar @ z.zbar)), bv.jac.T @ axis, axis
+
+
 def phi_soc(pt, j):
     """Boundary reduction of a second-order-cone block: value and gradient."""
     blk = pt.program.blocks[j]
@@ -48,22 +75,25 @@ def phi_soc(pt, j):
         raise DimensionMismatchError(
             "block %r is not a second-order-cone block of dimension > 1" % blk.name
         )
-    bv = pt.blocks[j]
-    z = bv.value
-    value = 0.5 * (z.z0**2 - float(z.zbar @ z.zbar))
-    gradient = bv.jac.T @ reflect(z).as_array()
-    return value, gradient
+    return _phi_soc(pt.blocks[j])[:2]
 
 
-def _eigen_min(pt, j):
+def eigen_gap(pt, j):
+    """Spectral gap above the smallest eigenvalue, relative scale included."""
     bv = pt.blocks[j]
     vals = bv.spectral.eigenvalues
-    vecs = bv.spectral.eigenvectors
-    v = vecs[:, 0]
-    value = float(vals[0])
     gap = float(vals[1] - vals[0]) if vals.size > 1 else float("inf")
-    gradient = np.einsum("iab,a,b->i", bv.partials, v, v)
-    return value, gradient, gap, max(1.0, bv.value.norm())
+    return gap, max(1.0, bv.value.norm())
+
+
+def _eigen_min(pt, j, tol_gap, enforce_simple):
+    if enforce_simple:
+        gap, scale = eigen_gap(pt, j)
+        if gap <= tol_gap * scale:
+            raise NonSimpleEigenvalueError(gap, tol_gap * scale)
+    bv = pt.blocks[j]
+    v = bv.spectral.eigenvectors[:, 0]
+    return float(bv.spectral.eigenvalues[0]), np.einsum("iab,a,b->i", bv.partials, v, v), v
 
 
 def sigma_min_grad(pt, j, tol_gap=TOL_GAP, enforce_simple=True):
@@ -75,20 +105,11 @@ def sigma_min_grad(pt, j, tol_gap=TOL_GAP, enforce_simple=True):
     blk = pt.program.blocks[j]
     if blk.kind != "psd":
         raise DimensionMismatchError("block %r is not a semidefinite block" % blk.name)
-    value, gradient, gap, scale = _eigen_min(pt, j)
-    if enforce_simple and gap <= tol_gap * scale:
-        raise NonSimpleEigenvalueError(gap, tol_gap * scale)
-    return value, gradient
-
-
-def eigen_gap(pt, j):
-    """Spectral gap above the smallest eigenvalue, relative scale included."""
-    _, _, gap, scale = _eigen_min(pt, j)
-    return gap, scale
+    return _eigen_min(pt, j, tol_gap, enforce_simple)[:2]
 
 
 def reduced_view(pt, cls, strict=True):
-    """Reduction values and gradients for every reduced block of cls.
+    """Reduction values, gradients and axes for every reduced block of cls.
 
     Classification labels are taken as given, so this can be evaluated at
     points near the one that was classified.  With strict, an eigen-min
@@ -96,17 +117,23 @@ def reduced_view(pt, cls, strict=True):
     the gradient is computed from the eigenpair regardless of the gap.
     """
     entries = []
-    for j in sorted(cls.soc_boundary + cls.soc_scalar_active + cls.psd_simple):
-        if j in cls.soc_boundary:
-            value, gradient = phi_soc(pt, j)
-            label = "soc-boundary"
-        elif j in cls.soc_scalar_active:
-            bv = pt.blocks[j]
-            value = bv.value.z0
-            gradient = bv.jac[0].copy()
-            label = "scalar"
+    for j in cls.reduced():
+        label = cls.labels[j]
+        bv = pt.blocks[j]
+        if label == "boundary":
+            value, gradient, axis = _phi_soc(bv)
+        elif label == "vertex-scalar":
+            value, gradient, axis = bv.value.z0, bv.jac[0].copy(), np.ones(1)
         else:
-            value, gradient = sigma_min_grad(pt, j, cls.tol_gap, enforce_simple=strict)
-            label = "eigen-min"
-        entries.append(ReducedEntry(j, label, float(value), np.asarray(gradient, float)))
+            value, gradient, axis = _eigen_min(pt, j, cls.tol_gap, strict)
+        entries.append(
+            ReducedEntry(j, _ENTRY_LABELS[label], float(value), np.asarray(gradient, float), axis)
+        )
     return ReducedGradients(tuple(entries))
+
+
+def conic_base(pt, cls):
+    """SOC Jacobians and PSD partials of the full-cone blocks of cls."""
+    socs = [pt.blocks[j].jac for j in cls.soc_vertex_multi]
+    psds = [pt.blocks[j].partials for j in cls.psd_multiple]
+    return socs, psds

@@ -107,6 +107,15 @@ class TestExplicitLabels:
             "psd_simple": (5,),
             "psd_multiple": (6,),
         }
+        assert cls.labels == (
+            "interior",
+            "boundary",
+            "vertex-scalar",
+            "vertex",
+            "inactive",
+            "kernel-simple",
+            "kernel-multiple",
+        )
 
     def test_reduced_and_conic_views(self, seven_leaf_program):
         cls = classify_at(seven_leaf_program, [0.0, 0.0])

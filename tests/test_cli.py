@@ -426,6 +426,28 @@ class TestHostileInput:
         assert "non-finite" in err
         assert "feasible" not in out
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ("objective x%s\n", "variable index out of range"),
+            ("objective x1^%s\n", "exponent out of range"),
+            ("objective x1\nsoc g 1\n1 + 2 * x%s\n", "line 4: variable index out of range"),
+        ],
+    )
+    def test_integer_literal_past_the_int_digit_limit_is_a_format_error(self, tmp_path, capsys, entry, message):
+        text = "vars 1\n" + entry % ("1" * 5000)
+        code, _, err = run(["classify", "--problem", self._write(tmp_path, text), "--point", "1.0"], capsys)
+        assert code == EXIT_USAGE
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_leading_zeros_still_parse(self, tmp_path, capsys):
+        zeros = "0" * 5000
+        text = "vars 1\nobjective x01 + x1^007 + x%s1\nsoc g 1\n1 + 2 * x%s1\n" % (zeros, zeros)
+        code, out, _ = run(["classify", "--problem", self._write(tmp_path, text), "--point", "2.0"], capsys)
+        assert code == EXIT_OK
+        assert row(out, "objective") == ("objective", "132")
+
 
 class TestInternalFailures:
     def test_budget_exhaustion_is_undecided(self, files, capsys, monkeypatch):

@@ -5,9 +5,10 @@ import pytest
 
 from coneguard.classify import classify
 from coneguard.errors import DimensionMismatchError, NonSimpleEigenvalueError
-from coneguard.model import evaluate, loads
+from coneguard.model import apply_jacobian_adjoint, evaluate, loads
 from coneguard.reduction import (
     TOL_GAP,
+    conic_base,
     eigen_gap,
     phi_soc,
     reduced_view,
@@ -15,6 +16,18 @@ from coneguard.reduction import (
 )
 
 from conftest import fd_gradient, fd_tolerance, random_feasible_program
+
+
+SEVEN_BLOCKS = (
+    "vars 2\nobjective x1 + x2\n"
+    "soc a 2\n2\n1\n"
+    "soc b 2\n1\n1\n"
+    "soc c 1\nx1\n"
+    "soc d 2\nx1\nx1\n"
+    "psd e 1\n1\n"
+    "psd f 2\nx1\n0\n1\n"
+    "psd g 2\nx1\n0\nx2\n"
+)
 
 
 def eval_at(prog, x):
@@ -187,16 +200,7 @@ class TestSigmaMin:
 
 class TestReducedView:
     def test_labels_and_order_cover_all_reduction_rules(self):
-        prog = loads(
-            "vars 2\nobjective x1 + x2\n"
-            "soc a 2\n2\n1\n"
-            "soc b 2\n1\n1\n"
-            "soc c 1\nx1\n"
-            "soc d 2\nx1\nx1\n"
-            "psd e 1\n1\n"
-            "psd f 2\nx1\n0\n1\n"
-            "psd g 2\nx1\n0\nx2\n"
-        )
+        prog = loads(SEVEN_BLOCKS)
         pt = eval_at(prog, [0.0, 0.0])
         cls = classify(pt)
         view = reduced_view(pt, cls)
@@ -257,3 +261,26 @@ class TestReducedView:
         view = reduced_view(eval_at(psd_pair_program, [0.01]), cls)
         assert view[0].value == pytest.approx(0.01, abs=1e-12)
         assert view[1].value == pytest.approx(-0.01, abs=1e-12)
+
+    def test_multiplier_map_matches_the_gradient_and_inverts(self):
+        rng = np.random.default_rng(20261018)
+        labels = set()
+        for _ in range(40):
+            prog, x_star = random_feasible_program(rng)
+            pt = eval_at(prog, x_star)
+            for entry in reduced_view(pt, classify(pt)).entries:
+                labels.add(entry.label)
+                adjoint = apply_jacobian_adjoint(pt, entry.block, entry.multiplier(1.0))
+                assert adjoint == pytest.approx(entry.gradient, abs=1e-12)
+                for a in (0.0, 0.5, 3.0):
+                    assert entry.coefficient(entry.multiplier(a)) == pytest.approx(a, rel=1e-12)
+                assert entry.coefficient(-entry.multiplier(1.0)) == 0.0
+        assert labels == {"soc-boundary", "scalar", "eigen-min"}
+
+
+def test_conic_base_collects_the_full_cone_blocks():
+    prog = loads(SEVEN_BLOCKS)
+    pt = eval_at(prog, [0.0, 0.0])
+    socs, psds = conic_base(pt, classify(pt))
+    assert len(socs) == 1 and socs[0] is pt.blocks[3].jac
+    assert len(psds) == 1 and psds[0] is pt.blocks[6].partials
