@@ -23,7 +23,7 @@ block.  Missing multipliers default to zero.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,8 +54,7 @@ GROWTH_FACTOR = 10.0
 _F = "%.17g"
 
 
-@dataclass(frozen=True)
-class AkktRecord:
+class AkktRecord(NamedTuple):
     k: int
     x: np.ndarray
     lam: np.ndarray
@@ -63,8 +62,7 @@ class AkktRecord:
     alpha: dict  # block name -> float
 
 
-@dataclass(frozen=True)
-class AkktTrace:
+class AkktTrace(NamedTuple):
     records: tuple
 
     def __len__(self):
@@ -296,12 +294,14 @@ def akkt_residual(prog, cls, record) -> float:
     return float(np.linalg.norm(vec))
 
 
-@dataclass(frozen=True)
 class CertifyOutcome:
-    certified: bool
-    reason: str | None = None
-    offending_k: int | None = None
-    detail: dict = field(default_factory=dict)
+    __slots__ = ("certified", "reason", "offending_k", "detail")
+
+    def __init__(self, certified, reason=None, offending_k=None, detail=None):
+        self.certified = certified
+        self.reason = reason
+        self.offending_k = offending_k
+        self.detail = {} if detail is None else detail
 
 
 def certify_akkt(prog, x_star, trace, tol=1e-6, tol_act=TOL_ACT, tol_gap=TOL_GAP) -> CertifyOutcome:
@@ -425,17 +425,33 @@ def verify_kkt(pt, lam, mu_by_name, tol):
     }
 
 
-@dataclass(frozen=True)
 class RecoveryOutcome:
-    verdict: str  # "kkt" | "unbounded" | "inconclusive"
-    multipliers: dict | None = None
-    residual: float | None = None
-    equality_basis: tuple = ()
-    modal_subset: tuple = ()
-    modal_frequency: int = 0
-    m_values: tuple = ()
-    certificate: Certificate | None = None
-    detail: dict = field(default_factory=dict)
+    __slots__ = (
+        "verdict", "multipliers", "residual", "equality_basis", "modal_subset", "modal_frequency", "m_values",
+        "certificate", "detail",
+    )
+
+    def __init__(
+        self,
+        verdict,
+        multipliers=None,
+        residual=None,
+        equality_basis=(),
+        modal_subset=(),
+        modal_frequency=0,
+        m_values=(),
+        certificate=None,
+        detail=None,
+    ):
+        self.verdict = verdict  # "kkt" | "unbounded" | "inconclusive"
+        self.multipliers = multipliers
+        self.residual = residual
+        self.equality_basis = equality_basis
+        self.modal_subset = modal_subset
+        self.modal_frequency = modal_frequency
+        self.m_values = m_values
+        self.certificate = certificate
+        self.detail = {} if detail is None else detail
 
 
 def _zero_multiplier(blk):

@@ -25,7 +25,6 @@ irreducible-block multipliers and reduced-block scalars.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,20 +38,28 @@ from .reduction import reduced_view
 UNBOUNDED_OBJECTIVE = -1e12
 
 
-@dataclass(frozen=True)
 class AlmConfig:
-    rho0: float = 1.0
-    gamma: float = 4.0
-    cap: float = 1e6
-    outer_max: int = 60
-    inner_max: int = 5000
-    eps0: float = 0.1
-    eps_decay: float = 0.5
-    eps_floor: float = 1e-10
-    tol_stat: float = 1e-8
-    tol_feas: float = 1e-8
+    __slots__ = (
+        "rho0", "gamma", "cap", "outer_max", "inner_max", "eps0", "eps_decay", "eps_floor", "tol_stat", "tol_feas"
+    )
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        rho0=1.0,
+        gamma=4.0,
+        cap=1e6,
+        outer_max=60,
+        inner_max=5000,
+        eps0=0.1,
+        eps_decay=0.5,
+        eps_floor=1e-10,
+        tol_stat=1e-8,
+        tol_feas=1e-8,
+    ):
+        self.rho0, self.gamma, self.cap = rho0, gamma, cap
+        self.outer_max, self.inner_max = outer_max, inner_max
+        self.eps0, self.eps_decay, self.eps_floor = eps0, eps_decay, eps_floor
+        self.tol_stat, self.tol_feas = tol_stat, tol_feas
         if self.rho0 <= 0:
             raise ValueError("rho0 must be positive")
         if self.gamma <= 1:
@@ -98,13 +105,13 @@ def _cap_radially(mu, cap):
     return mu if norm <= cap else mu * (cap / norm)
 
 
-def _inner_minimize(prog, x, lam_hat, mu_hats, rho, eps, inner_max):
-    """Gradient descent with Armijo backtracking down to gradient norm eps.
+def _inner_minimize(prog, pt, lam_hat, mu_hats, rho, eps, inner_max):
+    """Gradient descent from the evaluated point pt with Armijo backtracking
+    down to gradient norm eps.
 
     Returns (point, value, gradient, projections, status) where status is
     "ok", "stalled", or "unbounded".
     """
-    pt = evaluate(prog, x)
     val, grad, projections = _penalty_terms(pt, lam_hat, mu_hats, rho)
     for _ in range(inner_max):
         gn = float(np.linalg.norm(grad))
@@ -132,14 +139,14 @@ def _inner_minimize(prog, x, lam_hat, mu_hats, rho, eps, inner_max):
     return pt, val, grad, projections, "stalled"
 
 
-def _split_record(prog, k, x, lam, mu_full, cls):
-    """Express one raw iterate in trace form under a fixed classification."""
+def _split_record(k, pt, lam, mu_full, cls):
+    """Express one raw iterate, evaluated as pt, in trace form under a fixed classification."""
     names = cls.block_names
     arrays = {names[j]: np.asarray(mu_full[j], dtype=float) for j in cls.conic()}
     mu = {name: arr for name, arr in arrays.items() if float(np.linalg.norm(arr)) > 0.0}
-    view = reduced_view(evaluate(prog, x), cls, strict=False)
+    view = reduced_view(pt, cls, strict=False)
     alpha = {names[e.block]: e.coefficient(mu_full[e.block]) for e in view.entries}
-    return AkktRecord(k, np.asarray(x, dtype=float).copy(), np.asarray(lam, dtype=float).copy(), mu, alpha)
+    return AkktRecord(k, pt.x.copy(), np.asarray(lam, dtype=float).copy(), mu, alpha)
 
 
 def solve(prog: ConicProgram, x0, cfg: AlmConfig | None = None, log=None):
@@ -162,17 +169,16 @@ def solve(prog: ConicProgram, x0, cfg: AlmConfig | None = None, log=None):
     pt = evaluate(prog, x)
     feas_prev = pt.residual
     rho = cfg.rho0
-    raw = [(0, x.copy(), lam_hat.copy(), [m.copy() for m in mu_hats])]
+    raw = [(0, pt, lam_hat.copy(), [m.copy() for m in mu_hats])]
     status = "iteration-limit"
     for k in range(cfg.outer_max):
         eps = cfg.eps(k)
         pt, val, grad, projections, inner_status = _inner_minimize(
-            prog, x, lam_hat, mu_hats, rho, eps, cfg.inner_max
+            prog, pt, lam_hat, mu_hats, rho, eps, cfg.inner_max
         )
-        x = pt.x
         lam_new = lam_hat + rho * pt.h if prog.p else np.zeros(0)
         mu_new = projections
-        raw.append((k + 1, x.copy(), lam_new.copy(), [np.asarray(m, dtype=float).copy() for m in mu_new]))
+        raw.append((k + 1, pt, lam_new.copy(), [np.asarray(m, dtype=float).copy() for m in mu_new]))
         stat = float(np.linalg.norm(grad))
         feas = pt.residual
         print(
@@ -195,7 +201,7 @@ def solve(prog: ConicProgram, x0, cfg: AlmConfig | None = None, log=None):
         lam_hat = np.clip(lam_new, -cfg.cap, cfg.cap)
         mu_hats = [_cap_radially(m, cfg.cap) for m in mu_new]
 
-    final_pt = evaluate(prog, raw[-1][1])
+    final_pt = raw[-1][1]
     tol_act = TOL_ACT
     try:
         cls = classify(final_pt, tol_act, TOL_GAP)
@@ -203,5 +209,5 @@ def solve(prog: ConicProgram, x0, cfg: AlmConfig | None = None, log=None):
         # just outside an SOC, classify_soc sees sqrt(2) * residual
         tol_act = max(final_pt.residual * 1.5, TOL_ACT)
         cls = classify(final_pt, tol_act, TOL_GAP)
-    records = [_split_record(prog, k, x_k, lam_k, mus_k, cls) for k, x_k, lam_k, mus_k in raw]
+    records = [_split_record(k, pt_k, lam_k, mus_k, cls) for k, pt_k, lam_k, mus_k in raw]
     return build_trace(prog, records), status

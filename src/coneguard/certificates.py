@@ -15,7 +15,7 @@ Undecided, reported honestly with both residuals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -148,8 +148,7 @@ def nnls(a, b, max_iter=None):
     return x, float(np.linalg.norm(b - a @ x))
 
 
-@dataclass(frozen=True)
-class CaratheodoryResult:
+class CaratheodoryResult(NamedTuple):
     kept: tuple  # indices into the coned list
     coeffs: np.ndarray  # positive coefficients for kept, aligned with kept
     fixed_coeffs: np.ndarray
@@ -236,8 +235,7 @@ def caratheodory_reduce(fixed, coned, target, tol_rank=TOL_RANK):
     return CaratheodoryResult(tuple(kept), coeffs, lam_out, residual)
 
 
-@dataclass(frozen=True)
-class ConeMembership:
+class ConeMembership(NamedTuple):
     member: bool
     free_coeffs: np.ndarray
     cone_coeffs: np.ndarray
@@ -287,23 +285,26 @@ def cone_membership(target, free, coned, tol=TOL_RANK):
     return ConeMembership(bool(member), lam, alpha, residual)
 
 
-@dataclass(frozen=True)
-class DependenceWitness:
+class DependenceWitness(NamedTuple):
     lam: np.ndarray
     soc: tuple  # per soc block, arrays of shape (m,)
     psd: tuple  # per psd block, symmetric arrays (m, m)
     alpha: np.ndarray
 
 
-@dataclass(frozen=True)
 class Certificate:
-    verdict: str  # "dependent" | "independent" | "undecided"
-    margin: float | None = None
-    witness: DependenceWitness | None = None
-    residual: float | None = None
-    normalization: float | None = None
-    iterations: int = 0
-    detail: dict = field(default_factory=dict)
+    __slots__ = ("verdict", "margin", "witness", "residual", "normalization", "iterations", "detail")
+
+    def __init__(
+        self, verdict, margin=None, witness=None, residual=None, normalization=None, iterations=0, detail=None
+    ):
+        self.verdict = verdict  # "dependent" | "independent" | "undecided"
+        self.margin = margin
+        self.witness = witness
+        self.residual = residual
+        self.normalization = normalization
+        self.iterations = iterations
+        self.detail = {} if detail is None else detail
 
 
 class _System:

@@ -10,7 +10,7 @@ block lies in exactly one of the seven leaf sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cones import SocRegion, classify_soc
 from .errors import InfeasiblePointError
@@ -20,8 +20,7 @@ TOL_ACT = 1e-8
 TOL_GAP = 1e-6
 
 
-@dataclass(frozen=True)
-class IndexClassification:
+class IndexClassification(NamedTuple):
     labels: tuple  # one label per block
     tol_act: float
     tol_gap: float

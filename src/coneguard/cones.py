@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,14 +19,12 @@ from .errors import DimensionMismatchError, SymmetryError
 SYMMETRY_TOL = 1e-12
 
 
-@dataclass(eq=False)
 class SocVector:
-    z0: float
-    zbar: np.ndarray
+    __slots__ = ("z0", "zbar")
 
-    def __post_init__(self):
-        self.z0 = float(self.z0)
-        self.zbar = np.asarray(self.zbar, dtype=float).reshape(-1)
+    def __init__(self, z0, zbar):
+        self.z0 = float(z0)
+        self.zbar = np.asarray(zbar, dtype=float).reshape(-1)
 
     @property
     def m(self):
@@ -81,12 +79,11 @@ def soc_distance(z):
     return float(np.linalg.norm(z.as_array() - project_soc(z).as_array()))
 
 
-@dataclass(eq=False)
 class SymMatrix:
-    mat: np.ndarray
+    __slots__ = ("mat",)
 
-    def __post_init__(self):
-        a = np.asarray(self.mat, dtype=float)
+    def __init__(self, mat):
+        a = np.asarray(mat, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionMismatchError("expected a square matrix, got shape %r" % (a.shape,))
         scale = float(np.linalg.norm(a, "fro"))
@@ -106,8 +103,7 @@ class SymMatrix:
         return float(np.linalg.norm(self.mat, "fro"))
 
 
-@dataclass(eq=False)
-class SpectralData:
+class SpectralData(NamedTuple):
     eigenvalues: np.ndarray  # ascending
     eigenvectors: np.ndarray  # orthonormal columns, matching order
 

@@ -11,15 +11,12 @@ counterexample was found among the samples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .certificates import (
     DEFAULT_BUDGET,
     TOL_CERT,
     TOL_RANK,
-    Certificate,
     cone_membership,
     conic_dependence,
     extend_basis,
@@ -40,12 +37,14 @@ SUBSET_CAP = 2 ** 16
 SAMPLING_NOTE = "no violation found in %d samples of radius %g"
 
 
-@dataclass(frozen=True)
 class CqReport:
-    name: str
-    verdict: str  # "Holds" | "Fails" | "Undecided"
-    detail: dict = field(default_factory=dict)
-    certificate: Certificate | None = None
+    __slots__ = ("name", "verdict", "detail", "certificate")
+
+    def __init__(self, name, verdict, detail=None, certificate=None):
+        self.name = name
+        self.verdict = verdict  # "Holds" | "Fails" | "Undecided"
+        self.detail = {} if detail is None else detail
+        self.certificate = certificate
 
 
 def _kernel_basis(pt: EvaluatedPoint, j: int, tol_act: float, tol_gap: float):

@@ -15,14 +15,14 @@ stack, carrying each node's gradient forward with its value, so one pass
 yields the value and the full gradient.  Nothing here recurses except
 the parser, which limits nesting to MAX_NESTING.  ``affine_terms``
 recognizes c0 + c1 * xi + ... in source text, which ``model`` folds per
-block into coefficient arrays.  Node trees compile to tapes (``compile_tree``).
+block into coefficient arrays.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,47 +37,7 @@ FUNCTIONS = ("sqrt", "exp", "log", "sin", "cos")
 MAX_NESTING = 100
 
 
-@dataclass(frozen=True)
-class Expr:
-    span: int | None = field(default=None, compare=False, kw_only=True)
-
-
-@dataclass(frozen=True)
-class Lit(Expr):
-    value: float = 0.0
-
-
-@dataclass(frozen=True)
-class Var(Expr):
-    index: int = 0  # 0-based
-
-
-@dataclass(frozen=True)
-class Neg(Expr):
-    arg: Expr = None
-
-
-@dataclass(frozen=True)
-class Pow(Expr):
-    base: Expr = None
-    exponent: int = 1
-
-
-@dataclass(frozen=True)
-class Bin(Expr):
-    op: str = "+"
-    left: Expr = None
-    right: Expr = None
-
-
-@dataclass(frozen=True)
-class Call(Expr):
-    func: str = "exp"
-    arg: Expr = None
-
-
-@dataclass(frozen=True)
-class GradedValue:
+class GradedValue(NamedTuple):
     value: float
     partials: np.ndarray
 
@@ -268,35 +228,6 @@ def parse(source, n):
     return _Parser(source, n).parse()
 
 
-_CHILDREN = {Neg: ("arg",), Call: ("arg",), Pow: ("base",), Bin: ("left", "right")}
-
-
-def compile_tree(e):
-    """Compile an expression tree into a tape, without recursion."""
-    order, stack = [], [e]
-    while stack:  # each node before its subtrees, the right one first
-        node = stack.pop()
-        order.append(node)
-        stack.extend(getattr(node, child) for child in _CHILDREN.get(type(node), ()))
-    out = _Builder()
-    for node in reversed(order):
-        if isinstance(node, Lit):
-            out.emit(LIT, float(node.value), node.span)
-        elif isinstance(node, Var):
-            out.emit(VAR, node.index, node.span)
-        elif isinstance(node, Neg):
-            out.emit(NEG, 0, node.span)
-        elif isinstance(node, Pow):
-            out.emit(POW, node.exponent, node.span)
-        elif isinstance(node, Bin):
-            out.emit(ADD + BINARY.index(node.op), 0, node.span)
-        elif isinstance(node, Call):
-            out.emit(CALL, FUNCTIONS.index(node.func), node.span)
-        else:
-            raise TypeError("not an expression node: %r" % (node,))
-    return Tape(out)
-
-
 def affine_terms(source, n):
     """(c0, coefficients, variables) if ``source`` reads c0 + c1 * xi + ..., else None.
 
@@ -322,9 +253,8 @@ def affine_terms(source, n):
     return values[0], values[1:], var[1:]
 
 
-def eval_grad(e, x):
-    """Evaluate a tape (or tree) at ``x`` returning the value and all partials."""
-    tape = e if isinstance(e, Tape) else compile_tree(e)
+def eval_grad(tape, x):
+    """Evaluate a tape at ``x`` returning the value and all partials."""
     x = np.asarray(x, dtype=float)
     n = len(x)
     lits = tape.lits.tolist()
@@ -403,9 +333,8 @@ def _wrap(item, prec):
     return "(%s)" % text if prec > mine else text
 
 
-def to_source(e):
-    """Render an expression so that parsing the result rebuilds it."""
-    tape = e if isinstance(e, Tape) else compile_tree(e)
+def to_source(tape):
+    """Render a tape so that parsing the result rebuilds it."""
     lits = tape.lits.tolist()
     # items are (text, precedence of the top node): sum=1, product=2,
     # unary minus=3, power=4, atom=5

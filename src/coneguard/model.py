@@ -20,8 +20,7 @@ folds into an ``AffineFold``, no tapes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,10 +81,14 @@ class AffineFold:
 
 def _tape(c0, coef, var):
     """``expr.parse``'s tape of c0 + c1 * xi + ..., spans aside."""
-    tree = ex.Lit(c0)
+    out = ex._Builder()
+    out.emit(ex.LIT, float(c0), None)
     for c, i in zip(coef, var):
-        tree = ex.Bin("+", tree, ex.Bin("*", ex.Lit(c), ex.Var(i)))
-    return ex.compile_tree(tree)
+        out.emit(ex.LIT, float(c), None)
+        out.emit(ex.VAR, i, None)
+        out.emit(ex.MUL, 0, None)
+        out.emit(ex.ADD, 0, None)
+    return ex.Tape(out)
 
 
 def _psd_partials(jac, m):
@@ -96,18 +99,23 @@ def _psd_partials(jac, m):
     return partials
 
 
-@dataclass(frozen=True)
 class ConicBlock:
-    name: str
-    kind: str  # "soc" | "psd"
-    dim: int
-    tapes: tuple | None = None  # None when folded
-    affine: AffineFold | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("name", "kind", "dim", "tapes", "affine", "_entries")
 
-    @cached_property
+    def __init__(self, name, kind, dim, tapes=None, affine=None):
+        self.name = name
+        self.kind = kind  # "soc" | "psd"
+        self.dim = dim
+        self.tapes = tapes  # None when folded
+        self.affine = affine
+        self._entries = tapes
+
+    @property
     def entries(self):
         """Entry tapes; a folded block builds them on first use."""
-        return self.tapes if self.affine is None else tuple(_tape(*terms) for terms in self.affine.terms())
+        if self._entries is None:
+            self._entries = tuple(_tape(*terms) for terms in self.affine.terms())
+        return self._entries
 
 
 def _block(name, kind, dim, entries, n):
@@ -117,8 +125,7 @@ def _block(name, kind, dim, entries, n):
     return ConicBlock(name, kind, dim, tuple(_tape(*e) if isinstance(e, tuple) else e for e in entries))
 
 
-@dataclass(frozen=True)
-class ConicProgram:
+class ConicProgram(NamedTuple):
     n: int
     objective: ex.Tape
     eq_names: tuple
@@ -231,21 +238,18 @@ def dumps(prog):
     return "\n".join(out) + "\n"
 
 
-@dataclass(eq=False)
-class SocBlockValue:
+class SocBlockValue(NamedTuple):
     value: SocVector
     jac: np.ndarray  # (m, n)
 
 
-@dataclass(eq=False)
-class PsdBlockValue:
+class PsdBlockValue(NamedTuple):
     value: SymMatrix
     partials: np.ndarray  # (n, m, m), each slice symmetric
     spectral: SpectralData
 
 
-@dataclass(eq=False)
-class EvaluatedPoint:
+class EvaluatedPoint(NamedTuple):
     program: ConicProgram
     x: np.ndarray
     f: float

@@ -15,7 +15,7 @@ smallest eigenvalue) keep full cones; ``conic_base`` collects them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,8 +26,7 @@ from .errors import DimensionMismatchError, NonSimpleEigenvalueError
 _ENTRY_LABELS = {"boundary": "soc-boundary", "vertex-scalar": "scalar", "kernel-simple": "eigen-min"}
 
 
-@dataclass(frozen=True)
-class ReducedEntry:
+class ReducedEntry(NamedTuple):
     block: int
     label: str  # "soc-boundary" | "scalar" | "eigen-min"
     value: float
@@ -48,9 +47,11 @@ class ReducedEntry:
         return max(0.0, float(mu @ w) / max(float(w @ w), 1e-30))
 
 
-@dataclass(frozen=True)
 class ReducedGradients:
-    entries: tuple
+    __slots__ = ("entries",)
+
+    def __init__(self, entries):
+        self.entries = entries
 
     def __getitem__(self, block):
         for entry in self.entries:

@@ -2,6 +2,7 @@
 
 import math
 import time
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -14,10 +15,99 @@ from coneguard.errors import (
     UnknownIdentifierError,
     VariableIndexError,
 )
+from coneguard.expr import ADD, BINARY, CALL, FUNCTIONS, LIT, NEG, POW, VAR, Tape, _Builder
 
-from coneguard.model import AffineFold
+from coneguard.model import AffineFold, _tape
 
 from conftest import fd_gradient, fd_tolerance
+
+
+# ---------------------------------------------------------------------------
+# expression trees, the reference for the tape
+
+
+@dataclass(frozen=True)
+class Expr:
+    span: int | None = field(default=None, compare=False, kw_only=True)
+
+
+@dataclass(frozen=True)
+class Lit(Expr):
+    value: float = 0.0
+
+
+@dataclass(frozen=True)
+class Var(Expr):
+    index: int = 0  # 0-based
+
+
+@dataclass(frozen=True)
+class Neg(Expr):
+    arg: Expr = None
+
+
+@dataclass(frozen=True)
+class Pow(Expr):
+    base: Expr = None
+    exponent: int = 1
+
+
+@dataclass(frozen=True)
+class Bin(Expr):
+    op: str = "+"
+    left: Expr = None
+    right: Expr = None
+
+
+@dataclass(frozen=True)
+class Call(Expr):
+    func: str = "exp"
+    arg: Expr = None
+
+
+_CHILDREN = {Neg: ("arg",), Call: ("arg",), Pow: ("base",), Bin: ("left", "right")}
+
+
+def compile_tree(e):
+    """Compile an expression tree into a tape, without recursion."""
+    order, stack = [], [e]
+    while stack:  # each node before its subtrees, the right one first
+        node = stack.pop()
+        order.append(node)
+        stack.extend(getattr(node, child) for child in _CHILDREN.get(type(node), ()))
+    out = _Builder()
+    for node in reversed(order):
+        if isinstance(node, Lit):
+            out.emit(LIT, float(node.value), node.span)
+        elif isinstance(node, Var):
+            out.emit(VAR, node.index, node.span)
+        elif isinstance(node, Neg):
+            out.emit(NEG, 0, node.span)
+        elif isinstance(node, Pow):
+            out.emit(POW, node.exponent, node.span)
+        elif isinstance(node, Bin):
+            out.emit(ADD + BINARY.index(node.op), 0, node.span)
+        elif isinstance(node, Call):
+            out.emit(CALL, FUNCTIONS.index(node.func), node.span)
+        else:
+            raise TypeError("not an expression node: %r" % (node,))
+    return Tape(out)
+
+
+def test_fold_tapes_equal_compiled_trees():
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        count = int(rng.integers(0, 6))
+        c0 = float(rng.standard_normal())
+        coef = rng.standard_normal(count).tolist()
+        var = rng.integers(0, 8, size=count).tolist()
+        tree = Lit(c0)
+        for c, i in zip(coef, var):
+            tree = Bin("+", tree, Bin("*", Lit(c), Var(i)))
+        got, want = _tape(c0, coef, var), compile_tree(tree)
+        for name in ("ops", "args", "spans", "lits"):
+            assert getattr(got, name).dtype == getattr(want, name).dtype
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 # ---------------------------------------------------------------------------
@@ -29,22 +119,22 @@ def random_tree(rng, depth, n):
     r = rng.random()
     if depth == 0 or r < 0.22:
         if rng.random() < 0.45:
-            return ex.Lit(float(rng.integers(-8, 9)) / 4.0)
-        return ex.Var(int(rng.integers(0, n)))
+            return Lit(float(rng.integers(-8, 9)) / 4.0)
+        return Var(int(rng.integers(0, n)))
     if r < 0.42:
-        return ex.Bin("+", random_tree(rng, depth - 1, n), random_tree(rng, depth - 1, n))
+        return Bin("+", random_tree(rng, depth - 1, n), random_tree(rng, depth - 1, n))
     if r < 0.57:
-        return ex.Bin("-", random_tree(rng, depth - 1, n), random_tree(rng, depth - 1, n))
+        return Bin("-", random_tree(rng, depth - 1, n), random_tree(rng, depth - 1, n))
     if r < 0.72:
-        return ex.Bin("*", random_tree(rng, depth - 1, n), random_tree(rng, depth - 1, n))
+        return Bin("*", random_tree(rng, depth - 1, n), random_tree(rng, depth - 1, n))
     if r < 0.80:
-        return ex.Bin("/", random_tree(rng, depth - 1, n), random_tree(rng, depth - 1, n))
+        return Bin("/", random_tree(rng, depth - 1, n), random_tree(rng, depth - 1, n))
     if r < 0.86:
-        return ex.Neg(random_tree(rng, depth - 1, n))
+        return Neg(random_tree(rng, depth - 1, n))
     if r < 0.93:
-        return ex.Pow(random_tree(rng, depth - 1, n), int(rng.integers(-2, 4)))
+        return Pow(random_tree(rng, depth - 1, n), int(rng.integers(-2, 4)))
     func = ex.FUNCTIONS[int(rng.integers(0, len(ex.FUNCTIONS)))]
-    return ex.Call(func, random_tree(rng, depth - 1, n))
+    return Call(func, random_tree(rng, depth - 1, n))
 
 
 def _comfortable(e, x):
@@ -53,27 +143,27 @@ def _comfortable(e, x):
     Margins are much larger than the finite-difference step, so the
     comparison below never leaves the domain and curvature stays tame.
     """
-    if isinstance(e, (ex.Lit, ex.Var)):
+    if isinstance(e, (Lit, Var)):
         return True
-    if isinstance(e, ex.Neg):
+    if isinstance(e, Neg):
         return _comfortable(e.arg, x)
-    if isinstance(e, ex.Pow):
+    if isinstance(e, Pow):
         if not _comfortable(e.base, x):
             return False
-        v = ex.eval_grad(e.base, x).value
+        v = ex.eval_grad(compile_tree(e.base), x).value
         if e.exponent < 0 and abs(v) < 0.3:
             return False
         return abs(v) < 6.0
-    if isinstance(e, ex.Bin):
+    if isinstance(e, Bin):
         if not (_comfortable(e.left, x) and _comfortable(e.right, x)):
             return False
         if e.op == "/":
-            return abs(ex.eval_grad(e.right, x).value) >= 0.3
+            return abs(ex.eval_grad(compile_tree(e.right), x).value) >= 0.3
         return True
-    if isinstance(e, ex.Call):
+    if isinstance(e, Call):
         if not _comfortable(e.arg, x):
             return False
-        v = ex.eval_grad(e.arg, x).value
+        v = ex.eval_grad(compile_tree(e.arg), x).value
         if e.func in ("sqrt", "log"):
             return v >= 0.1
         if e.func == "exp":
@@ -96,7 +186,7 @@ def tame_corpus(seed, count, depth=6, n_max=4):
         try:
             if not _comfortable(tree, x):
                 continue
-            gv = ex.eval_grad(tree, x)
+            gv = ex.eval_grad(compile_tree(tree), x)
         except DomainError:
             continue
         scale = max(1.0, abs(gv.value), float(np.max(np.abs(gv.partials))))
@@ -108,18 +198,18 @@ def tame_corpus(seed, count, depth=6, n_max=4):
 
 def reference_eval(e, x):
     """The recursive tree walk that the tape replaced, kept as a reference."""
-    if isinstance(e, ex.Lit):
+    if isinstance(e, Lit):
         return e.value, np.zeros(len(x))
-    if isinstance(e, ex.Var):
+    if isinstance(e, Var):
         g = np.zeros(len(x))
         if e.index >= len(x):
             raise DomainError("variable x%d beyond point dimension" % (e.index + 1), e.span)
         g[e.index] = 1.0
         return float(x[e.index]), g
-    if isinstance(e, ex.Neg):
+    if isinstance(e, Neg):
         v, g = reference_eval(e.arg, x)
         return -v, -g
-    if isinstance(e, ex.Bin):
+    if isinstance(e, Bin):
         lv, lg = reference_eval(e.left, x)
         rv, rg = reference_eval(e.right, x)
         if e.op == "+":
@@ -131,7 +221,7 @@ def reference_eval(e, x):
         if rv == 0.0:
             raise DomainError("division by zero", e.span)
         return lv / rv, (lg - (lv / rv) * rg) / rv
-    if isinstance(e, ex.Pow):
+    if isinstance(e, Pow):
         v, g = reference_eval(e.base, x)
         k = e.exponent
         if k == 0:
@@ -144,7 +234,7 @@ def reference_eval(e, x):
         except OverflowError:
             raise DomainError("overflow in power", e.span) from None
         return val, dv * g
-    if isinstance(e, ex.Call):
+    if isinstance(e, Call):
         v, g = reference_eval(e.arg, x)
         try:
             if e.func == "sqrt":
@@ -175,7 +265,7 @@ def test_tape_equals_reference_walk_on_1000_trees():
         assert gv.value == value
         assert np.array_equal(gv.partials, partials)
         # the parsed text compiles to the same tape as the tree
-        again = ex.eval_grad(ex.parse(ex.to_source(tree), x.size), x)
+        again = ex.eval_grad(ex.parse(ex.to_source(compile_tree(tree)), x.size), x)
         assert again.value == value
         assert np.array_equal(again.partials, partials)
 
@@ -193,20 +283,20 @@ def random_affine_tree(rng, n):
     four trees has a last term that breaks the form."""
 
     def lit():
-        node = ex.Lit(float(rng.choice([-1.0, 1.0]) * rng.random() * 10.0 ** int(rng.integers(-3, 4))))
+        node = Lit(float(rng.choice([-1.0, 1.0]) * rng.random() * 10.0 ** int(rng.integers(-3, 4))))
         for _ in range(int(rng.integers(1, 3)) if rng.random() < 0.3 else 0):
-            node = ex.Neg(node)
+            node = Neg(node)
         return node
 
     tree = lit()
     for _ in range(int(rng.integers(0, 5))):
-        tree = ex.Bin("+", tree, ex.Bin("*", lit(), ex.Var(int(rng.integers(0, n)))))
-    var = ex.Var(int(rng.integers(0, n)))
+        tree = Bin("+", tree, Bin("*", lit(), Var(int(rng.integers(0, n)))))
+    var = Var(int(rng.integers(0, n)))
     broken = [
-        ex.Bin("-", tree, ex.Bin("*", lit(), var)),
-        ex.Bin("+", tree, ex.Bin("*", var, lit())),
-        ex.Bin("+", tree, ex.Neg(ex.Bin("*", lit(), var))),
-        ex.Bin("+", tree, ex.Bin("*", lit(), ex.Pow(var, 1))),
+        Bin("-", tree, Bin("*", lit(), var)),
+        Bin("+", tree, Bin("*", var, lit())),
+        Bin("+", tree, Neg(Bin("*", lit(), var))),
+        Bin("+", tree, Bin("*", lit(), Pow(var, 1))),
     ]
     return broken[int(rng.integers(0, 4))] if rng.random() < 0.25 else tree
 
@@ -234,7 +324,7 @@ def _assert_recognizers_agree(source, n, x):
 
 
 def test_text_recognizer_agrees_with_the_tape_on_1000_trees():
-    accepted = sum(_assert_recognizers_agree(ex.to_source(tree), x.size, x) for tree, x, _, _ in tame_corpus(4321, 1000))
+    accepted = sum(_assert_recognizers_agree(ex.to_source(compile_tree(tree)), x.size, x) for tree, x, _, _ in tame_corpus(4321, 1000))
     assert accepted > 100  # the lone literals, -(-1) among them
 
 
@@ -243,7 +333,7 @@ def test_text_recognizer_agrees_with_the_tape_on_affine_trees():
     accepted = 0
     for _ in range(1000):
         n = int(rng.integers(1, 5))
-        accepted += _assert_recognizers_agree(ex.to_source(random_affine_tree(rng, n)), n, rng.standard_normal(n))
+        accepted += _assert_recognizers_agree(ex.to_source(compile_tree(random_affine_tree(rng, n))), n, rng.standard_normal(n))
     assert 600 < accepted < 900
 
 
@@ -290,23 +380,24 @@ def test_tape_and_reference_agree_on_domain_errors():
         except DomainError as err:
             raised += 1
             with pytest.raises(DomainError) as got:
-                ex.eval_grad(tree, x)
+                ex.eval_grad(compile_tree(tree), x)
             assert str(got.value) == str(err)
             continue
-        gv = ex.eval_grad(tree, x)
+        gv = ex.eval_grad(compile_tree(tree), x)
         assert gv.value == value or (math.isnan(gv.value) and math.isnan(value))
         assert np.array_equal(gv.partials, partials, equal_nan=True)
     assert raised > 0
 
 
 def test_deep_trees_evaluate_and_print_without_recursion():
-    tree = ex.Var(0)
+    tree = Var(0)
     for _ in range(5000):
-        tree = ex.Bin("+", tree, ex.Lit(1.0))
-    gv = ex.eval_grad(tree, [0.5])
+        tree = Bin("+", tree, Lit(1.0))
+    tape = compile_tree(tree)
+    gv = ex.eval_grad(tape, [0.5])
     assert gv.value == 5000.5
     assert gv.partials[0] == 1.0
-    text = ex.to_source(tree)
+    text = ex.to_source(tape)
     assert ex.eval_grad(ex.parse(text, 1), [0.5]).value == 5000.5
 
 
@@ -322,9 +413,10 @@ def test_nesting_limit():
 def test_gradients_match_finite_differences_on_1000_trees():
     checked = 0
     for tree, x, gv, scale in tame_corpus(1234, 1000):
-        fd = fd_gradient(lambda z: ex.eval_grad(tree, z).value, x)
+        tape = compile_tree(tree)
+        fd = fd_gradient(lambda z: ex.eval_grad(tape, z).value, x)
         assert np.all(np.abs(fd - gv.partials) <= fd_tolerance(scale)), (
-            ex.to_source(tree),
+            ex.to_source(tape),
             x,
         )
         checked += 1
@@ -335,7 +427,7 @@ def test_print_parse_is_identity_on_corpus():
     for tree, x, gv, _ in tame_corpus(99, 300):
         # printing never changes meaning, even for trees the parser would
         # normalize (a unary minus wrapping a negative literal, say)
-        canon = ex.parse(ex.to_source(tree), x.size)
+        canon = ex.parse(ex.to_source(compile_tree(tree)), x.size)
         gv2 = ex.eval_grad(canon, x)
         assert gv2.value == gv.value
         assert np.array_equal(gv2.partials, gv.partials)
@@ -365,7 +457,7 @@ def test_parse_canonical_forms():
 
 def test_seventeen_digit_literals_round_trip():
     val = 0.1 + 0.2  # not exactly representable in decimal shorthand
-    text = ex.to_source(ex.Lit(val))
+    text = ex.to_source(compile_tree(Lit(val)))
     assert ex.eval_grad(ex.parse(text, 1), [0.0]).value == val
 
 
