@@ -403,14 +403,13 @@ def verify_kkt(pt, lam, mu_by_name, tol):
             continue
         mu = np.asarray(mu, dtype=float)
         bv = pt.blocks[j]
+        stat = stat - apply_jacobian_adjoint(pt, j, mu)
         if blk.kind == "soc":
-            stat = stat - bv.jac.T @ mu
             cone = soc_distance(SocVector(float(mu[0]), mu[1:]))
             gval = bv.value.as_array()
             comp = abs(float(mu @ gval))
             gnorm = float(np.linalg.norm(gval))
         else:
-            stat = stat - np.tensordot(bv.partials, mu, axes=([1, 2], [0, 1]))
             cone = psd_distance(mu)
             comp = abs(float(np.sum(mu * bv.value.mat)))
             gnorm = bv.value.norm()
@@ -426,9 +425,12 @@ def verify_kkt(pt, lam, mu_by_name, tol):
 
 
 class RecoveryOutcome:
+    """Recovered multipliers or a divergence witness; witness_names label the
+    witness rows (lambda, soc mu, psd mu, alpha) when a certificate is set."""
+
     __slots__ = (
         "verdict", "multipliers", "residual", "equality_basis", "modal_subset", "modal_frequency", "m_values",
-        "certificate", "detail",
+        "certificate", "detail", "witness_names",
     )
 
     def __init__(
@@ -442,6 +444,7 @@ class RecoveryOutcome:
         m_values=(),
         certificate=None,
         detail=None,
+        witness_names=((), (), (), ()),
     ):
         self.verdict = verdict  # "kkt" | "unbounded" | "inconclusive"
         self.multipliers = multipliers
@@ -452,6 +455,7 @@ class RecoveryOutcome:
         self.m_values = m_values
         self.certificate = certificate
         self.detail = {} if detail is None else detail
+        self.witness_names = witness_names
 
 
 def _zero_multiplier(blk):
@@ -551,6 +555,7 @@ def recover_kkt(
     modal = sorted(counts.items(), key=lambda item: (-item[1], item[0]))[0][0]
     chain = [sr for sr in subrecords if sr["subset"] == modal]
     m_values = tuple(sr["m"] for sr in chain)
+    modal_names = tuple(names[j] for j in modal)
     base_detail = {
         "tail_length": len(tail),
         "reexpression_residual": reexpress_worst,
@@ -561,7 +566,7 @@ def recover_kkt(
     outcome = functools.partial(
         RecoveryOutcome,
         equality_basis=basis_names,
-        modal_subset=tuple(names[j] for j in modal),
+        modal_subset=modal_names,
         modal_frequency=counts[modal],
         m_values=m_values,
         detail=base_detail,
@@ -630,7 +635,8 @@ def recover_kkt(
                 iterations=0,
                 detail={"source": "diverging multiplier trace", "cone_gap": cone_gap},
             )
-            return outcome("unbounded", certificate=cert)
+            labels = (basis_names, cls.names(cls.soc_vertex_multi), cls.names(cls.psd_multiple), modal_names)
+            return outcome("unbounded", certificate=cert, witness_names=labels)
         base_detail["reason"] = "divergence witness failed substitution"
         return outcome("inconclusive")
 

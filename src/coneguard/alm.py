@@ -32,7 +32,7 @@ from .akkt import AkktRecord, AkktTrace, _zero_multiplier, build_trace
 from .classify import TOL_ACT, TOL_GAP, classify
 from .cones import SocVector, project_psd, project_soc
 from .errors import DomainError, InfeasiblePointError
-from .model import ConicProgram, evaluate
+from .model import ConicProgram, apply_jacobian_adjoint, evaluate
 from .reduction import reduced_view
 
 UNBOUNDED_OBJECTIVE = -1e12
@@ -87,14 +87,13 @@ def _penalty_terms(pt, lam_hat, mu_hats, rho):
             z = mu_hats[j] - rho * bv.value.as_array()
             proj = project_soc(SocVector(float(z[0]), z[1:])).as_array()
             val += (float(proj @ proj) - float(mu_hats[j] @ mu_hats[j])) / (2.0 * rho)
-            grad = grad - bv.jac.T @ proj
         else:
             z = mu_hats[j] - rho * bv.value.mat
             proj = project_psd(z).mat
             val += (float(np.sum(proj * proj)) - float(np.sum(mu_hats[j] * mu_hats[j]))) / (
                 2.0 * rho
             )
-            grad = grad - np.tensordot(bv.partials, proj, axes=([1, 2], [0, 1]))
+        grad = grad - apply_jacobian_adjoint(pt, j, proj)
         projections.append(proj)
     return val, grad, projections
 

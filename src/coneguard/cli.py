@@ -16,11 +16,16 @@ internal iteration budget runs out or a factorization does not converge),
 and 64 for unusable inputs (bad flags, malformed files or vectors).
 
 The environment variable CONEGUARD_SEED, when set, overrides check --seed.
+Numeric flags are range-checked as they are parsed: tolerances, radii and
+caps must be finite and positive, --gamma finite and above 1, counts at
+least 1, and seeds at least 0; anything else exits 64.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import math
 import os
 import re
 import sys
@@ -28,7 +33,7 @@ import time
 
 import numpy as np
 
-from .akkt import certify_akkt, dump_trace, load_trace, recover_kkt
+from .akkt import M_CAP, certify_akkt, dump_trace, load_trace, recover_kkt
 from .alm import AlmConfig, solve
 from .certificates import DEFAULT_BUDGET, TOL_CERT, TOL_RANK
 from .classify import TOL_ACT, TOL_GAP, classify
@@ -55,7 +60,7 @@ from .errors import (
     UnknownIdentifierError,
     VariableIndexError,
 )
-from .model import block_distances, dumps, embed_block_diagonal, evaluate, loads
+from .model import dumps, embed_block_diagonal, evaluate, loads
 
 _F = "%.17g"
 
@@ -161,9 +166,13 @@ def _emit_detail(rep, scope, detail):
         # nested values (subset logs, per-sample tables) are human-only
 
 
-def _emit_witness(rep, scope, witness, lam_names, soc_names, psd_names, ray_names):
-    if witness is None:
+def _emit_witness(rep, scope, result):
+    """Witness rows of a check's or a recovery's certificate, under the names
+    the result gives them."""
+    if result.certificate is None or result.certificate.witness is None:
         return
+    witness = result.certificate.witness
+    lam_names, soc_names, psd_names, ray_names = result.witness_names
     for name, coeff in zip(lam_names, witness.lam):
         rep.add("witness", scope, "lambda", name, _fmt(coeff))
     for name, mu in zip(soc_names, witness.soc):
@@ -197,28 +206,47 @@ def _parse_vector(text, n, what):
     return np.array(values, dtype=float)
 
 
-def _evaluate_checked(prog, x, what):
+def _open(args, command):
+    """Load the program, evaluate --point on it, and open the report."""
+    prog = _load_program(args.problem)
+    x = _parse_vector(args.point, prog.n, "--point")
     try:
-        return evaluate(prog, x)
+        pt = evaluate(prog, x)
     except DomainError as exc:
-        raise _CliError(EXIT_USAGE, "%s leaves an expression domain: %s" % (what, exc))
+        raise _CliError(EXIT_USAGE, "--point leaves an expression domain: %s" % exc)
+    rep = Report()
+    rep.add("command", command)
+    rep.add("problem", args.problem)
+    rep.add("point", *_fmt_vec(x))
+    return prog, pt, rep
 
 
-def _resolve_seed(args):
-    env = os.environ.get("CONEGUARD_SEED")
-    if env is None:
-        return args.seed
+def _open_with_trace(args, command):
+    """_open, then load the --trace file and report it with --tol."""
+    prog, pt, rep = _open(args, command)
     try:
-        return int(env)
-    except ValueError:
-        raise _CliError(EXIT_USAGE, "CONEGUARD_SEED must be an integer, got %r" % env)
+        trace = load_trace(prog, args.trace)
+    except OSError as exc:
+        raise _CliError(EXIT_USAGE, "cannot read trace file %s: %s" % (args.trace, exc))
+    except _INPUT_ERRORS as exc:
+        raise _CliError(EXIT_USAGE, "trace file %s: %s" % (args.trace, exc))
+    rep.add("trace", args.trace)
+    _echo(rep, args, "tol")
+    rep.add("records", "%d" % len(trace.records))
+    return prog, pt, trace, rep
 
 
-def _finish(rep, started, human_lines):
+def _echo(rep, args, *flags):
+    """One report line per flag, repeating its value."""
+    for flag in flags:
+        value = getattr(args, flag.replace("-", "_"))
+        rep.add(flag, "%d" % value if isinstance(value, int) else _fmt(value))
+
+
+def _finish(rep, human_lines):
     for line in human_lines:
         print(line)
     sys.stdout.write(rep.render())
-    print("elapsed %.3f s" % (time.perf_counter() - started))
 
 
 def _emit_classification(rep, prog, cls):
@@ -235,30 +263,22 @@ def _emit_classification(rep, prog, cls):
     rep.add("set", "conic", *cls.names(cls.conic()))
 
 
-def _infeasible_exit(rep, started, pt, exc, human):
+def _infeasible_exit(rep, exc):
     rep.add("status", "infeasible")
     rep.add("residual", _fmt(exc.residual))
-    for name, dist in sorted(block_distances(pt).items()):
+    for name, dist in sorted(exc.distances.items()):
         rep.add("distance", name, _fmt(dist))
-    _finish(rep, started, human + ["point is infeasible (residual %s)" % _fmt(exc.residual)])
+    _finish(rep, ["point is infeasible (residual %s)" % _fmt(exc.residual)])
     return EXIT_INFEASIBLE
 
 
 def _cmd_classify(args):
-    started = time.perf_counter()
-    prog = _load_program(args.problem)
-    x = _parse_vector(args.point, prog.n, "--point")
-    pt = _evaluate_checked(prog, x, "--point")
-    rep = Report()
-    rep.add("command", "classify")
-    rep.add("problem", args.problem)
-    rep.add("point", *_fmt_vec(x))
-    rep.add("tol-act", _fmt(args.tol_act))
-    rep.add("tol-gap", _fmt(args.tol_gap))
+    prog, pt, rep = _open(args, "classify")
+    _echo(rep, args, "tol-act", "tol-gap")
     try:
         cls = classify(pt, args.tol_act, args.tol_gap)
     except InfeasiblePointError as exc:
-        return _infeasible_exit(rep, started, pt, exc, [])
+        return _infeasible_exit(rep, exc)
     rep.add("status", "feasible")
     rep.add("objective", _fmt(pt.f))
     rep.add("residual", _fmt(pt.residual))
@@ -266,104 +286,58 @@ def _cmd_classify(args):
     human = ["classification at the given point:"]
     for j, blk in enumerate(prog.blocks):
         human.append("  %-12s %s dim %d: %s" % (blk.name, blk.kind, blk.dim, cls.labels[j]))
-    _finish(rep, started, human)
+    _finish(rep, human)
     return EXIT_OK
 
 
 _CHECK_ORDER = ("nondegeneracy", "robinson", "rcpld", "crsc")
 
 
-def _run_check(name, pt, cls, args, seed):
+def _run_check(name, pt, cls, args):
     if name == "nondegeneracy":
         return check_nondegeneracy(pt, cls, tol_rank=args.tol_rank)
+    certified = dict(tol_rank=args.tol_rank, tol_cert=args.tol_cert, budget=args.budget)
     if name == "robinson":
-        return check_robinson(pt, cls, tol_rank=args.tol_rank, tol_cert=args.tol_cert, budget=args.budget)
+        return check_robinson(pt, cls, **certified)
+    sampled = dict(certified, delta=args.radius, samples=args.samples, seed=args.seed)
     if name == "rcpld":
-        return check_rcpld(
-            pt,
-            cls,
-            delta=args.radius,
-            samples=args.samples,
-            seed=seed,
-            tol_rank=args.tol_rank,
-            tol_cert=args.tol_cert,
-            budget=args.budget,
-            subset_cap=args.subset_cap,
-        )
-    return check_crsc(
-        pt,
-        cls,
-        delta=args.radius,
-        samples=args.samples,
-        seed=seed,
-        tol_rank=args.tol_rank,
-        tol_cert=args.tol_cert,
-        budget=args.budget,
-    )
-
-
-def _witness_names(name, prog, cls, report):
-    detail = report.detail
-    conic_soc = cls.names(cls.soc_vertex_multi)
-    conic_psd = cls.names(cls.psd_multiple)
-    if name == "robinson":
-        return (prog.eq_names, detail.get("soc_blocks", conic_soc), detail.get("psd_blocks", conic_psd), detail.get("rays", ()))
-    if name == "rcpld":
-        return (detail.get("equality_basis", ()), conic_soc, conic_psd, detail.get("subset", ()))
-    if name == "crsc":
-        free = tuple(detail.get("equality_basis", ())) + tuple(detail.get("gradient_basis", ()))
-        return (free, conic_soc, conic_psd, detail.get("j_plus", ()))
-    return ((), (), (), ())
+        return check_rcpld(pt, cls, subset_cap=args.subset_cap, **sampled)
+    return check_crsc(pt, cls, **sampled)
 
 
 def _cmd_check(args):
-    started = time.perf_counter()
-    prog = _load_program(args.problem)
-    x = _parse_vector(args.point, prog.n, "--point")
-    seed = _resolve_seed(args)
-    pt = _evaluate_checked(prog, x, "--point")
-    rep = Report()
-    rep.add("command", "check")
-    rep.add("problem", args.problem)
-    rep.add("point", *_fmt_vec(x))
+    env = os.environ.get("CONEGUARD_SEED")
+    if env is not None:
+        try:
+            args.seed = _SEED(env)
+        except (ValueError, argparse.ArgumentTypeError):
+            raise _CliError(EXIT_USAGE, "CONEGUARD_SEED must be an integer >= 0, got %r" % env)
+    prog, pt, rep = _open(args, "check")
     rep.add("cq", args.cq)
-    rep.add("tol-act", _fmt(args.tol_act))
-    rep.add("tol-gap", _fmt(args.tol_gap))
-    rep.add("tol-rank", _fmt(args.tol_rank))
-    rep.add("tol-cert", _fmt(args.tol_cert))
-    rep.add("radius", _fmt(args.radius))
-    rep.add("samples", "%d" % args.samples)
-    rep.add("seed", "%d" % seed)
-    rep.add("budget", "%d" % args.budget)
+    _echo(rep, args, "tol-act", "tol-gap", "tol-rank", "tol-cert", "radius", "samples", "seed", "budget")
     try:
         cls = classify(pt, args.tol_act, args.tol_gap)
     except InfeasiblePointError as exc:
-        return _infeasible_exit(rep, started, pt, exc, [])
+        return _infeasible_exit(rep, exc)
     rep.add("status", "feasible")
     _emit_classification(rep, prog, cls)
-    names = _CHECK_ORDER if args.cq == "all" else (args.cq,)
     human = []
     verdicts = []
-    for name in names:
-        report = _run_check(name, pt, cls, args, seed)
+    for name in _CHECK_ORDER if args.cq == "all" else (args.cq,):
+        report = _run_check(name, pt, cls, args)
         verdicts.append(report.verdict)
         rep.add("verdict", name, report.verdict)
         _emit_detail(rep, name, report.detail)
-        if report.certificate is not None and report.certificate.witness is not None:
-            lam_names, soc_names, psd_names, ray_names = _witness_names(name, prog, cls, report)
-            _emit_witness(rep, name, report.certificate.witness, lam_names, soc_names, psd_names, ray_names)
+        _emit_witness(rep, name, report)
         note = report.detail.get("reason") or report.detail.get("note") or ""
         human.append("%-14s %s%s" % (name + ":", report.verdict, "  (%s)" % note if note else ""))
-    _finish(rep, started, human)
-    if any(v == "Fails" for v in verdicts):
+    _finish(rep, human)
+    if "Fails" in verdicts:
         return EXIT_NEGATIVE
-    if all(v == "Holds" for v in verdicts):
-        return EXIT_OK
-    return EXIT_UNDECIDED
+    return EXIT_OK if all(v == "Holds" for v in verdicts) else EXIT_UNDECIDED
 
 
 def _cmd_solve(args):
-    started = time.perf_counter()
     prog = _load_program(args.problem)
     x0 = _parse_vector(args.x0, prog.n, "--x0")
     cfg = AlmConfig(
@@ -375,8 +349,10 @@ def _cmd_solve(args):
         tol_stat=args.tol_stat,
         tol_feas=args.tol_feas,
     )
-    _evaluate_checked(prog, x0, "--x0")
-    trace, status = solve(prog, x0, cfg)
+    try:
+        trace, status = solve(prog, x0, cfg)
+    except DomainError as exc:  # only from x0: the line search catches the others
+        raise _CliError(EXIT_USAGE, "--x0 leaves an expression domain: %s" % exc)
     try:
         dump_trace(trace, args.trace)
     except OSError as exc:
@@ -387,13 +363,7 @@ def _cmd_solve(args):
     rep.add("command", "solve")
     rep.add("problem", args.problem)
     rep.add("x0", *_fmt_vec(x0))
-    rep.add("rho0", _fmt(cfg.rho0))
-    rep.add("gamma", _fmt(cfg.gamma))
-    rep.add("cap", _fmt(cfg.cap))
-    rep.add("outer-max", "%d" % cfg.outer_max)
-    rep.add("inner-max", "%d" % cfg.inner_max)
-    rep.add("tol-stat", _fmt(cfg.tol_stat))
-    rep.add("tol-feas", _fmt(cfg.tol_feas))
+    _echo(rep, args, "rho0", "gamma", "cap", "outer-max", "inner-max", "tol-stat", "tol-feas")
     rep.add("status", status)
     rep.add("records", "%d" % len(trace.records))
     rep.add("final-x", *_fmt_vec(final.x))
@@ -403,70 +373,35 @@ def _cmd_solve(args):
         "solver status: %s after %d outer iterates" % (status, len(trace.records) - 1),
         "trace written to %s" % args.trace,
     ]
-    _finish(rep, started, human)
+    _finish(rep, human)
     if status == "converged":
         return EXIT_OK
-    if status == "unbounded":
-        return EXIT_NEGATIVE
-    return EXIT_UNDECIDED
-
-
-def _load_trace_checked(prog, path):
-    try:
-        return load_trace(prog, path)
-    except OSError as exc:
-        raise _CliError(EXIT_USAGE, "cannot read trace file %s: %s" % (path, exc))
-    except _INPUT_ERRORS as exc:
-        raise _CliError(EXIT_USAGE, "trace file %s: %s" % (path, exc))
+    return EXIT_NEGATIVE if status == "unbounded" else EXIT_UNDECIDED
 
 
 def _cmd_certify(args):
-    started = time.perf_counter()
-    prog = _load_program(args.problem)
-    x = _parse_vector(args.point, prog.n, "--point")
-    pt = _evaluate_checked(prog, x, "--point")
-    trace = _load_trace_checked(prog, args.trace)
-    rep = Report()
-    rep.add("command", "certify")
-    rep.add("problem", args.problem)
-    rep.add("point", *_fmt_vec(x))
-    rep.add("trace", args.trace)
-    rep.add("tol", _fmt(args.tol))
-    rep.add("records", "%d" % len(trace.records))
+    prog, pt, trace, rep = _open_with_trace(args, "certify")
     try:
-        outcome = certify_akkt(prog, x, trace, tol=args.tol, tol_act=args.tol_act, tol_gap=args.tol_gap)
+        outcome = certify_akkt(prog, pt.x, trace, tol=args.tol, tol_act=args.tol_act, tol_gap=args.tol_gap)
     except InfeasiblePointError as exc:
-        return _infeasible_exit(rep, started, pt, exc, [])
+        return _infeasible_exit(rep, exc)
     rep.add("certified", "yes" if outcome.certified else "no")
     if outcome.reason is not None:
         rep.add("reason", *outcome.reason.split())
     if outcome.offending_k is not None:
         rep.add("offending-k", "%d" % outcome.offending_k)
     _emit_detail(rep, "certify", outcome.detail)
-    human = [
-        "trace %s: %s" % (args.trace, "Certified" if outcome.certified else "Rejected (%s)" % outcome.reason)
-    ]
-    _finish(rep, started, human)
+    verdict = "Certified" if outcome.certified else "Rejected (%s)" % outcome.reason
+    _finish(rep, ["trace %s: %s" % (args.trace, verdict)])
     return EXIT_OK if outcome.certified else EXIT_NEGATIVE
 
 
 def _cmd_recover(args):
-    started = time.perf_counter()
-    prog = _load_program(args.problem)
-    x = _parse_vector(args.point, prog.n, "--point")
-    pt = _evaluate_checked(prog, x, "--point")
-    trace = _load_trace_checked(prog, args.trace)
-    rep = Report()
-    rep.add("command", "recover")
-    rep.add("problem", args.problem)
-    rep.add("point", *_fmt_vec(x))
-    rep.add("trace", args.trace)
-    rep.add("tol", _fmt(args.tol))
-    rep.add("records", "%d" % len(trace.records))
+    prog, pt, trace, rep = _open_with_trace(args, "recover")
     try:
         outcome = recover_kkt(
             prog,
-            x,
+            pt.x,
             trace,
             tol=args.tol,
             tol_act=args.tol_act,
@@ -476,7 +411,7 @@ def _cmd_recover(args):
             m_cap=args.m_cap,
         )
     except InfeasiblePointError as exc:
-        return _infeasible_exit(rep, started, pt, exc, [])
+        return _infeasible_exit(rep, exc)
     verdict = {"kkt": "KKT", "unbounded": "UnboundedWitness", "inconclusive": "Inconclusive"}[outcome.verdict]
     rep.add("recovery", verdict)
     rep.add("equality-basis", *outcome.equality_basis)
@@ -498,28 +433,15 @@ def _cmd_recover(args):
             tokens = _fmt_vec(mu) if blk.kind == "soc" else _fmt_upper(mu)
             rep.add("mu", blk.name, *tokens)
             human.append("mu %s: %s" % (blk.name, " ".join(tokens)))
-    if outcome.certificate is not None and outcome.certificate.witness is not None:
-        cls = classify(pt, args.tol_act, args.tol_gap)
-        _emit_witness(
-            rep,
-            "recover",
-            outcome.certificate.witness,
-            outcome.equality_basis,
-            cls.names(cls.soc_vertex_multi),
-            cls.names(cls.psd_multiple),
-            outcome.modal_subset,
-        )
+    _emit_witness(rep, "recover", outcome)
     _emit_detail(rep, "recover", outcome.detail)
-    _finish(rep, started, human)
+    _finish(rep, human)
     if outcome.verdict == "kkt":
         return EXIT_OK
-    if outcome.verdict == "unbounded":
-        return EXIT_NEGATIVE
-    return EXIT_UNDECIDED
+    return EXIT_NEGATIVE if outcome.verdict == "unbounded" else EXIT_UNDECIDED
 
 
 def _cmd_embed_diag(args):
-    started = time.perf_counter()
     prog = _load_program(args.problem)
     try:
         embedded = embed_block_diagonal(prog)
@@ -537,7 +459,7 @@ def _cmd_embed_diag(args):
     rep.add("out", args.out)
     rep.add("blocks-merged", "%d" % len(prog.blocks))
     rep.add("dim", "%d" % (embedded.blocks[0].dim if embedded.blocks else 0))
-    _finish(rep, started, ["embedded program written to %s" % args.out])
+    _finish(rep, ["embedded program written to %s" % args.out])
     return EXIT_OK
 
 
@@ -546,83 +468,95 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, "%s: error: %s\n" % (self.prog, message))
 
 
+def _ranged(kind, what, ok):
+    """An argparse type: a value of kind for which ok holds."""
+
+    def convert(text):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError("%r is not %s" % (text, what))
+        return value
+
+    convert.__name__ = kind.__name__  # keeps argparse's "invalid float value" wording
+    return convert
+
+
+_POSITIVE = _ranged(float, "a finite number > 0", lambda v: 0 < v < math.inf)
+_ABOVE_ONE = _ranged(float, "a finite number > 1", lambda v: 1 < v < math.inf)
+_COUNT = _ranged(int, "an integer >= 1", lambda v: v >= 1)
+_SEED = _ranged(int, "an integer >= 0", lambda v: v >= 0)
+
+
+def _subcommand(subs, name, description, *required):
+    """A subcommand whose handler main looks up by name, so wrappers installed
+    on the module's _cmd_* functions are called."""
+    p = subs.add_parser(name, description=description)
+    p.set_defaults(handler="_cmd_" + name.replace("-", "_"))
+    for flag in required:
+        p.add_argument(flag, required=True)
+    return p
+
+
 def _add_point_tols(sub):
-    sub.add_argument("--tol-act", type=float, default=TOL_ACT, help="activity tolerance")
-    sub.add_argument("--tol-gap", type=float, default=TOL_GAP, help="eigenvalue simplicity gap tolerance")
+    sub.add_argument("--tol-act", type=_POSITIVE, default=TOL_ACT, help="activity tolerance")
+    sub.add_argument("--tol-gap", type=_POSITIVE, default=TOL_GAP, help="eigenvalue simplicity gap tolerance")
 
 
+@functools.cache
 def build_parser():
     parser = _Parser(prog="coneguard", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     subs = parser.add_subparsers(dest="subcommand")
 
-    p = subs.add_parser("classify", parents=[], description="Classify constraint blocks at a point.")
-    p.add_argument("--problem", required=True)
-    p.add_argument("--point", required=True)
+    p = _subcommand(subs, "classify", "Classify constraint blocks at a point.", "--problem", "--point")
     _add_point_tols(p)
-    p.set_defaults(func=_cmd_classify)
 
-    p = subs.add_parser("check", description="Verify constraint qualifications at a point.")
-    p.add_argument("--problem", required=True)
-    p.add_argument("--point", required=True)
+    p = _subcommand(subs, "check", "Verify constraint qualifications at a point.", "--problem", "--point")
     p.add_argument("--cq", required=True, choices=_CHECK_ORDER + ("all",))
     _add_point_tols(p)
-    p.add_argument("--tol-rank", type=float, default=TOL_RANK)
-    p.add_argument("--tol-cert", type=float, default=TOL_CERT)
-    p.add_argument("--radius", type=float, default=DELTA, help="sampling radius for neighborhood clauses")
-    p.add_argument("--samples", type=int, default=SAMPLES)
-    p.add_argument("--seed", type=int, default=SEED)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--subset-cap", type=int, default=SUBSET_CAP)
-    p.set_defaults(func=_cmd_check)
+    p.add_argument("--tol-rank", type=_POSITIVE, default=TOL_RANK)
+    p.add_argument("--tol-cert", type=_POSITIVE, default=TOL_CERT)
+    p.add_argument("--radius", type=_POSITIVE, default=DELTA, help="sampling radius for neighborhood clauses")
+    p.add_argument("--samples", type=_COUNT, default=SAMPLES)
+    p.add_argument("--seed", type=_SEED, default=SEED)
+    p.add_argument("--budget", type=_COUNT, default=DEFAULT_BUDGET)
+    p.add_argument("--subset-cap", type=_COUNT, default=SUBSET_CAP)
 
-    p = subs.add_parser("solve", description="Run the augmented Lagrangian solver and write a trace.")
-    p.add_argument("--problem", required=True)
-    p.add_argument("--x0", required=True)
+    p = _subcommand(subs, "solve", "Run the augmented Lagrangian solver and write a trace.", "--problem", "--x0")
     p.add_argument("--trace", required=True, help="output trace file")
-    p.add_argument("--rho0", type=float, default=1.0)
-    p.add_argument("--gamma", type=float, default=4.0)
-    p.add_argument("--cap", type=float, default=1e6)
-    p.add_argument("--outer-max", type=int, default=60)
-    p.add_argument("--inner-max", type=int, default=5000)
-    p.add_argument("--tol-stat", type=float, default=1e-8)
-    p.add_argument("--tol-feas", type=float, default=1e-8)
-    p.set_defaults(func=_cmd_solve)
+    p.add_argument("--rho0", type=_POSITIVE, default=1.0)
+    p.add_argument("--gamma", type=_ABOVE_ONE, default=4.0)
+    p.add_argument("--cap", type=_POSITIVE, default=1e6)
+    p.add_argument("--outer-max", type=_COUNT, default=60)
+    p.add_argument("--inner-max", type=_COUNT, default=5000)
+    p.add_argument("--tol-stat", type=_POSITIVE, default=1e-8)
+    p.add_argument("--tol-feas", type=_POSITIVE, default=1e-8)
 
-    p = subs.add_parser("certify", description="Certify a trace as approximately stationary at a point.")
-    p.add_argument("--problem", required=True)
-    p.add_argument("--point", required=True)
+    p = _subcommand(subs, "certify", "Certify a trace as approximately stationary at a point.", "--problem", "--point")
     p.add_argument("--trace", required=True, help="input trace file")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_POSITIVE, default=1e-6)
     _add_point_tols(p)
-    p.set_defaults(func=_cmd_certify)
 
-    p = subs.add_parser("recover", description="Recover candidate multipliers from a trace.")
-    p.add_argument("--problem", required=True)
-    p.add_argument("--point", required=True)
+    p = _subcommand(subs, "recover", "Recover candidate multipliers from a trace.", "--problem", "--point")
     p.add_argument("--trace", required=True, help="input trace file")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_POSITIVE, default=1e-6)
     _add_point_tols(p)
-    p.add_argument("--tol-rank", type=float, default=TOL_RANK)
-    p.add_argument("--tol-cert", type=float, default=TOL_CERT)
-    p.add_argument("--m-cap", type=float, default=1e8)
-    p.set_defaults(func=_cmd_recover)
+    p.add_argument("--tol-rank", type=_POSITIVE, default=TOL_RANK)
+    p.add_argument("--tol-cert", type=_POSITIVE, default=TOL_CERT)
+    p.add_argument("--m-cap", type=_POSITIVE, default=M_CAP)
 
-    p = subs.add_parser("embed-diag", description="Merge all semidefinite blocks into one block-diagonal block.")
-    p.add_argument("--problem", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_embed_diag)
-
+    _subcommand(subs, "embed-diag", "Merge all semidefinite blocks into one block-diagonal block.", "--problem", "--out")
     return parser
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "func", None) is None:
+    if getattr(args, "handler", None) is None:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        code = globals()[args.handler](args)
     except _CliError as exc:
         print("error: %s" % exc.message, file=sys.stderr)
         return exc.code
@@ -638,6 +572,8 @@ def main(argv=None):
     except ConeguardError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_NEGATIVE
+    print("elapsed %.3f s" % (time.perf_counter() - started))
+    return code
 
 
 if __name__ == "__main__":

@@ -11,6 +11,8 @@ counterexample was found among the samples.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 
 from .certificates import (
@@ -35,16 +37,22 @@ SEED = 42
 SUBSET_CAP = 2 ** 16
 
 SAMPLING_NOTE = "no violation found in %d samples of radius %g"
+_NO_SAMPLE = "no usable sample point"
+_NO_NAMES = ((), (), (), ())
 
 
 class CqReport:
-    __slots__ = ("name", "verdict", "detail", "certificate")
+    """A check's verdict; witness_names label the certificate's witness rows
+    (lambda, soc mu, psd mu, alpha), in the order of the system it solved."""
 
-    def __init__(self, name, verdict, detail=None, certificate=None):
+    __slots__ = ("name", "verdict", "detail", "certificate", "witness_names")
+
+    def __init__(self, name, verdict, detail=None, certificate=None, witness_names=_NO_NAMES):
         self.name = name
         self.verdict = verdict  # "Holds" | "Fails" | "Undecided"
         self.detail = {} if detail is None else detail
         self.certificate = certificate
+        self.witness_names = witness_names
 
 
 def _kernel_basis(pt: EvaluatedPoint, j: int, tol_act: float, tol_gap: float):
@@ -195,15 +203,18 @@ def check_robinson(
         "psd_blocks": tuple(names[j] for j in psd_idx),
         "rays": tuple(names[j] for j in ray_idx),
     }
+    labels = (pt.program.eq_names, detail["soc_blocks"], detail["psd_blocks"], detail["rays"])
     if cert.verdict == "independent":
         detail["margin"] = cert.margin
-        return CqReport("robinson", "Holds", detail, cert)
-    if cert.verdict == "dependent":
+        verdict = "Holds"
+    elif cert.verdict == "dependent":
         detail["residual"] = cert.residual
         detail["normalization"] = cert.normalization
-        return CqReport("robinson", "Fails", detail, cert)
-    detail.update(cert.detail)
-    return CqReport("robinson", "Undecided", detail, cert)
+        verdict = "Fails"
+    else:
+        detail.update(cert.detail)
+        verdict = "Undecided"
+    return CqReport("robinson", verdict, detail, cert, labels)
 
 
 def _reduced_gradients_at(sample: EvaluatedPoint, cls: IndexClassification):
@@ -249,6 +260,9 @@ def check_rcpld(
     eq_rows = [pt.jac_h[i] for i in range(pt.program.p)]
     sampled, skipped = _sample_points(pt, delta, samples, seed)
     detail["samples_skipped"] = skipped
+    if not sampled:
+        detail["reason"] = _NO_SAMPLE
+        return CqReport("rcpld", "Undecided", detail)
     if pt.program.p:
         rank_star, basis_i = numerical_rank(eq_rows, tol_rank)
         for t, sp in enumerate(sampled):
@@ -266,6 +280,7 @@ def check_rcpld(
     basis_rows = [eq_rows[i] for i in basis_i]
 
     socs, psds = conic_base(pt, cls)
+    conic_names = (cls.names(cls.soc_vertex_multi), cls.names(cls.psd_multiple))
     grads_star = _reduced_gradients_at(pt, cls)
     try:
         grads_samples = [_reduced_gradients_at(sp, cls) for sp in sampled]
@@ -274,37 +289,42 @@ def check_rcpld(
         detail["gap"] = exc.gap
         return CqReport("rcpld", "Undecided", detail)
 
+    # Only minimal dependent subsets need a query: a superset of a dependent
+    # subset is dependent (zero coefficients on the added rays), and its
+    # family stays linearly dependent at a sample wherever the subset's does.
+    # Subsets go by size, and within a size in the order of their bit codes.
     subset_log = []
     undecided = None
-    for code in range(2 ** len(ground)):
-        subset = [ground[i] for i in range(len(ground)) if code >> i & 1]
-        rays = [grads_star[j] for j in subset]
-        cert = conic_dependence(basis_rows, socs, psds, rays, budget=budget, tol_cert=tol_cert)
-        entry = {"subset": tuple(names[j] for j in subset), "system": cert.verdict}
-        if cert.verdict == "undecided":
-            entry.update(cert.detail)
-            undecided = undecided or entry
-        elif cert.verdict == "dependent":
+    dependent = []  # bit codes of subsets found dependent (and persisting)
+    for size in range(len(ground) + 1):
+        codes = sorted(sum(1 << i for i in c) for c in combinations(range(len(ground)), size))
+        for code in codes:
+            if any(code & d == d for d in dependent):
+                continue
+            subset = [ground[i] for i in range(len(ground)) if code >> i & 1]
+            rays = [grads_star[j] for j in subset]
+            cert = conic_dependence(basis_rows, socs, psds, rays, budget=budget, tol_cert=tol_cert)
+            entry = {"subset": tuple(names[j] for j in subset), "system": cert.verdict}
+            subset_log.append(entry)
+            if cert.verdict == "undecided":
+                entry.update(cert.detail)
+                undecided = undecided or entry
+            if cert.verdict != "dependent":
+                continue
             for t, grads in enumerate(grads_samples):
                 family = [sampled[t].jac_h[i] for i in basis_i] + [grads[j] for j in subset]
                 if not family:
                     detail["reason"] = "nonzero solution with an empty comparison family"
-                    detail["subset"] = entry["subset"]
-                    detail["sample_index"] = t
-                    subset_log.append(entry)
-                    detail["subset_log"] = tuple(subset_log)
-                    return CqReport("rcpld", "Fails", detail, cert)
-                rank_f, _ = numerical_rank(family, tol_rank)
-                if rank_f == len(family):
+                elif numerical_rank(family, tol_rank)[0] == len(family):
                     detail["reason"] = "dependent system but gradients independent at a sample"
-                    detail["subset"] = entry["subset"]
-                    detail["sample_index"] = t
                     detail["sample_point"] = sampled[t].x
-                    subset_log.append(entry)
-                    detail["subset_log"] = tuple(subset_log)
-                    return CqReport("rcpld", "Fails", detail, cert)
+                else:
+                    continue
+                detail.update(subset=entry["subset"], sample_index=t, subset_log=tuple(subset_log))
+                labels = (detail["equality_basis"], conic_names[0], conic_names[1], entry["subset"])
+                return CqReport("rcpld", "Fails", detail, cert, labels)
             entry["persisted"] = True
-        subset_log.append(entry)
+            dependent.append(code)
     detail["subset_log"] = tuple(subset_log)
     if undecided is not None:
         detail["reason"] = "a dependence query was undecided"
@@ -364,6 +384,9 @@ def check_crsc(
     rank_star = numerical_rank(family_star, tol_rank)[0] if family_star else 0
     sampled, skipped = _sample_points(pt, delta, samples, seed)
     detail["samples_skipped"] = skipped
+    if not sampled:
+        detail["reason"] = _NO_SAMPLE
+        return CqReport("crsc", "Undecided", detail)
     try:
         for t, sp in enumerate(sampled):
             grads = _reduced_gradients_at(sp, cls)
@@ -386,13 +409,21 @@ def check_crsc(
     rays = [grads_star[j] for j in j_plus]
     cert = conic_dependence(eq_basis, socs, psds, rays, budget=budget, tol_cert=tol_cert)
     detail["system"] = cert.verdict
+    labels = (
+        detail["equality_basis"] + detail["gradient_basis"],
+        cls.names(cls.soc_vertex_multi),
+        cls.names(cls.psd_multiple),
+        detail["j_plus"],
+    )
     if cert.verdict == "independent":
         detail["margin"] = cert.margin
         detail["note"] = SAMPLING_NOTE % (len(sampled), delta)
-        return CqReport("crsc", "Holds", detail, cert)
-    if cert.verdict == "dependent":
+        verdict = "Holds"
+    elif cert.verdict == "dependent":
         detail["reason"] = "nonzero solution of the subspace-complement system"
         detail["residual"] = cert.residual
-        return CqReport("crsc", "Fails", detail, cert)
-    detail.update(cert.detail)
-    return CqReport("crsc", "Undecided", detail, cert)
+        verdict = "Fails"
+    else:
+        detail.update(cert.detail)
+        verdict = "Undecided"
+    return CqReport("crsc", verdict, detail, cert, labels)

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import argparse
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from coneguard import cli
 from coneguard.akkt import build_trace, dumps_trace, AkktRecord
 from coneguard.cli import (
     EXIT_INFEASIBLE,
@@ -21,8 +23,10 @@ from coneguard.cli import (
     Report,
     parse_report,
 )
+from coneguard.classify import classify
+from coneguard.cqchecks import check_rcpld, check_robinson
 from coneguard.errors import BudgetExhaustedError
-from coneguard.model import dumps, loads
+from coneguard.model import dumps, evaluate, loads
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
@@ -38,6 +42,11 @@ KERNEL = (
 CUBIC = "vars 1\nobjective 0 - x1 ^ 3\n"
 QUARTIC = "vars 1\nobjective (x1 - 1) ^ 4\n"
 VERTEX = "vars 1\nobjective x1\nsoc G 2\nx1\nx1\n"
+# x2 >= 0 and x1^2 - x2 >= 0: at the origin the gradients (0, 1) and (0, -1)
+# are dependent, and near it they are independent (constant positive
+# linear dependence fails)
+CPLD = "vars 2\nobjective x1\nsoc a 1\nx2\nsoc b 1\nx1 * x1 - x2\n"
+LOG = "vars 1\nobjective log(x1)\n"
 
 
 @pytest.fixture(scope="module")
@@ -51,10 +60,13 @@ def files(tmp_path_factory):
         ("cubic", CUBIC),
         ("quartic", QUARTIC),
         ("vertex", VERTEX),
+        ("cpld", CPLD),
+        ("log", LOG),
     ]:
         p = d / (name + ".txt")
         p.write_text(text)
         paths[name] = str(p)
+    paths["psd_pair"] = str(PROBLEMS / "psd_pair_line.txt")
     paths["dir"] = d
     return paths
 
@@ -118,6 +130,26 @@ class TestUsage:
             ["classify", "--problem", files["boundary"], "--point", "one"], capsys
         )
         assert code == EXIT_USAGE
+
+    def test_parser_is_built_once_per_process(self, files, capsys, monkeypatch, tmp_path):
+        cli.build_parser.cache_clear()
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert run(["classify", "--problem", files["boundary"], "--point", "1"], capsys)[0] == EXIT_OK
+        assert run(["check", "--problem", files["pair"], "--point", "0,0", "--cq", "robinson"], capsys)[0] == EXIT_OK
+        out = str(tmp_path / "embedded.txt")
+        assert run(["embed-diag", "--problem", files["pair"], "--out", out], capsys)[0] == EXIT_OK
+        assert len(built) == 7  # the top-level parser and one per subcommand
+        code, _, err = run(["check", "--problem", files["pair"]], capsys)
+        assert code == EXIT_USAGE
+        assert "required" in err
+        assert len(built) == 7
 
     def test_invalid_seed_override(self, files, capsys, monkeypatch):
         monkeypatch.setenv("CONEGUARD_SEED", "soon")
@@ -222,6 +254,25 @@ class TestCheck:
         assert row(out, "seed") == ("seed", "7")
         assert row(out, "detail", "rcpld", "seed") == ("detail", "rcpld", "seed", "7")
 
+    @pytest.mark.parametrize(
+        "problem, point, cq, lam, rays",
+        [("cpld", "0,0", "rcpld", (), ("a", "b")), ("psd_pair", "0", "robinson", (), ("g1", "g2"))],
+    )
+    def test_witness_labels_come_from_the_check(self, files, capsys, problem, point, cq, lam, rays):
+        prog = loads(Path(files[problem]).read_text())
+        pt = evaluate(prog, np.array([float(v) for v in point.split(",")]))
+        check = {"rcpld": check_rcpld, "robinson": check_robinson}[cq]
+        report = check(pt, classify(pt))
+        assert report.verdict == "Fails"
+        witness = report.certificate.witness
+        labels = report.witness_names
+        assert [len(names) for names in labels] == [len(witness.lam), len(witness.soc), len(witness.psd), len(witness.alpha)]
+        assert labels == (lam, (), (), rays)
+        code, out, _ = run(["check", "--problem", files[problem], "--point", point, "--cq", cq], capsys)
+        assert code == EXIT_NEGATIVE
+        printed = [(r[2], r[3]) for r in rows(out, "witness", cq)]
+        assert printed == [("lambda", n) for n in lam] + [("alpha", n) for n in rays]
+
     def test_check_is_deterministic(self, files, capsys):
         args = ["check", "--problem", files["kernel"], "--point", "0", "--cq", "all"]
         _, out1, _ = run(args, capsys)
@@ -284,6 +335,28 @@ class TestSolveCertifyRecover:
         )
         assert code == EXIT_UNDECIDED
         assert row(out, "status") == ("status", "iteration-limit")
+
+    def test_solve_evaluates_x0_once(self, files, capsys, tmp_path, monkeypatch):
+        at_x0 = []
+
+        def counting(module):
+            original = module.evaluate
+
+            def evaluate(prog, x):
+                at_x0.append(np.array_equal(np.asarray(x, dtype=float), [3.0]))
+                return original(prog, x)
+
+            monkeypatch.setattr(module, "evaluate", evaluate)
+
+        counting(cli)
+        counting(sys.modules["coneguard.alm"])
+        code, _, _ = run(["solve", "--problem", files["boundary"], "--x0", "3", "--trace", str(tmp_path / "t")], capsys)
+        assert code == EXIT_OK
+        assert sum(at_x0) == 1
+        code, out, err = run(["solve", "--problem", files["log"], "--x0", "-1", "--trace", str(tmp_path / "u")], capsys)
+        assert code == EXIT_USAGE
+        assert err.startswith("error: --x0 leaves an expression domain:")
+        assert REPORT_BEGIN not in out
 
     def test_certify_against_wrong_point(self, files, capsys, tmp_path):
         trace = str(tmp_path / "boundary.trace")
@@ -447,6 +520,46 @@ class TestHostileInput:
         code, out, _ = run(["classify", "--problem", self._write(tmp_path, text), "--point", "2.0"], capsys)
         assert code == EXIT_OK
         assert row(out, "objective") == ("objective", "132")
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("solve", "--rho0", "0"),
+            ("solve", "--gamma", "1"),
+            ("solve", "--cap", "inf"),
+            ("solve", "--outer-max", "0"),
+            ("solve", "--inner-max", "0"),
+            ("solve", "--tol-stat", "-1e-8"),
+            ("check", "--seed", "-1"),
+            ("check", "--radius", "nan"),
+            ("check", "--radius", "-1"),
+            ("check", "--samples", "0"),
+            ("check", "--samples", "-3"),
+            ("check", "--tol-act", "nan"),
+            ("check", "--tol-rank", "nan"),
+            ("check", "--budget", "0"),
+            ("check", "--subset-cap", "0"),
+        ],
+    )
+    def test_out_of_range_flag_is_a_usage_error(self, tmp_path, capsys, command, flag, value):
+        argv = [command, "%s=%s" % (flag, value), "--problem", self._write(tmp_path, BOUNDARY)]
+        if command == "solve":
+            argv += ["--x0", "3", "--trace", str(tmp_path / "t")]
+        else:
+            argv += ["--point", "1", "--cq", "all"]
+        code, out, err = run(argv, capsys)
+        assert code == EXIT_USAGE
+        assert "argument %s: %r is not" % (flag, value) in err
+        assert "Traceback" not in err
+        assert REPORT_BEGIN not in out
+
+    def test_negative_environment_seed_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CONEGUARD_SEED", "-5")
+        problem = self._write(tmp_path, BOUNDARY)
+        code, out, err = run(["check", "--problem", problem, "--point", "1", "--cq", "rcpld"], capsys)
+        assert code == EXIT_USAGE
+        assert "CONEGUARD_SEED" in err
+        assert REPORT_BEGIN not in out
 
 
 class TestInternalFailures:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from coneguard import cqchecks
 from coneguard.classify import classify
 from coneguard.cqchecks import (
     SAMPLING_NOTE,
@@ -128,6 +129,49 @@ class TestKernelPairExample:
         assert rep.detail["reason"] == "subset enumeration exceeds cap"
         assert rep.detail["subset_count"] == 4
         assert rep.detail["subset_cap"] == 2
+
+
+class TestMinimalSubsets:
+    def test_kernel_chain_queries_only_minimal_dependent_subsets(self, monkeypatch):
+        # six 2x2 blocks whose smallest eigenvalues alternate between x1 and
+        # -x1: every opposite pair is a minimal dependent subset
+        lines = ["vars 1", "objective x1"]
+        for b in range(6):
+            lines.append("psd g%d 2" % (b + 1))
+            if b % 2 == 0:
+                lines += ["(x1 + 1) / 2", "(x1 - 1) / 2", "(x1 + 1) / 2"]
+            else:
+                lines += ["(1 - x1) / 2", "(-x1 - 1) / 2", "(1 - x1) / 2"]
+        pt, cls = _point(loads("\n".join(lines) + "\n"), [0.0])
+        queries = []
+        original = cqchecks.conic_dependence
+
+        def counting(*args, **kwargs):
+            queries.append(len(args[3]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cqchecks, "conic_dependence", counting)
+        rep = check_rcpld(pt, cls)
+        assert rep.verdict == "Holds"
+        log = rep.detail["subset_log"]
+        assert len(queries) == len(log) < 64
+        assert queries == [len(entry["subset"]) for entry in log]
+        dependent = []
+        for entry in log:
+            subset = set(entry["subset"])
+            assert not any(d <= subset for d in dependent), entry["subset"]
+            if entry["system"] == "dependent":
+                dependent.append(subset)
+        assert len(dependent) == 9
+
+
+class TestNoUsableSample:
+    @pytest.mark.parametrize("check", [check_rcpld, check_crsc])
+    def test_zero_samples_are_undecided(self, soc_line_program, check):
+        pt, cls = _point(soc_line_program, [1.0])
+        rep = check(pt, cls, samples=0)
+        assert rep.verdict == "Undecided"
+        assert rep.detail["reason"] == "no usable sample point"
 
 
 class TestScalarPairExample:
