@@ -73,8 +73,16 @@ def _mu_norm(arr):
     return float(np.linalg.norm(np.asarray(arr)))
 
 
+def _finite(rec, what, values):
+    if not np.isfinite(values).all():
+        raise ProblemFormatError("record k=%d: %s has a non-finite entry" % (rec.k, what))
+
+
 def build_trace(prog: ConicProgram, records) -> AkktTrace:
-    """Validate record invariants and freeze them into a trace."""
+    """Validate record invariants and freeze them into a trace.
+
+    Every x, lambda, mu and alpha entry must be finite.
+    """
     records = tuple(records)
     prev_k = None
     for rec in records:
@@ -89,10 +97,13 @@ def build_trace(prog: ConicProgram, records) -> AkktTrace:
             raise DimensionMismatchError(
                 "record lambda has %d entries, expected %d" % (rec.lam.size, prog.p)
             )
+        _finite(rec, "x", rec.x)
+        _finite(rec, "lambda", rec.lam)
         for name, arr in rec.mu.items():
             j = prog.block_index(name)
             blk = prog.blocks[j]
             arr = np.asarray(arr, dtype=float)
+            _finite(rec, "mu for %r" % name, arr)
             if blk.kind == "soc":
                 if arr.shape != (blk.dim,):
                     raise DimensionMismatchError(
@@ -113,6 +124,7 @@ def build_trace(prog: ConicProgram, records) -> AkktTrace:
                 )
         for name, a in rec.alpha.items():
             prog.block_index(name)
+            _finite(rec, "alpha for %r" % name, a)
             if a < ALPHA_SLACK:
                 raise ProblemFormatError(
                     "coefficient for %r is negative (%g)" % (name, a)

@@ -13,7 +13,8 @@ certified, recovered KKT point), 1 for negative ones (Fails, rejected
 trace, diverging-multiplier witness, unbounded descent), 2 for an
 infeasible point, 3 for undecided or inconclusive outcomes (also when an
 internal iteration budget runs out or a factorization does not converge),
-and 64 for unusable inputs (bad flags, malformed files or vectors).
+and 64 for unusable inputs (bad flags, malformed files or vectors, or
+input too large for the memory available).
 
 The environment variable CONEGUARD_SEED, when set, overrides check --seed.
 Numeric flags are range-checked as they are parsed: tolerances, radii and
@@ -572,6 +573,9 @@ def main(argv=None):
     except ConeguardError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_NEGATIVE
+    except MemoryError:
+        print("error: the input needs more memory than is available", file=sys.stderr)
+        return EXIT_USAGE
     print("elapsed %.3f s" % (time.perf_counter() - started))
     return code
 

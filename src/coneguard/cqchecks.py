@@ -4,14 +4,17 @@ Four checks are provided: nondegeneracy (a rank test on the active
 gradient rows), a dual-form regularity check with cone-constrained
 multipliers restricted to the complementary face of each block, and two
 constant-rank conditions (rcpld, crsc) whose neighborhood clauses are
-verified by seeded sampling.  Every Fails verdict carries a concrete
-witness; Holds verdicts for the sampled checks state explicitly that no
-counterexample was found among the samples.
+verified by seeded sampling; both read one cached neighbourhood, whose
+samples are drawn and evaluated once.  Every Fails verdict carries a
+concrete witness; Holds verdicts for the sampled checks state explicitly
+that no counterexample was found among the samples.
 """
 
 from __future__ import annotations
 
+import functools
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,6 +41,7 @@ SUBSET_CAP = 2 ** 16
 
 SAMPLING_NOTE = "no violation found in %d samples of radius %g"
 _NO_SAMPLE = "no usable sample point"
+_NON_SIMPLE = "smallest eigenvalue not simple at a sample point"
 _NO_NAMES = ((), (), (), ())
 
 
@@ -71,32 +75,44 @@ def _reduced_partials(pt: EvaluatedPoint, j: int, basis: np.ndarray):
     return np.einsum("ar,iab,bs->irs", basis, pt.blocks[j].partials, basis)
 
 
-def _sample_points(pt: EvaluatedPoint, delta: float, count: int, seed: int):
-    """Seeded evaluation points in the delta-ball around pt.x.
+class _Sample(NamedTuple):
+    x: np.ndarray
+    eq_rows: np.ndarray  # (p, n) equality gradients
+    grads: dict  # reduced block -> gradient; None where an eigen-min is not simple
+    gap: float  # that eigenvalue gap, when grads is None
 
-    Points where the program expressions leave their domain are retried at
-    half the radius a few times, then skipped (reported by the caller).
+
+@functools.lru_cache(maxsize=1)
+def _neighbourhood(prog, x_bytes, cls, delta, count, seed):
+    """Seeded samples of the delta-ball around x, and how many were skipped.
+
+    A point outside an expression domain is retried at half the radius a
+    few times, then skipped.  Each sample is evaluated once, and keeps only
+    what rcpld and crsc read of it.
     """
+    x = np.frombuffer(x_bytes)
     rng = np.random.default_rng(seed)
-    n = pt.x.size
     out = []
-    skipped = 0
     for _ in range(count):
-        z = rng.standard_normal(n)
+        z = rng.standard_normal(x.size)
         nz = float(np.linalg.norm(z))
-        u = z / nz if nz > 0 else np.zeros(n)
-        radius = delta * float(rng.uniform(0.0, 1.0)) ** (1.0 / n)
-        placed = False
+        u = z / nz if nz > 0 else np.zeros(x.size)
+        radius = delta * float(rng.uniform(0.0, 1.0)) ** (1.0 / x.size)
         for _ in range(8):
             try:
-                out.append(evaluate(pt.program, pt.x + radius * u))
-                placed = True
+                sp = evaluate(prog, x + radius * u)
                 break
             except DomainError:
                 radius *= 0.5
-        if not placed:
-            skipped += 1
-    return out, skipped
+        else:  # every radius left a domain: the point is skipped
+            continue
+        sp.x.flags.writeable = False  # reports print it, and the cache shares it
+        try:
+            grads = {entry.block: entry.gradient for entry in reduced_view(sp, cls).entries}
+            out.append(_Sample(sp.x, sp.jac_h, grads, None))
+        except NonSimpleEigenvalueError as exc:
+            out.append(_Sample(sp.x, sp.jac_h, None, exc.gap))
+    return tuple(out), count - len(out)
 
 
 def check_nondegeneracy(pt: EvaluatedPoint, cls: IndexClassification, *, tol_rank=TOL_RANK) -> CqReport:
@@ -217,11 +233,6 @@ def check_robinson(
     return CqReport("robinson", verdict, detail, cert, labels)
 
 
-def _reduced_gradients_at(sample: EvaluatedPoint, cls: IndexClassification):
-    view = reduced_view(sample, cls)
-    return {entry.block: entry.gradient for entry in view.entries}
-
-
 def check_rcpld(
     pt: EvaluatedPoint,
     cls: IndexClassification,
@@ -258,21 +269,17 @@ def check_rcpld(
         return CqReport("rcpld", "Undecided", detail)
 
     eq_rows = [pt.jac_h[i] for i in range(pt.program.p)]
-    sampled, skipped = _sample_points(pt, delta, samples, seed)
+    sampled, skipped = _neighbourhood(pt.program, pt.x.tobytes(), cls, delta, samples, seed)
     detail["samples_skipped"] = skipped
     if not sampled:
-        detail["reason"] = _NO_SAMPLE
-        return CqReport("rcpld", "Undecided", detail)
+        return CqReport("rcpld", "Undecided", dict(detail, reason=_NO_SAMPLE))
     if pt.program.p:
         rank_star, basis_i = numerical_rank(eq_rows, tol_rank)
         for t, sp in enumerate(sampled):
-            rank_s, _ = numerical_rank([sp.jac_h[i] for i in range(pt.program.p)], tol_rank)
+            rank_s, _ = numerical_rank(sp.eq_rows, tol_rank)
             if rank_s != rank_star:
-                detail["reason"] = "equality gradient rank is not locally constant"
-                detail["rank_at_point"] = rank_star
-                detail["rank_at_sample"] = rank_s
-                detail["sample_index"] = t
-                detail["sample_point"] = sp.x
+                detail.update(reason="equality gradient rank is not locally constant")
+                detail.update(rank_at_point=rank_star, rank_at_sample=rank_s, sample_index=t, sample_point=sp.x)
                 return CqReport("rcpld", "Fails", detail)
     else:
         rank_star, basis_i = 0, ()
@@ -281,13 +288,11 @@ def check_rcpld(
 
     socs, psds = conic_base(pt, cls)
     conic_names = (cls.names(cls.soc_vertex_multi), cls.names(cls.psd_multiple))
-    grads_star = _reduced_gradients_at(pt, cls)
-    try:
-        grads_samples = [_reduced_gradients_at(sp, cls) for sp in sampled]
-    except NonSimpleEigenvalueError as exc:
-        detail["reason"] = "smallest eigenvalue not simple at a sample point"
-        detail["gap"] = exc.gap
-        return CqReport("rcpld", "Undecided", detail)
+    grads_star = {entry.block: entry.gradient for entry in reduced_view(pt, cls).entries}
+    for sp in sampled:
+        if sp.grads is None:
+            detail.update(reason=_NON_SIMPLE, gap=sp.gap)
+            return CqReport("rcpld", "Undecided", detail)
 
     # Only minimal dependent subsets need a query: a superset of a dependent
     # subset is dependent (zero coefficients on the added rays), and its
@@ -311,13 +316,13 @@ def check_rcpld(
                 undecided = undecided or entry
             if cert.verdict != "dependent":
                 continue
-            for t, grads in enumerate(grads_samples):
-                family = [sampled[t].jac_h[i] for i in basis_i] + [grads[j] for j in subset]
+            for t, sp in enumerate(sampled):
+                family = [sp.eq_rows[i] for i in basis_i] + [sp.grads[j] for j in subset]
                 if not family:
                     detail["reason"] = "nonzero solution with an empty comparison family"
                 elif numerical_rank(family, tol_rank)[0] == len(family):
                     detail["reason"] = "dependent system but gradients independent at a sample"
-                    detail["sample_point"] = sampled[t].x
+                    detail["sample_point"] = sp.x
                 else:
                     continue
                 detail.update(subset=entry["subset"], sample_index=t, subset_log=tuple(subset_log))
@@ -358,7 +363,7 @@ def check_crsc(
     ground = cls.reduced()
     detail = {"delta": delta, "samples": samples, "seed": seed}
     eq_rows = [pt.jac_h[i] for i in range(pt.program.p)]
-    grads_star = _reduced_gradients_at(pt, cls)
+    grads_star = {entry.block: entry.gradient for entry in reduced_view(pt, cls).entries}
     all_grads = [grads_star[j] for j in ground]
 
     j_minus = []
@@ -382,27 +387,20 @@ def check_crsc(
 
     family_star = eq_rows + [grads_star[j] for j in j_minus]
     rank_star = numerical_rank(family_star, tol_rank)[0] if family_star else 0
-    sampled, skipped = _sample_points(pt, delta, samples, seed)
+    sampled, skipped = _neighbourhood(pt.program, pt.x.tobytes(), cls, delta, samples, seed)
     detail["samples_skipped"] = skipped
     if not sampled:
-        detail["reason"] = _NO_SAMPLE
-        return CqReport("crsc", "Undecided", detail)
-    try:
-        for t, sp in enumerate(sampled):
-            grads = _reduced_gradients_at(sp, cls)
-            family = [sp.jac_h[i] for i in range(pt.program.p)] + [grads[j] for j in j_minus]
-            rank_s = numerical_rank(family, tol_rank)[0] if family else 0
-            if rank_s != rank_star:
-                detail["reason"] = "subspace-component rank is not locally constant"
-                detail["rank_at_point"] = rank_star
-                detail["rank_at_sample"] = rank_s
-                detail["sample_index"] = t
-                detail["sample_point"] = sp.x
-                return CqReport("crsc", "Fails", detail)
-    except NonSimpleEigenvalueError as exc:
-        detail["reason"] = "smallest eigenvalue not simple at a sample point"
-        detail["gap"] = exc.gap
-        return CqReport("crsc", "Undecided", detail)
+        return CqReport("crsc", "Undecided", dict(detail, reason=_NO_SAMPLE))
+    for t, sp in enumerate(sampled):
+        if sp.grads is None:
+            detail.update(reason=_NON_SIMPLE, gap=sp.gap)
+            return CqReport("crsc", "Undecided", detail)
+        family = list(sp.eq_rows) + [sp.grads[j] for j in j_minus]
+        rank_s = numerical_rank(family, tol_rank)[0] if family else 0
+        if rank_s != rank_star:
+            detail.update(reason="subspace-component rank is not locally constant")
+            detail.update(rank_at_point=rank_star, rank_at_sample=rank_s, sample_index=t, sample_point=sp.x)
+            return CqReport("crsc", "Fails", detail)
 
     socs, psds = conic_base(pt, cls)
     eq_basis = basis_rows + [grads_star[j] for j in j_basis]

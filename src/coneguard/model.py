@@ -7,7 +7,7 @@ A program is
 where each block cone K_j is a second-order cone K_m or the positive
 semidefinite matrices of order m.  The text format is line oriented:
 
-    vars <n>
+    vars <n>                    # 1 <= n <= 2**31 - 1
     objective <expr>
     eq <name> <expr>            # zero or more
     soc <name> <m>              # followed by m expression lines
@@ -36,6 +36,8 @@ from .cones import (
     upper_triangle,
 )
 from .errors import ConeguardError, DimensionMismatchError, DomainError, ProblemFormatError
+
+_MAX_VARS = 2**31 - 1  # folds store variable indices, and n itself, as int32
 
 
 class AffineFold:
@@ -177,6 +179,8 @@ def loads(text):
         raise ProblemFormatError("variable count must be an integer", line_no) from None
     if n < 1:
         raise ProblemFormatError("variable count must be positive", line_no)
+    if n > _MAX_VARS:
+        raise ProblemFormatError("variable count must be at most %d" % _MAX_VARS, line_no)
 
     line_no, body = take()
     key, _, rest = body.partition(" ")

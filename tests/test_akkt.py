@@ -122,6 +122,22 @@ class TestTraceValidation:
         with pytest.raises(ProblemFormatError):
             build_trace(prog, [bad])
 
+    @pytest.mark.parametrize(
+        "field, what",
+        [
+            ({"x": [np.nan]}, "x"),
+            ({"lam": [np.inf]}, "lambda"),
+            ({"mu": {"G": [np.nan, 0.0]}}, "mu for 'G'"),
+            ({"mu": {"P": np.array([[1.0, np.nan], [np.nan, 1.0]])}}, "mu for 'P'"),
+            ({"alpha": {"s": np.nan}}, "alpha for 's'"),
+        ],
+    )
+    def test_non_finite_entries_are_rejected(self, field, what):
+        prog = loads("vars 1\nobjective x1\neq e x1\nsoc G 2\nx1\nx1\npsd P 2\nx1\n0\nx1\nsoc s 1\nx1 + 1\n")
+        rec = record(prog, 3, **{"x": [0.0], **field})
+        with pytest.raises(ProblemFormatError, match="^record k=3: %s has a non-finite entry$" % what):
+            build_trace(prog, [rec])
+
     def test_alpha_sign_slack(self, mixed_program):
         prog = mixed_program
         build_trace(prog, [record(prog, 0, [0.0], alpha={"s": -1e-13})])

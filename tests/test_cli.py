@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coneguard import cli
+from coneguard import cli, cqchecks
 from coneguard.akkt import build_trace, dumps_trace, AkktRecord
 from coneguard.cli import (
     EXIT_INFEASIBLE,
@@ -278,6 +278,23 @@ class TestCheck:
         _, out1, _ = run(args, capsys)
         _, out2, _ = run(args, capsys)
         assert parse_report(out1) == parse_report(out2)
+
+    def test_rcpld_and_crsc_evaluate_each_sample_once(self, files, capsys, monkeypatch):
+        points = []
+        original = cqchecks.evaluate
+
+        def counting(prog, x):
+            points.append(x)
+            return original(prog, x)
+
+        monkeypatch.setattr(cqchecks, "evaluate", counting)
+        args = ["check", "--problem", files["psd_pair"], "--point", "0", "--cq", "all", "--samples", "7"]
+        code, out, _ = run(args, capsys)
+        assert code == EXIT_NEGATIVE
+        assert [v[2] for v in rows(out, "verdict")] == ["Fails", "Fails", "Holds", "Holds"]
+        for name in ("rcpld", "crsc"):
+            assert " in 7 samples " in " ".join(row(out, "detail", name, "note"))
+        assert len(points) == 7
 
 
 class TestSolveCertifyRecover:
@@ -551,6 +568,33 @@ class TestHostileInput:
         assert code == EXIT_USAGE
         assert "argument %s: %r is not" % (flag, value) in err
         assert "Traceback" not in err
+        assert REPORT_BEGIN not in out
+
+    @pytest.mark.parametrize("command", ["certify", "recover"])
+    def test_non_finite_trace_value_is_a_usage_error(self, tmp_path, capsys, command):
+        trace = tmp_path / "nan.trace"
+        trace.write_text("k 0\nx 1\nalpha g nan\nk 1\nx 1\nalpha g nan\n")
+        problem = str(PROBLEMS / "soc_boundary_line.txt")
+        code, out, err = run([command, "--problem", problem, "--point=1", "--trace", str(trace)], capsys)
+        assert code == EXIT_USAGE
+        assert err == "error: trace file %s: record k=0: alpha for 'g' has a non-finite entry\n" % trace
+        assert REPORT_BEGIN not in out
+
+    def test_variable_count_past_int32_is_a_usage_error(self, tmp_path, capsys):
+        problem = self._write(tmp_path, "vars 1000000000000\nobjective x1\nsoc g 1\n0 + 1 * x1\n")
+        code, out, err = run(["classify", "--problem", problem, "--point", "1"], capsys)
+        assert code == EXIT_USAGE
+        assert err == "error: problem file %s: line 1: variable count must be at most 2147483647\n" % problem
+        assert REPORT_BEGIN not in out
+
+    def test_memory_error_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        def exhausted(text):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "loads", exhausted)
+        code, out, err = run(["classify", "--problem", self._write(tmp_path, BOUNDARY), "--point", "1"], capsys)
+        assert code == EXIT_USAGE
+        assert err == "error: the input needs more memory than is available\n"
         assert REPORT_BEGIN not in out
 
     def test_negative_environment_seed_is_a_usage_error(self, tmp_path, capsys, monkeypatch):

@@ -174,6 +174,56 @@ class TestNoUsableSample:
         assert rep.detail["reason"] == "no usable sample point"
 
 
+# x2 >= 0 and x1^2 - x2 >= 0 with a free x3: at (0, 0, t) rcpld and crsc fail
+# at the first sample, and their reports print that sample's point
+CPLD3 = "vars 3\nobjective x1\nsoc a 1\nx2\nsoc b 1\nx1 * x1 - x2\n"
+BOUNDARY = "vars 1\nobjective (x1 - 1) * (x1 - 1)\nsoc g 2\nx1\nx1\n"
+
+
+class TestSharedNeighbourhood:
+    """rcpld and crsc share one cached sample set; it answers only for its own
+    program, point, classification, radius, count and seed."""
+
+    def _alone(self, check, pt, cls):
+        cqchecks._neighbourhood.cache_clear()
+        return check(pt, cls)
+
+    @staticmethod
+    def _same_report(a, b):
+        return a.verdict == b.verdict and _same(a.detail, b.detail)
+
+    def test_either_order_gives_the_reports_of_each_check_alone(self):
+        pt, cls = _point(loads(CPLD3), [0.0, 0.0, 0.0])
+        alone = {check: self._alone(check, pt, cls) for check in (check_rcpld, check_crsc)}
+        for order in ((check_rcpld, check_crsc), (check_crsc, check_rcpld)):
+            cqchecks._neighbourhood.cache_clear()
+            for check in order:
+                assert self._same_report(check(pt, cls), alone[check])
+
+    @pytest.mark.parametrize(
+        "text, x, other",
+        [
+            (CPLD3, [0.0, 0.0, 0.0], {"seed": 7}),
+            (CPLD3, [0.0, 0.0, 0.0], {"delta": 1e-2}),
+            (CPLD3, [0.0, 0.0, 0.0], {"x": [0.0, 0.0, 5.0]}),
+            (BOUNDARY, [1.0], {"samples": 3}),
+        ],
+        ids=["seed", "radius", "point", "count"],
+    )
+    def test_a_check_under_another_key_leaves_no_answer_behind(self, text, x, other):
+        prog = loads(text)
+        pt, cls = _point(prog, x)
+        other = dict(other)
+        other_pt, other_cls = _point(prog, other.pop("x")) if "x" in other else (pt, cls)
+        checks = (check_rcpld, check_crsc)
+        alone = {check: self._alone(check, pt, cls) for check in checks}
+        for earlier in checks:
+            for check in checks:
+                cqchecks._neighbourhood.cache_clear()
+                assert not self._same_report(earlier(other_pt, other_cls, **other), alone[earlier])
+                assert self._same_report(check(pt, cls), alone[check])
+
+
 class TestScalarPairExample:
     """x1 >= 0, x2 >= 0 as separate scalar blocks is nondegenerate at the
     origin; merging the blocks into one diagonal matrix destroys that."""

@@ -108,6 +108,17 @@ def test_format_errors_carry_line_numbers():
     assert err.value.line == 4
 
 
+def test_variable_count_is_capped_at_the_int32_index_range():
+    # nothing here allocates n entries: the cap is checked on the vars line
+    assert loads("vars 2147483647\nobjective x1\n").n == 2**31 - 1
+    with pytest.raises(ProblemFormatError, match="variable count must be at most 2147483647") as err:
+        loads("vars 2147483648\nobjective x1\n")
+    assert err.value.line == 1
+    with pytest.raises(ProblemFormatError) as err:
+        loads("# huge\nvars 1000000000000\nobjective x1\nsoc g 1\n0 + 1 * x1\n")
+    assert err.value.line == 2
+
+
 # ---------------------------------------------------------------------------
 # evaluation: determinism, Jacobians, residuals
 
