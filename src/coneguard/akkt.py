@@ -37,7 +37,7 @@ from .certificates import (
     verify_dependence,
 )
 from .classify import TOL_ACT, TOL_GAP, classify
-from .cones import SocVector, eig_sym, psd_distance, soc_distance, upper_triangle
+from .cones import eig_sym, psd_distance, soc_distance, upper_triangle
 from .errors import (
     DimensionMismatchError,
     ProblemFormatError,
@@ -49,6 +49,7 @@ from .reduction import conic_base, eigen_gap, reduced_view
 CONE_SLACK = 1e-9
 ALPHA_SLACK = -1e-12
 M_CAP = 1e8
+TOL_KKT = 1e-6
 GROWTH_FACTOR = 10.0
 
 _F = "%.17g"
@@ -110,7 +111,7 @@ def build_trace(prog: ConicProgram, records) -> AkktTrace:
                         "multiplier for %r has shape %r, expected (%d,)"
                         % (name, arr.shape, blk.dim)
                     )
-                dist = soc_distance(SocVector(float(arr[0]), arr[1:]))
+                dist = soc_distance(arr)
             else:
                 if arr.shape != (blk.dim, blk.dim):
                     raise DimensionMismatchError(
@@ -316,8 +317,10 @@ class CertifyOutcome:
         self.detail = {} if detail is None else detail
 
 
-def certify_akkt(prog, x_star, trace, tol=1e-6, tol_act=TOL_ACT, tol_gap=TOL_GAP) -> CertifyOutcome:
-    """Check that a trace witnesses approximate stationarity at x_star.
+def certify_akkt(pt_star, trace, tol=TOL_KKT, tol_act=TOL_ACT, tol_gap=TOL_GAP) -> CertifyOutcome:
+    """Check that a trace witnesses approximate stationarity at x_star = pt_star.x.
+
+    pt_star is the reference point as ``model.evaluate`` returns it.
 
     Clauses, in order: the trace has a usable tail (length at least two);
     tail iterates stay within tol of x_star without drifting away; tail
@@ -329,11 +332,10 @@ def certify_akkt(prog, x_star, trace, tol=1e-6, tol_act=TOL_ACT, tol_gap=TOL_GAP
     The tail is the final quarter of the records (at least one), so the
     verdict rests on where the sequence settles rather than how it starts.
     """
-    x_star = np.asarray(x_star, dtype=float).reshape(-1)
+    prog, x_star = pt_star.program, pt_star.x
     records = trace.records
     if len(records) < 2:
         return CertifyOutcome(False, "insufficient tail", records[-1].k if records else None)
-    pt_star = evaluate(prog, x_star)
     cls = classify(pt_star, tol_act, tol_gap)
     tail = records[-max(1, len(records) // 4) :]
     detail = {"tail_start_k": tail[0].k, "tail_length": len(tail)}
@@ -417,10 +419,9 @@ def verify_kkt(pt, lam, mu_by_name, tol):
         bv = pt.blocks[j]
         stat = stat - apply_jacobian_adjoint(pt, j, mu)
         if blk.kind == "soc":
-            cone = soc_distance(SocVector(float(mu[0]), mu[1:]))
-            gval = bv.value.as_array()
-            comp = abs(float(mu @ gval))
-            gnorm = float(np.linalg.norm(gval))
+            cone = soc_distance(mu)
+            comp = abs(float(mu @ bv.value))
+            gnorm = float(np.linalg.norm(bv.value))
         else:
             cone = psd_distance(mu)
             comp = abs(float(np.sum(mu * bv.value.mat)))
@@ -475,17 +476,17 @@ def _zero_multiplier(blk):
 
 
 def recover_kkt(
-    prog,
-    x_star,
+    pt_star,
     trace,
-    tol=1e-6,
+    tol=TOL_KKT,
     tol_act=TOL_ACT,
     tol_gap=TOL_GAP,
     tol_rank=TOL_RANK,
     tol_cert=TOL_CERT,
     m_cap=M_CAP,
 ) -> RecoveryOutcome:
-    """Extract limiting multipliers from a trace, or a divergence witness.
+    """Extract limiting multipliers at x_star = pt_star.x from a trace, or a
+    divergence witness; pt_star is the point as ``model.evaluate`` returns it.
 
     Per tail record the equality term is re-expressed on a fixed gradient
     basis and the reduced-gradient terms are thinned to an independent
@@ -494,11 +495,10 @@ def recover_kkt(
     verified); magnitudes growing past the cap yield a normalized witness
     of cone-coefficient degeneracy at x_star, verified by substitution.
     """
-    x_star = np.asarray(x_star, dtype=float).reshape(-1)
+    prog = pt_star.program
     records = trace.records
     if not records:
         return RecoveryOutcome("inconclusive", detail={"reason": "empty trace"})
-    pt_star = evaluate(prog, x_star)
     cls = classify(pt_star, tol_act, tol_gap)
     names = cls.block_names
     reduced = cls.reduced()

@@ -30,47 +30,34 @@ import numpy as np
 
 from .akkt import AkktRecord, AkktTrace, _zero_multiplier, build_trace
 from .classify import TOL_ACT, TOL_GAP, classify
-from .cones import SocVector, project_psd, project_soc
+from .cones import project_psd, project_soc
 from .errors import DomainError, InfeasiblePointError
 from .model import ConicProgram, apply_jacobian_adjoint, evaluate
 from .reduction import reduced_view
 
 UNBOUNDED_OBJECTIVE = -1e12
+# inner tolerance of outer iteration k: max(EPS0 * EPS_DECAY**k, EPS_FLOOR)
+EPS0 = 0.1
+EPS_DECAY = 0.5
+EPS_FLOOR = 1e-10
 
 
 class AlmConfig:
-    __slots__ = (
-        "rho0", "gamma", "cap", "outer_max", "inner_max", "eps0", "eps_decay", "eps_floor", "tol_stat", "tol_feas"
-    )
+    __slots__ = ("rho0", "gamma", "cap", "outer_max", "inner_max", "tol_stat", "tol_feas")
 
-    def __init__(
-        self,
-        rho0=1.0,
-        gamma=4.0,
-        cap=1e6,
-        outer_max=60,
-        inner_max=5000,
-        eps0=0.1,
-        eps_decay=0.5,
-        eps_floor=1e-10,
-        tol_stat=1e-8,
-        tol_feas=1e-8,
-    ):
+    def __init__(self, rho0=1.0, gamma=4.0, cap=1e6, outer_max=60, inner_max=5000, tol_stat=1e-8, tol_feas=1e-8):
         self.rho0, self.gamma, self.cap = rho0, gamma, cap
         self.outer_max, self.inner_max = outer_max, inner_max
-        self.eps0, self.eps_decay, self.eps_floor = eps0, eps_decay, eps_floor
         self.tol_stat, self.tol_feas = tol_stat, tol_feas
         if self.rho0 <= 0:
             raise ValueError("rho0 must be positive")
         if self.gamma <= 1:
             raise ValueError("gamma must exceed 1")
-        if not 0 < self.eps_decay < 1:
-            raise ValueError("eps_decay must lie in (0, 1)")
-        if self.eps_floor <= 0 or self.eps0 <= self.eps_floor:
-            raise ValueError("inner tolerances must decrease to a positive floor")
 
-    def eps(self, k):
-        return max(self.eps0 * self.eps_decay**k, self.eps_floor)
+
+def inner_tolerance(k):
+    """Gradient-norm tolerance of the inner minimization in outer iteration k."""
+    return max(EPS0 * EPS_DECAY**k, EPS_FLOOR)
 
 
 def _penalty_terms(pt, lam_hat, mu_hats, rho):
@@ -84,8 +71,7 @@ def _penalty_terms(pt, lam_hat, mu_hats, rho):
     for j, blk in enumerate(pt.program.blocks):
         bv = pt.blocks[j]
         if blk.kind == "soc":
-            z = mu_hats[j] - rho * bv.value.as_array()
-            proj = project_soc(SocVector(float(z[0]), z[1:])).as_array()
+            proj = project_soc(mu_hats[j] - rho * bv.value)
             val += (float(proj @ proj) - float(mu_hats[j] @ mu_hats[j])) / (2.0 * rho)
         else:
             z = mu_hats[j] - rho * bv.value.mat
@@ -171,9 +157,8 @@ def solve(prog: ConicProgram, x0, cfg: AlmConfig | None = None, log=None):
     raw = [(0, pt, lam_hat.copy(), [m.copy() for m in mu_hats])]
     status = "iteration-limit"
     for k in range(cfg.outer_max):
-        eps = cfg.eps(k)
         pt, val, grad, projections, inner_status = _inner_minimize(
-            prog, pt, lam_hat, mu_hats, rho, eps, cfg.inner_max
+            prog, pt, lam_hat, mu_hats, rho, inner_tolerance(k), cfg.inner_max
         )
         lam_new = lam_hat + rho * pt.h if prog.p else np.zeros(0)
         mu_new = projections

@@ -20,7 +20,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .cones import (
-    SocVector,
     eig_sym,
     project_psd,
     project_soc,
@@ -106,7 +105,7 @@ def null_combination(vectors, tol_rank=TOL_RANK):
     return coeffs, residual
 
 
-def nnls(a, b, max_iter=None):
+def nnls(a, b):
     """Nonnegative least squares by the classic active-set iteration.
 
     Solves min ||a x - b|| subject to x >= 0.  Returns (x, residual norm).
@@ -116,8 +115,7 @@ def nnls(a, b, max_iter=None):
     m, k = a.shape
     if k == 0:
         return np.zeros(0), float(np.linalg.norm(b))
-    if max_iter is None:
-        max_iter = 10 * k + 50
+    max_iter = 10 * k + 50
     x = np.zeros(k)
     passive = np.zeros(k, dtype=bool)
     w = a.T @ (b - a @ x)
@@ -353,8 +351,7 @@ class _System:
     def project_cones(self, v):
         w = v.copy()
         for sl in self.soc_slices:
-            seg = w[sl]
-            w[sl] = project_soc(SocVector(seg[0], seg[1:])).as_array()
+            w[sl] = project_soc(w[sl])
         for sl, m in self.psd_slices:
             mat = smat(w[sl], m)
             w[sl] = svec(project_psd(mat).mat)
@@ -408,7 +405,7 @@ def verify_dependence(eq_basis, soc_blocks, psd_blocks, rays, witness, tol_cert=
     residual = float(np.linalg.norm(combo))
     cone_gap = 0.0
     for mu in witness.soc:
-        cone_gap = max(cone_gap, soc_distance(SocVector(mu[0], mu[1:])))
+        cone_gap = max(cone_gap, soc_distance(mu))
     for mat in witness.psd:
         cone_gap = max(cone_gap, psd_distance(0.5 * (mat + mat.T)))
     if witness.alpha.size:
@@ -427,10 +424,7 @@ def _margin_terms(system, d):
     out = []
     for jmat in system.socs:
         z = jmat @ d
-        if jmat.shape[0] == 1:
-            out.append(("soc", float(z[0]), z))
-        else:
-            out.append(("soc", float(z[0] - np.linalg.norm(z[1:])), z))
+        out.append(("soc", float(z[0] - np.linalg.norm(z[1:])), z))
     for pt in system.psds:
         mmat = np.tensordot(d, pt, axes=(0, 0))
         mmat = 0.5 * (mmat + mmat.T)
@@ -447,8 +441,6 @@ def _margin_gradient(system, d, which, payload):
     if kind == "soc":
         jmat = system.socs[idx]
         z = payload
-        if jmat.shape[0] == 1:
-            return jmat[0].copy()
         nz = float(np.linalg.norm(z[1:]))
         if nz <= 1e-15:
             return jmat[0].copy()

@@ -34,7 +34,7 @@ import time
 
 import numpy as np
 
-from .akkt import M_CAP, certify_akkt, dump_trace, load_trace, recover_kkt
+from .akkt import M_CAP, TOL_KKT, certify_akkt, dump_trace, load_trace, recover_kkt
 from .alm import AlmConfig, solve
 from .certificates import DEFAULT_BUDGET, TOL_CERT, TOL_RANK
 from .classify import TOL_ACT, TOL_GAP, classify
@@ -58,8 +58,6 @@ from .errors import (
     InfeasiblePointError,
     ProblemFormatError,
     SymmetryError,
-    UnknownIdentifierError,
-    VariableIndexError,
 )
 from .model import dumps, embed_block_diagonal, evaluate, loads
 
@@ -77,8 +75,6 @@ REPORT_END = "---REPORT-END---"
 _INPUT_ERRORS = (
     ProblemFormatError,
     ExprSyntaxError,
-    UnknownIdentifierError,
-    VariableIndexError,
     DimensionMismatchError,
     SymmetryError,
 )
@@ -381,9 +377,9 @@ def _cmd_solve(args):
 
 
 def _cmd_certify(args):
-    prog, pt, trace, rep = _open_with_trace(args, "certify")
+    _, pt, trace, rep = _open_with_trace(args, "certify")
     try:
-        outcome = certify_akkt(prog, pt.x, trace, tol=args.tol, tol_act=args.tol_act, tol_gap=args.tol_gap)
+        outcome = certify_akkt(pt, trace, tol=args.tol, tol_act=args.tol_act, tol_gap=args.tol_gap)
     except InfeasiblePointError as exc:
         return _infeasible_exit(rep, exc)
     rep.add("certified", "yes" if outcome.certified else "no")
@@ -401,8 +397,7 @@ def _cmd_recover(args):
     prog, pt, trace, rep = _open_with_trace(args, "recover")
     try:
         outcome = recover_kkt(
-            prog,
-            pt.x,
+            pt,
             trace,
             tol=args.tol,
             tol_act=args.tol_act,
@@ -417,8 +412,7 @@ def _cmd_recover(args):
     rep.add("recovery", verdict)
     rep.add("equality-basis", *outcome.equality_basis)
     rep.add("modal-subset", *outcome.modal_subset)
-    if outcome.modal_frequency is not None:
-        rep.add("modal-frequency", "%d" % outcome.modal_frequency)
+    rep.add("modal-frequency", "%d" % outcome.modal_frequency)
     if outcome.m_values:
         rep.add("m-values", *(_fmt(v) for v in outcome.m_values))
     if outcome.residual is not None:
@@ -524,22 +518,23 @@ def build_parser():
 
     p = _subcommand(subs, "solve", "Run the augmented Lagrangian solver and write a trace.", "--problem", "--x0")
     p.add_argument("--trace", required=True, help="output trace file")
-    p.add_argument("--rho0", type=_POSITIVE, default=1.0)
-    p.add_argument("--gamma", type=_ABOVE_ONE, default=4.0)
-    p.add_argument("--cap", type=_POSITIVE, default=1e6)
-    p.add_argument("--outer-max", type=_COUNT, default=60)
-    p.add_argument("--inner-max", type=_COUNT, default=5000)
-    p.add_argument("--tol-stat", type=_POSITIVE, default=1e-8)
-    p.add_argument("--tol-feas", type=_POSITIVE, default=1e-8)
+    defaults = AlmConfig()
+    p.add_argument("--rho0", type=_POSITIVE, default=defaults.rho0)
+    p.add_argument("--gamma", type=_ABOVE_ONE, default=defaults.gamma)
+    p.add_argument("--cap", type=_POSITIVE, default=defaults.cap)
+    p.add_argument("--outer-max", type=_COUNT, default=defaults.outer_max)
+    p.add_argument("--inner-max", type=_COUNT, default=defaults.inner_max)
+    p.add_argument("--tol-stat", type=_POSITIVE, default=defaults.tol_stat)
+    p.add_argument("--tol-feas", type=_POSITIVE, default=defaults.tol_feas)
 
     p = _subcommand(subs, "certify", "Certify a trace as approximately stationary at a point.", "--problem", "--point")
     p.add_argument("--trace", required=True, help="input trace file")
-    p.add_argument("--tol", type=_POSITIVE, default=1e-6)
+    p.add_argument("--tol", type=_POSITIVE, default=TOL_KKT)
     _add_point_tols(p)
 
     p = _subcommand(subs, "recover", "Recover candidate multipliers from a trace.", "--problem", "--point")
     p.add_argument("--trace", required=True, help="input trace file")
-    p.add_argument("--tol", type=_POSITIVE, default=1e-6)
+    p.add_argument("--tol", type=_POSITIVE, default=TOL_KKT)
     _add_point_tols(p)
     p.add_argument("--tol-rank", type=_POSITIVE, default=TOL_RANK)
     p.add_argument("--tol-cert", type=_POSITIVE, default=TOL_CERT)

@@ -1,6 +1,6 @@
 """Second-order cone and semidefinite cone primitives.
 
-Second-order cone vectors are split as z = (z0, zbar) with
+Second-order cone values are 1-D arrays z = (z0, zbar), z0 first, with
 K_m = {z : z0 >= ||zbar||} and K_1 the nonnegative reals.  Symmetric
 matrices are decomposed by LAPACK (numpy's ``eigh``), with eigenvector
 signs fixed so that repeated calls agree bitwise.
@@ -19,29 +19,6 @@ from .errors import DimensionMismatchError, SymmetryError
 SYMMETRY_TOL = 1e-12
 
 
-class SocVector:
-    __slots__ = ("z0", "zbar")
-
-    def __init__(self, z0, zbar):
-        self.z0 = float(z0)
-        self.zbar = np.asarray(zbar, dtype=float).reshape(-1)
-
-    @property
-    def m(self):
-        return 1 + self.zbar.size
-
-    def as_array(self):
-        return np.concatenate(([self.z0], self.zbar))
-
-    def norm(self):
-        return float(np.sqrt(self.z0**2 + self.zbar @ self.zbar))
-
-
-def reflect(z):
-    """Multiply by the reflection diag(1, -1, ..., -1)."""
-    return SocVector(z.z0, -z.zbar)
-
-
 class SocRegion(enum.Enum):
     INTERIOR = "interior"
     BOUNDARY = "boundary"
@@ -49,34 +26,42 @@ class SocRegion(enum.Enum):
     INFEASIBLE = "infeasible"
 
 
+def _split(z):
+    z = np.asarray(z, dtype=float).reshape(-1)
+    return z, float(z[0]), z[1:]
+
+
 def classify_soc(z, tol_act=1e-8):
     """Locate z relative to K_m: interior, nonzero boundary, vertex, or outside."""
-    nrm = float(np.linalg.norm(z.zbar))
-    total = z.norm()
+    z, z0, zbar = _split(z)
+    nrm = float(np.linalg.norm(zbar))
+    total = float(np.sqrt(z0**2 + zbar @ zbar))
     if total <= tol_act:
         return SocRegion.VERTEX
-    if z.m == 1:
-        return SocRegion.INTERIOR if z.z0 > tol_act else SocRegion.INFEASIBLE
-    if abs(z.z0 - nrm) <= tol_act * max(1.0, total):
+    if z.size == 1:
+        return SocRegion.INTERIOR if z0 > tol_act else SocRegion.INFEASIBLE
+    if abs(z0 - nrm) <= tol_act * max(1.0, total):
         return SocRegion.BOUNDARY
-    if z.z0 > nrm:
+    if z0 > nrm:
         return SocRegion.INTERIOR
     return SocRegion.INFEASIBLE
 
 
 def project_soc(z):
-    """Euclidean projection onto K_m."""
-    nrm = float(np.linalg.norm(z.zbar))
-    if z.z0 >= nrm:
-        return SocVector(z.z0, z.zbar.copy())
-    if z.z0 <= -nrm:
-        return SocVector(0.0, np.zeros_like(z.zbar))
-    t = 0.5 * (z.z0 + nrm)
-    return SocVector(t, (t / nrm) * z.zbar)
+    """Euclidean projection onto K_m, as a new array."""
+    z, z0, zbar = _split(z)
+    nrm = float(np.linalg.norm(zbar))
+    if z0 >= nrm:
+        return z.copy()
+    if z0 <= -nrm:
+        return np.zeros_like(z)
+    t = 0.5 * (z0 + nrm)
+    return np.concatenate(([t], (t / nrm) * zbar))
 
 
 def soc_distance(z):
-    return float(np.linalg.norm(z.as_array() - project_soc(z).as_array()))
+    z = np.asarray(z, dtype=float).reshape(-1)
+    return float(np.linalg.norm(z - project_soc(z)))
 
 
 class SymMatrix:
@@ -94,10 +79,6 @@ class SymMatrix:
                 % (skew, SYMMETRY_TOL * max(1.0, scale))
             )
         self.mat = 0.5 * (a + a.T)
-
-    @property
-    def dim(self):
-        return self.mat.shape[0]
 
     def norm(self):
         return float(np.linalg.norm(self.mat, "fro"))
@@ -122,10 +103,10 @@ def eig_sym(a):
     return SpectralData(vals, vecs)
 
 
-def project_psd(a, spectral=None):
+def project_psd(a):
     """Euclidean (Frobenius) projection onto the positive semidefinite cone."""
     mat = a.mat if isinstance(a, SymMatrix) else SymMatrix(a).mat
-    sd = spectral if spectral is not None else eig_sym(mat)
+    sd = eig_sym(mat)
     clipped = np.clip(sd.eigenvalues, 0.0, None)
     out = (sd.eigenvectors * clipped) @ sd.eigenvectors.T
     return SymMatrix(0.5 * (out + out.T))

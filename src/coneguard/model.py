@@ -26,7 +26,6 @@ import numpy as np
 
 from . import expr as ex
 from .cones import (
-    SocVector,
     SpectralData,
     SymMatrix,
     eig_sym,
@@ -152,6 +151,17 @@ def _parse_expr(source, n, line_no):
         raise ProblemFormatError(str(err), line_no) from err
 
 
+def _count(text, what, line_no):
+    """A count; all-digit text is read like variable indices, so leading
+    zeros of any length are fine and more than 10 digits reads as 2**31."""
+    if text.isascii() and text.isdigit():
+        return ex._bounded(text)
+    try:
+        return int(text)
+    except ValueError:
+        raise ProblemFormatError("%s must be an integer" % what, line_no) from None
+
+
 def loads(text):
     """Parse the problem text format into a ConicProgram."""
     lines = []
@@ -173,10 +183,7 @@ def loads(text):
     parts = body.split()
     if parts[0] != "vars" or len(parts) != 2:
         raise ProblemFormatError("expected 'vars <n>'", line_no)
-    try:
-        n = int(parts[1])
-    except ValueError:
-        raise ProblemFormatError("variable count must be an integer", line_no) from None
+    n = _count(parts[1], "variable count", line_no)
     if n < 1:
         raise ProblemFormatError("variable count must be positive", line_no)
     if n > _MAX_VARS:
@@ -213,10 +220,7 @@ def loads(text):
             if name in seen_blocks:
                 raise ProblemFormatError("duplicate block name %r" % name, line_no)
             seen_blocks.add(name)
-            try:
-                m = int(parts[2])
-            except ValueError:
-                raise ProblemFormatError("block dimension must be an integer", line_no) from None
+            m = _count(parts[2], "block dimension", line_no)
             if m < 1:
                 raise ProblemFormatError("block dimension must be positive", line_no)
             count = m if key == "soc" else svec_dim(m)
@@ -243,7 +247,7 @@ def dumps(prog):
 
 
 class SocBlockValue(NamedTuple):
-    value: SocVector
+    value: np.ndarray  # (m,), z0 first
     jac: np.ndarray  # (m, n)
 
 
@@ -305,9 +309,8 @@ def evaluate(prog, x):
         else:
             vals, jac = _finite(fold.values(x), fold.jac, where)
         if blk.kind == "soc":
-            z = SocVector(vals[0], vals[1:])
-            values.append(SocBlockValue(z, jac))
-            distances.append(soc_distance(z))
+            values.append(SocBlockValue(vals, jac))
+            distances.append(soc_distance(vals))
         else:
             m = blk.dim
             rows, cols = upper_triangle(m)
@@ -343,8 +346,7 @@ def apply_jacobian_adjoint(pt, j, multiplier):
     blk = pt.program.blocks[j]
     bv = pt.blocks[j]
     if blk.kind == "soc":
-        mu = multiplier.as_array() if isinstance(multiplier, SocVector) else np.asarray(multiplier)
-        return bv.jac.T @ mu
+        return bv.jac.T @ np.asarray(multiplier)
     mat = multiplier.mat if isinstance(multiplier, SymMatrix) else np.asarray(multiplier)
     return np.tensordot(bv.partials, mat, axes=([1, 2], [0, 1]))
 

@@ -2,7 +2,7 @@
 
 A boundary second-order-cone block is summarized by
 phi(x) = (g0(x)^2 - ||gbar(x)||^2) / 2, whose gradient is
-J_g(x)^T R g(x) with R the reflection diag(1, -1, ..., -1).  An active
+J_g(x)^T R g(x) with R = diag(1, -1, ..., -1).  An active
 scalar block keeps its own value.  An active semidefinite block with a
 simple smallest eigenvalue is summarized by that eigenvalue, whose
 gradient has entries v^T (d_i G) v for the corresponding unit eigenvector.
@@ -20,7 +20,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .classify import TOL_GAP
-from .cones import reflect
 from .errors import DimensionMismatchError, NonSimpleEigenvalueError
 
 _ENTRY_LABELS = {"boundary": "soc-boundary", "vertex-scalar": "scalar", "kernel-simple": "eigen-min"}
@@ -64,9 +63,9 @@ class ReducedGradients:
 
 
 def _phi_soc(bv):
-    z = bv.value
-    axis = reflect(z).as_array()
-    return 0.5 * (z.z0**2 - float(z.zbar @ z.zbar)), bv.jac.T @ axis, axis
+    z0, zbar = float(bv.value[0]), bv.value[1:]
+    axis = np.concatenate(([z0], -zbar))  # R g
+    return 0.5 * (z0**2 - float(zbar @ zbar)), bv.jac.T @ axis, axis
 
 
 def phi_soc(pt, j):
@@ -124,7 +123,7 @@ def reduced_view(pt, cls, strict=True):
         if label == "boundary":
             value, gradient, axis = _phi_soc(bv)
         elif label == "vertex-scalar":
-            value, gradient, axis = bv.value.z0, bv.jac[0].copy(), np.ones(1)
+            value, gradient, axis = bv.value[0], bv.jac[0].copy(), np.ones(1)
         else:
             value, gradient, axis = _eigen_min(pt, j, cls.tol_gap, strict)
         entries.append(

@@ -322,7 +322,7 @@ def test_criterion_6_gradient_suites():
             mus = [rng.uniform(-2.0, 2.0, size=2), rng.uniform(-2.0, 2.0, size=(1, 1))]
             rho = 2.0
             pt = evaluate(alm_prog, x)
-            z_soc = mus[0] - rho * pt.blocks[0].value.as_array()
+            z_soc = mus[0] - rho * pt.blocks[0].value
             if abs(float(np.linalg.norm(z_soc[1:])) - z_soc[0]) <= 1e-3 * max(1.0, float(np.linalg.norm(z_soc))):
                 continue
             z_psd = mus[1] - rho * pt.blocks[1].value.mat
@@ -355,11 +355,11 @@ def test_criterion_7_end_to_end_pipeline():
             trace, status = solve(prog, x0, log=open("/dev/null", "w"))
             _expect(errors, status == "converged", "%s solver %s" % (label, status))
             x_star = trace.records[-1].x
-            outcome = certify_akkt(prog, x_star, trace)
+            outcome = certify_akkt(evaluate(prog, x_star), trace)
             _expect(errors, outcome.certified, "%s not certified (%s)" % (label, outcome.reason))
             _expect(errors, outcome.detail["max_tail_residual"] <= 1e-6,
                     "%s tail residual %g" % (label, outcome.detail["max_tail_residual"]))
-            rec = recover_kkt(prog, x_star, trace)
+            rec = recover_kkt(evaluate(prog, x_star), trace)
             _expect(errors, rec.verdict == "kkt", "%s recovery %s" % (label, rec.verdict))
             if rec.verdict == "kkt":
                 pt = evaluate(prog, x_star)

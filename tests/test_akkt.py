@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from coneguard import akkt
 from coneguard.akkt import (
     AkktRecord,
     AkktTrace,
@@ -182,6 +183,19 @@ class TestStationarityResidual:
         rec = record(prog, 0, [0.0, 0.0], alpha={"a": 1.0, "b": 1.0})
         assert akkt_residual(prog, cls, rec) <= 1e-12
 
+    def test_equality_multiplier_enters_the_residual_and_the_text(self):
+        # grad f + J_h^T lambda = 2 x1 + lambda vanishes at x1 = 1, lambda = -2
+        prog = loads("vars 1\nobjective x1^2\neq e x1 - 1\n")
+        cls = classify(evaluate(prog, np.array([1.0])))
+        assert akkt_residual(prog, cls, record(prog, 0, [1.0], lam=[-2.0])) == 0.0
+        assert akkt_residual(prog, cls, record(prog, 0, [1.0], lam=[0.0])) == 2.0
+        trace = build_trace(prog, [record(prog, 0, [1.0], lam=[-2.0]), record(prog, 1, [1.0], lam=[0.1])])
+        text = dumps_trace(trace)
+        assert text == "k 0\nx 1\nlambda -2\nk 1\nx 1\nlambda 0.10000000000000001\n"
+        back = loads_trace(prog, text)
+        assert [r.lam.tolist() for r in back.records] == [[-2.0], [0.1]]
+        assert dumps_trace(back) == text
+
     def test_boundary_line_residual_matches_hand_computation(self, soc_line_program):
         prog = soc_line_program
         cls = classify(evaluate(prog, np.array([1.0])))
@@ -233,7 +247,7 @@ class TestCertify:
     def test_converging_trace_is_certified(self, soc_line_program):
         prog = soc_line_program
         trace = self._converging_trace(prog, "g")
-        out = certify_akkt(prog, np.array([1.0]), trace)
+        out = certify_akkt(evaluate(prog, np.array([1.0])), trace)
         assert out.certified
         assert out.reason is None
         assert out.detail["tail_length"] == 3
@@ -242,14 +256,14 @@ class TestCertify:
     def test_single_record_is_insufficient(self, soc_line_program):
         prog = soc_line_program
         trace = build_trace(prog, [record(prog, 0, [1.0])])
-        out = certify_akkt(prog, np.array([1.0]), trace)
+        out = certify_akkt(evaluate(prog, np.array([1.0])), trace)
         assert not out.certified
         assert out.reason == "insufficient tail"
 
     def test_far_iterates_are_rejected(self, soc_line_program):
         prog = soc_line_program
         trace = build_trace(prog, [record(prog, k, [1.1]) for k in range(8)])
-        out = certify_akkt(prog, np.array([1.0]), trace)
+        out = certify_akkt(evaluate(prog, np.array([1.0])), trace)
         assert not out.certified
         assert out.reason == "iterates do not reach the reference point"
 
@@ -258,7 +272,7 @@ class TestCertify:
         records = [record(prog, k, [1.0]) for k in range(7)]
         records.append(record(prog, 7, [1.0 + 1e-7]))
         trace = build_trace(prog, records)
-        out = certify_akkt(prog, np.array([1.0]), trace)
+        out = certify_akkt(evaluate(prog, np.array([1.0])), trace)
         assert not out.certified
         assert out.reason == "iterate distances increase over the tail"
         assert out.offending_k == 7
@@ -266,7 +280,7 @@ class TestCertify:
     def test_nonstationary_constant_trace_is_rejected(self, soc_line_program):
         prog = soc_line_program
         trace = build_trace(prog, [record(prog, k, [0.5]) for k in range(4)])
-        out = certify_akkt(prog, np.array([0.5]), trace)
+        out = certify_akkt(evaluate(prog, np.array([0.5])), trace)
         assert not out.certified
         assert out.reason == "stationarity residual does not vanish"
         assert out.detail["residual"] == pytest.approx(1.0, abs=1e-12)
@@ -275,7 +289,7 @@ class TestCertify:
         prog = soc_line_program
         trace = build_trace(prog, [record(prog, k, [1.0]) for k in range(4)])
         with pytest.raises(InfeasiblePointError):
-            certify_akkt(prog, np.array([-1.0]), trace)
+            certify_akkt(evaluate(prog, np.array([-1.0])), trace)
 
     def test_mass_on_positive_eigenvalue_direction_is_rejected(self):
         prog = loads("vars 2\nobjective 0\npsd q 3\nx1\n0\n0\nx2\n0\n1\n")
@@ -285,7 +299,7 @@ class TestCertify:
         trace = build_trace(
             prog, [record(prog, k, [0.0, 0.0], mu={"q": mu}) for k in range(4)]
         )
-        out = certify_akkt(prog, x_star, trace)
+        out = certify_akkt(evaluate(prog, x_star), trace)
         assert not out.certified
         assert out.reason == "multiplier keeps mass on a positive eigenvalue direction"
         assert out.detail["block"] == "q"
@@ -298,8 +312,38 @@ class TestCertify:
         trace = build_trace(
             prog, [record(prog, k, [0.0, 0.0], mu={"q": mu}) for k in range(4)]
         )
-        out = certify_akkt(prog, np.zeros(2), trace)
+        out = certify_akkt(evaluate(prog, np.zeros(2)), trace)
         assert out.certified
+
+
+class TestEvaluatedReference:
+    """certify_akkt and recover_kkt take the reference point evaluated; they
+    evaluate only trace records, and exit early before classifying it."""
+
+    def test_only_trace_records_are_evaluated(self, soc_line_program, monkeypatch):
+        prog = soc_line_program
+        trace = TestCertify()._converging_trace(prog, "g")
+        pt = evaluate(prog, np.array([1.0]))
+        seen = []
+
+        def recording(prog, x):
+            seen.append(x)
+            return evaluate(prog, x)
+
+        monkeypatch.setattr(akkt, "evaluate", recording)
+        assert certify_akkt(pt, trace).certified
+        assert recover_kkt(pt, trace).verdict == "kkt"
+        xs = [rec.x for rec in trace.records]
+        assert seen and all(any(x is y for y in xs) for x in seen)
+
+    def test_early_exits_come_before_classification(self, soc_line_program):
+        prog = soc_line_program
+        pt = evaluate(prog, np.array([-1.0]))  # infeasible: classify would raise
+        one = build_trace(prog, [record(prog, 0, [1.0])])
+        assert certify_akkt(pt, one).reason == "insufficient tail"
+        assert recover_kkt(pt, AkktTrace(())).detail["reason"] == "empty trace"
+        with pytest.raises(InfeasiblePointError):
+            recover_kkt(pt, one)
 
 
 class TestVerifyKkt:
@@ -338,7 +382,7 @@ class TestRecover:
             for k in range(10)
         ]
         trace = build_trace(prog, records)
-        out = recover_kkt(prog, np.array([1.0]), trace)
+        out = recover_kkt(evaluate(prog, np.array([1.0])), trace)
         assert out.verdict == "kkt"
         assert out.residual <= 1e-8
         assert out.modal_subset == ()
@@ -359,7 +403,7 @@ class TestRecover:
             for k in range(8)
         ]
         trace = build_trace(prog, records)
-        out = recover_kkt(prog, np.array([0.0]), trace)
+        out = recover_kkt(evaluate(prog, np.array([0.0])), trace)
         assert out.verdict == "kkt"
         assert out.modal_subset == ("g1",)
         mu1 = out.multipliers["mu"]["g1"]
@@ -373,7 +417,7 @@ class TestRecover:
         prog = loads("vars 1\nobjective x1\neq h x1\n")
         records = [record(prog, k, [0.0], lam=[-1.0 + 10.0 ** (-k - 6)]) for k in range(6)]
         trace = build_trace(prog, records)
-        out = recover_kkt(prog, np.array([0.0]), trace)
+        out = recover_kkt(evaluate(prog, np.array([0.0])), trace)
         assert out.verdict == "kkt"
         assert out.equality_basis == ("h",)
         assert out.multipliers["lambda"] == pytest.approx([-1.0], abs=1e-5)
@@ -385,7 +429,7 @@ class TestRecover:
             t = 10.0**k
             records.append(record(prog, k, [0.0], mu={"G": [t + 0.5, 0.5 - t]}))
         trace = build_trace(prog, records)
-        out = recover_kkt(prog, np.zeros(1), trace)
+        out = recover_kkt(evaluate(prog, np.zeros(1)), trace)
         assert out.verdict == "unbounded"
         assert out.certificate is not None
         assert out.certificate.verdict == "dependent"
@@ -403,7 +447,7 @@ class TestRecover:
             t = (k + 1) * 2e7
             records.append(record(prog, k, [0.0], mu={"G": [t + 0.5, 0.5 - t]}))
         trace = build_trace(prog, records)
-        out = recover_kkt(prog, np.zeros(1), trace)
+        out = recover_kkt(evaluate(prog, np.zeros(1)), trace)
         assert out.verdict == "inconclusive"
         assert out.detail["reason"] == "coefficients exceed the cap without sustained growth"
 
@@ -411,7 +455,7 @@ class TestRecover:
         prog = loads("vars 1\nobjective x1\neq h x1\n")
         records = [record(prog, k, [0.0], lam=[10.0**k]) for k in range(10)]
         trace = build_trace(prog, records)
-        out = recover_kkt(prog, np.zeros(1), trace)
+        out = recover_kkt(evaluate(prog, np.zeros(1)), trace)
         assert out.verdict == "inconclusive"
         assert out.detail["reason"] == "diverging coefficients carry no cone mass"
 
@@ -421,7 +465,7 @@ class TestRecover:
             record(prog, k, [0.0], mu={"G": [10.0**k, 0.0]}) for k in range(10)
         ]
         trace = build_trace(prog, records)
-        out = recover_kkt(prog, np.zeros(1), trace)
+        out = recover_kkt(evaluate(prog, np.zeros(1)), trace)
         assert out.verdict == "inconclusive"
         assert out.detail["reason"] == "divergence witness failed substitution"
         assert out.detail["witness_residual"] > 1e-7
@@ -430,12 +474,12 @@ class TestRecover:
         prog = psd_pair_program
         records = [record(prog, k, [0.0]) for k in range(6)]
         trace = build_trace(prog, records)
-        out = recover_kkt(prog, np.array([0.0]), trace)
+        out = recover_kkt(evaluate(prog, np.array([0.0])), trace)
         assert out.verdict == "inconclusive"
         assert out.detail["reason"] == "bounded multipliers fail first-order verification"
 
     def test_empty_trace_is_inconclusive(self, soc_line_program):
-        out = recover_kkt(soc_line_program, np.array([1.0]), AkktTrace(()))
+        out = recover_kkt(evaluate(soc_line_program, np.array([1.0])), AkktTrace(()))
         assert out.verdict == "inconclusive"
         assert out.detail["reason"] == "empty trace"
 
@@ -447,7 +491,7 @@ class TestRecover:
         before = akkt_residual(prog, cls, redundant)
         trace = build_trace(prog, [record(prog, 0, [0.0], alpha={"g1": 1.25, "g2": 0.25}),
                                    record(prog, 1, [0.0], alpha={"g1": 1.25, "g2": 0.25})])
-        out = recover_kkt(prog, np.zeros(1), trace)
+        out = recover_kkt(evaluate(prog, np.zeros(1)), trace)
         assert out.verdict == "kkt"
         thinned = record(
             prog,

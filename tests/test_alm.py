@@ -5,9 +5,11 @@ import io
 import numpy as np
 import pytest
 
+from coneguard import alm
 from coneguard.akkt import certify_akkt, dumps_trace, recover_kkt, verify_kkt
-from coneguard.alm import AlmConfig, _cap_radially, _penalty_terms, solve
+from coneguard.alm import EPS0, EPS_DECAY, EPS_FLOOR, AlmConfig, _cap_radially, _penalty_terms, inner_tolerance, solve
 from coneguard.cli import REPORT_BEGIN, main, parse_report
+from coneguard.errors import DomainError
 from coneguard.model import evaluate, loads
 
 
@@ -31,10 +33,6 @@ class TestConfig:
             {"rho0": -1.0},
             {"gamma": 1.0},
             {"gamma": 0.5},
-            {"eps_decay": 0.0},
-            {"eps_decay": 1.0},
-            {"eps_floor": 0.0},
-            {"eps0": 1e-12, "eps_floor": 1e-10},
         ],
     )
     def test_invalid_configs_are_rejected(self, kw):
@@ -42,15 +40,35 @@ class TestConfig:
             AlmConfig(**kw)
 
     def test_inner_tolerance_schedule(self):
-        cfg = AlmConfig(eps0=0.5, eps_decay=0.25, eps_floor=1e-6)
-        assert cfg.eps(0) == 0.5
-        assert cfg.eps(2) == 0.5 * 0.25**2
-        assert cfg.eps(50) == 1e-6
+        assert 0 < EPS_FLOOR < EPS0 and 0 < EPS_DECAY < 1
+        assert inner_tolerance(0) == EPS0
+        assert inner_tolerance(2) == EPS0 * EPS_DECAY**2
+        assert inner_tolerance(50) == EPS_FLOOR
+        assert [inner_tolerance(k) for k in range(4)] == [0.1, 0.05, 0.025, 0.0125]
 
     def test_wrong_start_dimension_is_rejected(self):
         prog = loads("vars 2\nobjective x1 + x2\n")
         with pytest.raises(ValueError):
             solve(prog, np.zeros(3), log=io.StringIO())
+
+
+class TestLineSearch:
+    def test_step_halves_outside_a_domain(self, monkeypatch):
+        # the first trial steps from x1 = 2 land at x1 <= 0, outside log's domain
+        misses = []
+
+        def counting(prog, x):
+            try:
+                return evaluate(prog, x)
+            except DomainError:
+                misses.append(float(x[0]))
+                raise
+
+        monkeypatch.setattr(alm, "evaluate", counting)
+        prog, trace, status = run("vars 1\nobjective x1^2 - log(x1)\n", [2.0])
+        assert status == "converged"
+        assert misses and all(x <= 0.0 for x in misses)
+        assert trace.records[-1].x == pytest.approx([np.sqrt(0.5)], abs=1e-7)
 
 
 class TestStatuses:
@@ -60,7 +78,7 @@ class TestStatuses:
         )
         assert status == "converged"
         assert trace.records[-1].x == pytest.approx([1.0], abs=1e-7)
-        out = certify_akkt(prog, trace.records[-1].x, trace)
+        out = certify_akkt(evaluate(prog, trace.records[-1].x), trace)
         assert out.certified
 
     def test_nonnegative_pair_converges_with_unit_multipliers(self):
@@ -72,8 +90,8 @@ class TestStatuses:
         assert last.x == pytest.approx([0.0, 0.0], abs=1e-7)
         assert last.alpha["a"] == pytest.approx(1.0, abs=1e-6)
         assert last.alpha["b"] == pytest.approx(1.0, abs=1e-6)
-        assert certify_akkt(prog, last.x, trace).certified
-        rec = recover_kkt(prog, last.x, trace)
+        assert certify_akkt(evaluate(prog, last.x), trace).certified
+        rec = recover_kkt(evaluate(prog, last.x), trace)
         assert rec.verdict == "kkt"
         pt = evaluate(prog, last.x)
         ok, _ = verify_kkt(pt, rec.multipliers["lambda"], rec.multipliers["mu"], 1e-5)
@@ -87,7 +105,7 @@ class TestStatuses:
         last = trace.records[-1]
         assert last.x == pytest.approx([0.0, 0.0], abs=1e-7)
         assert last.mu["g"] == pytest.approx([1.0, 0.0], abs=1e-6)
-        assert certify_akkt(prog, last.x, trace).certified
+        assert certify_akkt(evaluate(prog, last.x), trace).certified
 
     def test_equality_multiplier_converges_and_recovers(self):
         prog, trace, status = run("vars 1\nobjective x1\neq h x1 - 1\n", [0.0])
@@ -95,7 +113,7 @@ class TestStatuses:
         last = trace.records[-1]
         assert last.x == pytest.approx([1.0], abs=1e-8)
         assert last.lam == pytest.approx([-1.0], abs=1e-6)
-        rec = recover_kkt(prog, last.x, trace)
+        rec = recover_kkt(evaluate(prog, last.x), trace)
         assert rec.verdict == "kkt"
         assert rec.multipliers["lambda"] == pytest.approx([-1.0], abs=1e-5)
 
@@ -169,7 +187,7 @@ class TestPenaltyGradient:
         for j, blk in enumerate(pt.program.blocks):
             bv = pt.blocks[j]
             if blk.kind == "soc":
-                z = mu_hats[j] - rho * bv.value.as_array()
+                z = mu_hats[j] - rho * bv.value
                 scale = max(1.0, float(np.linalg.norm(z)))
                 if abs(float(np.linalg.norm(z[1:])) - z[0]) <= 1e-3 * scale:
                     return True
@@ -222,7 +240,7 @@ class TestPenaltyGradient:
         pt = evaluate(prog, np.array([0.3, -0.1]))
         mu = np.array([1.0, 0.4])
         _, _, projections = _penalty_terms(pt, np.zeros(0), [mu], 2.0)
-        z = mu - 2.0 * pt.blocks[0].value.as_array()
+        z = mu - 2.0 * pt.blocks[0].value
         z0, tail = z[0], np.linalg.norm(z[1:])
         if z0 >= tail:
             expect = z

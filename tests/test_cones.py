@@ -5,25 +5,24 @@ import pytest
 
 from coneguard.cones import (
     SocRegion,
-    SocVector,
     SymMatrix,
     classify_soc,
     eig_sym,
     project_psd,
     project_soc,
     psd_distance,
-    reflect,
     smat,
     soc_distance,
     svec,
     svec_dim,
 )
 from coneguard.errors import DimensionMismatchError, SymmetryError
+from coneguard.model import SocBlockValue
+from coneguard.reduction import _phi_soc
 
 
 def random_soc(rng, m):
-    v = rng.uniform(-2.0, 2.0, size=m)
-    return SocVector(v[0], v[1:])
+    return rng.uniform(-2.0, 2.0, size=m)
 
 
 def random_sym(rng, m):
@@ -41,14 +40,14 @@ def test_soc_moreau_decomposition():
         m = int(rng.integers(1, 7))
         z = random_soc(rng, m)
         plus = project_soc(z)
-        minus = project_soc(SocVector(-z.z0, -z.zbar))
-        recon = plus.as_array() - minus.as_array()
-        assert np.all(np.abs(recon - z.as_array()) <= 1e-10)
-        assert abs(float(plus.as_array() @ minus.as_array())) <= 1e-10
+        minus = project_soc(-z)
+        recon = plus - minus
+        assert np.all(np.abs(recon - z) <= 1e-10)
+        assert abs(float(plus @ minus)) <= 1e-10
         # both parts are feasible and projection is idempotent
         assert soc_distance(plus) <= 1e-12
         again = project_soc(plus)
-        assert np.all(np.abs(again.as_array() - plus.as_array()) <= 1e-12)
+        assert np.all(np.abs(again - plus) <= 1e-12)
 
 
 def test_psd_moreau_decomposition():
@@ -72,7 +71,7 @@ def test_projection_optimality_conditions():
         z = random_soc(rng, m)
         p = project_soc(z)
         # for projection onto a closed convex cone: <z - p, p> = 0
-        gap = float((z.as_array() - p.as_array()) @ p.as_array())
+        gap = float((z - p) @ p)
         assert abs(gap) <= 1e-10
 
 
@@ -81,21 +80,31 @@ def test_projection_optimality_conditions():
 
 
 def test_classify_soc_regions():
-    assert classify_soc(SocVector(5.0, [3.0, 4.0])) is SocRegion.BOUNDARY
-    assert classify_soc(SocVector(5.1, [3.0, 4.0])) is SocRegion.INTERIOR
-    assert classify_soc(SocVector(4.9, [3.0, 4.0])) is SocRegion.INFEASIBLE
-    assert classify_soc(SocVector(0.0, [0.0, 0.0])) is SocRegion.VERTEX
-    assert classify_soc(SocVector(1e-12, [1e-12])) is SocRegion.VERTEX
+    assert classify_soc(np.array([5.0, 3.0, 4.0])) is SocRegion.BOUNDARY
+    assert classify_soc(np.array([5.1, 3.0, 4.0])) is SocRegion.INTERIOR
+    assert classify_soc(np.array([4.9, 3.0, 4.0])) is SocRegion.INFEASIBLE
+    assert classify_soc(np.array([0.0, 0.0, 0.0])) is SocRegion.VERTEX
+    assert classify_soc(np.array([1e-12, 1e-12])) is SocRegion.VERTEX
     # one-dimensional blocks never classify as boundary
-    assert classify_soc(SocVector(2.0, [])) is SocRegion.INTERIOR
-    assert classify_soc(SocVector(0.0, [])) is SocRegion.VERTEX
-    assert classify_soc(SocVector(-1.0, [])) is SocRegion.INFEASIBLE
+    assert classify_soc(np.array([2.0])) is SocRegion.INTERIOR
+    assert classify_soc(np.array([0.0])) is SocRegion.VERTEX
+    assert classify_soc(np.array([-1.0])) is SocRegion.INFEASIBLE
+
+
+def test_soc_functions_accept_lists():
+    assert classify_soc([5.0, 3.0, 4]) is SocRegion.BOUNDARY
+    projected = project_soc([0.0, 3.0, 4.0])
+    assert isinstance(projected, np.ndarray)
+    assert np.array_equal(projected, [2.5, 1.5, 2.0])
+    assert np.array_equal(project_soc([1.0]), [1.0])
+    assert soc_distance([0.0, 3.0, 4.0]) == soc_distance(np.array([0.0, 3.0, 4.0]))
+    assert soc_distance([-2]) == 2.0
 
 
 def test_scalar_blocks_never_boundary_randomized():
     rng = np.random.default_rng(12)
     for _ in range(200):
-        z = SocVector(float(rng.uniform(-3, 3)), [])
+        z = np.array([rng.uniform(-3, 3)])
         assert classify_soc(z) is not SocRegion.BOUNDARY
 
 
@@ -104,14 +113,14 @@ def test_soc_distance_closed_form():
     for _ in range(500):
         m = int(rng.integers(2, 7))
         z = random_soc(rng, m)
-        nrm = float(np.linalg.norm(z.zbar))
-        if z.z0 >= nrm:
+        nrm = float(np.linalg.norm(z[1:]))
+        if z[0] >= nrm:
             expect = 0.0
-        elif z.z0 <= -nrm:
-            expect = z.norm()
+        elif z[0] <= -nrm:
+            expect = np.linalg.norm(z)
         else:
-            expect = (nrm - z.z0) / np.sqrt(2.0)
-        assert abs(soc_distance(z) - expect) <= 1e-12 * max(1.0, z.norm())
+            expect = (nrm - z[0]) / np.sqrt(2.0)
+        assert abs(soc_distance(z) - expect) <= 1e-12 * max(1.0, np.linalg.norm(z))
 
 
 def test_psd_distance_matches_dense_oracle():
@@ -124,10 +133,13 @@ def test_psd_distance_matches_dense_oracle():
 
 
 def test_reflect():
-    z = SocVector(2.0, [1.0, -3.0])
-    r = reflect(z)
-    assert r.z0 == 2.0
-    assert np.array_equal(r.zbar, [-1.0, 3.0])
+    # the SOC boundary reduction's axis is R z, R = diag(1, -1, ..., -1)
+    z = np.array([2.0, 1.0, -3.0])
+    value, gradient, axis = _phi_soc(SocBlockValue(z, np.eye(3)))
+    assert np.array_equal(axis, [2.0, -1.0, 3.0])
+    assert np.array_equal(gradient, axis)
+    assert value == 0.5 * (4.0 - 10.0)
+    assert np.array_equal(z, [2.0, 1.0, -3.0])
 
 
 # ---------------------------------------------------------------------------

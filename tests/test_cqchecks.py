@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from coneguard import cqchecks
+from coneguard.certificates import verify_dependence
 from coneguard.classify import classify
 from coneguard.cqchecks import (
     SAMPLING_NOTE,
@@ -12,7 +13,9 @@ from coneguard.cqchecks import (
     check_rcpld,
     check_robinson,
 )
+from coneguard.errors import DomainError
 from coneguard.model import embed_block_diagonal, evaluate, loads
+from coneguard.reduction import conic_base
 
 from conftest import random_feasible_program, random_irreducible_program
 
@@ -172,6 +175,86 @@ class TestNoUsableSample:
         rep = check(pt, cls, samples=0)
         assert rep.verdict == "Undecided"
         assert rep.detail["reason"] == "no usable sample point"
+
+
+class TestSampleEdges:
+    """Samples that leave an expression domain, or whose smallest eigenvalue
+    is no longer simple."""
+
+    SQRT = "vars 1\nobjective x1\nsoc g 2\nsqrt(x1) + 1\n1\n"
+
+    @staticmethod
+    def _count_domain_errors(monkeypatch):
+        misses = []
+
+        def counting(prog, x):
+            try:
+                return evaluate(prog, x)
+            except DomainError:
+                misses.append(x)
+                raise
+
+        cqchecks._neighbourhood.cache_clear()
+        monkeypatch.setattr(cqchecks, "evaluate", counting)
+        return misses
+
+    @pytest.mark.parametrize("check", [check_rcpld, check_crsc])
+    def test_samples_left_of_the_domain_edge_are_skipped(self, monkeypatch, check):
+        misses = self._count_domain_errors(monkeypatch)
+        pt, cls = _point(loads(self.SQRT), [1e-12])
+        rep = check(pt, cls)
+        # every radius of the 7 samples pointing to x1 < 0 stays outside
+        assert rep.verdict == "Holds"
+        assert rep.detail["samples_skipped"] == 7
+        assert rep.detail["note"] == SAMPLING_NOTE % (13, 1e-3)
+        assert len(misses) == 7 * 8
+
+    def test_halving_the_radius_brings_a_sample_back(self, monkeypatch):
+        misses = self._count_domain_errors(monkeypatch)
+        pt, cls = _point(loads(self.SQRT), [1e-5])
+        rep = check_rcpld(pt, cls)
+        assert rep.verdict == "Holds"
+        assert rep.detail["samples_skipped"] == 0
+        assert 0 < len(misses) < 7 * 8
+
+    @pytest.mark.parametrize("check", [check_rcpld, check_crsc])
+    def test_a_non_simple_sample_is_undecided(self, check):
+        # diag(x1, 2e-6 - x1) at 0: samples within 2e-6 come close to x1 = 1e-6
+        pt, cls = _point(loads("vars 1\nobjective x1\npsd P 2\nx1\n0\n2e-6 - x1\n"), [0.0])
+        assert cls.psd_simple == (0,)
+        assert check_robinson(pt, cls).verdict == "Holds"
+        cqchecks._neighbourhood.cache_clear()
+        rep = check(pt, cls, delta=2e-6)
+        assert rep.verdict == "Undecided"
+        assert rep.detail["reason"] == "smallest eigenvalue not simple at a sample point"
+        assert 0.0 <= rep.detail["gap"] <= cls.tol_gap
+
+
+class TestVertexBlocks:
+    def test_nondegeneracy_takes_every_row_of_a_vertex_block(self):
+        pt, cls = _point(loads("vars 2\nobjective x1\nsoc g 2\nx1\nx2\n"), [0.0, 0.0])
+        assert cls.soc_vertex_multi == (0,)
+        rep = check_nondegeneracy(pt, cls)
+        assert rep.verdict == "Holds"
+        assert rep.detail["row_labels"] == ("g[0]", "g[1]")
+        assert rep.detail["rank"] == 2
+
+    def test_opposite_vertex_blocks_fail_nondegeneracy_and_crsc(self):
+        # (x1, 0) and (-x1, 0) in K_2 at 0: mu_a = mu_b = (1/2, 0) cancel
+        pt, cls = _point(loads("vars 1\nobjective x1\nsoc a 2\nx1\n0\nsoc b 2\n-x1\n0\n"), [0.0])
+        assert cls.soc_vertex_multi == (0, 1)
+        nondeg = check_nondegeneracy(pt, cls)
+        assert nondeg.verdict == "Fails"
+        assert nondeg.detail["row_labels"] == ("a[0]", "a[1]", "b[0]", "b[1]")
+        assert nondeg.detail["rank"] == 1
+        rep = check_crsc(pt, cls)
+        assert rep.verdict == "Fails"
+        assert rep.detail["reason"] == "nonzero solution of the subspace-complement system"
+        assert rep.detail["j_plus"] == ()
+        assert rep.witness_names == ((), ("a", "b"), (), ())
+        socs, psds = conic_base(pt, cls)
+        ok, residual, cone_gap, normalization = verify_dependence([], socs, psds, [], rep.certificate.witness)
+        assert ok and residual == rep.detail["residual"]
 
 
 # x2 >= 0 and x1^2 - x2 >= 0 with a free x3: at (0, 0, t) rcpld and crsc fail

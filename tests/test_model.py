@@ -54,7 +54,7 @@ def test_seventeen_digit_coefficients_survive_round_trip():
     again = loads(dumps(prog))
     p1, p2 = evaluate(prog, [0.7]), evaluate(again, [0.7])
     assert p1.f == p2.f
-    assert p1.blocks[0].value.z0 == p2.blocks[0].value.z0
+    assert p1.blocks[0].value[0] == p2.blocks[0].value[0]
 
 
 def test_comments_and_blank_lines_are_ignored():
@@ -95,6 +95,8 @@ def test_example_problem_files_parse(soc_line_program, psd_pair_program, scalar_
         "vars 1\nobjective x1\nsoc g 1\nx1\neq h x1\n",    # eq after block
         "vars 1\nobjective x1\nsoc g 1\nx2\n",             # bad entry expr
         "vars 1\nobjective x1\nsoc g\n",                   # missing dimension
+        "vars " + "0" * 5000 + "12345678901\nobjective x1\n",  # n past 10 digits
+        "vars 1\nobjective x1\nsoc g " + "0" * 5000 + "12345678901\nx1\n",  # dim past 10 digits
     ],
 )
 def test_format_errors(text):
@@ -119,6 +121,17 @@ def test_variable_count_is_capped_at_the_int32_index_range():
     assert err.value.line == 2
 
 
+def test_counts_are_read_like_variable_indices():
+    # leading zeros of any length, as in x000...01; past 10 significant
+    # digits a count reads as 2**31, above the cap
+    zeros = "0" * 5000
+    assert loads("vars %s5\nobjective x%s1\n" % (zeros, zeros)).n == 5
+    prog = loads("vars 2\nobjective x1\nsoc g %s2\nx1\nx2\n" % zeros)
+    assert prog.blocks[0].dim == 2
+    with pytest.raises(ProblemFormatError, match="variable count must be at most 2147483647"):
+        loads("vars %s99999999999\nobjective x1\n" % zeros)
+
+
 # ---------------------------------------------------------------------------
 # evaluation: determinism, Jacobians, residuals
 
@@ -133,7 +146,7 @@ def test_evaluate_is_bitwise_deterministic():
     assert np.array_equal(a.h, b.h) and np.array_equal(a.jac_h, b.jac_h)
     for ba, bb, blk in zip(a.blocks, b.blocks, prog.blocks):
         if blk.kind == "soc":
-            assert np.array_equal(ba.value.as_array(), bb.value.as_array())
+            assert np.array_equal(ba.value, bb.value)
             assert np.array_equal(ba.jac, bb.jac)
         else:
             assert np.array_equal(ba.value.mat, bb.value.mat)
@@ -167,7 +180,7 @@ def test_jacobians_match_finite_differences_at_200_points():
                     for r in range(blk.dim):
                         fd = fd_gradient(
                             lambda z: value_of(
-                                z, lambda p: float(p.blocks[j].value.as_array()[r])
+                                z, lambda p: float(p.blocks[j].value[r])
                             ),
                             x,
                         )

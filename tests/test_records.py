@@ -23,7 +23,6 @@ from coneguard import (
     RecoveryOutcome,
     ReducedEntry,
     ReducedGradients,
-    SocVector,
     SpectralData,
     SymMatrix,
     SymmetryError,
@@ -39,8 +38,7 @@ TAPE = parse("x1", 1)
 RECORDS = [
     (AkktRecord, dict(k=3, x=V, lam=V, mu={"c": V}, alpha={"d": 0.5})),
     (AkktTrace, dict(records=())),
-    (AlmConfig, dict(rho0=2.0, gamma=3.0, cap=10.0, outer_max=5, inner_max=7, eps0=0.5, eps_decay=0.25,
-                     eps_floor=1e-6, tol_stat=1e-7, tol_feas=1e-9)),
+    (AlmConfig, dict(rho0=2.0, gamma=3.0, cap=10.0, outer_max=5, inner_max=7, tol_stat=1e-7, tol_feas=1e-9)),
     (CaratheodoryResult, dict(kept=(0,), coeffs=V, fixed_coeffs=V, residual=0.0)),
     (Certificate, dict(verdict="dependent", margin=0.5, witness=None, residual=1e-9, normalization=1.0,
                        iterations=4, detail={"a": 1})),
@@ -58,8 +56,7 @@ RECORDS = [
                            modal_frequency=2, m_values=(1.0,), certificate=None, detail={"a": 1})),
     (ReducedEntry, dict(block=0, label="scalar", value=0.0, gradient=V, axis=np.ones(1))),
     (ReducedGradients, dict(entries=())),
-    (SocBlockValue, dict(value=None, jac=M)),
-    (SocVector, dict(z0=1.0, zbar=V)),
+    (SocBlockValue, dict(value=V, jac=M)),
     (SpectralData, dict(eigenvalues=V, eigenvectors=M)),
     (SymMatrix, dict(mat=M)),
 ]
