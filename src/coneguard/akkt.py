@@ -37,7 +37,7 @@ from .certificates import (
     verify_dependence,
 )
 from .classify import TOL_ACT, TOL_GAP, classify
-from .cones import eig_sym, psd_distance, soc_distance, upper_triangle
+from .cones import eig_sym, psd_distance, soc_distance, svec_dim, sym_from_upper, upper_triangle
 from .errors import (
     DimensionMismatchError,
     ProblemFormatError,
@@ -105,20 +105,12 @@ def build_trace(prog: ConicProgram, records) -> AkktTrace:
             blk = prog.blocks[j]
             arr = np.asarray(arr, dtype=float)
             _finite(rec, "mu for %r" % name, arr)
-            if blk.kind == "soc":
-                if arr.shape != (blk.dim,):
-                    raise DimensionMismatchError(
-                        "multiplier for %r has shape %r, expected (%d,)"
-                        % (name, arr.shape, blk.dim)
-                    )
-                dist = soc_distance(arr)
-            else:
-                if arr.shape != (blk.dim, blk.dim):
-                    raise DimensionMismatchError(
-                        "multiplier for %r has shape %r, expected (%d, %d)"
-                        % (name, arr.shape, blk.dim, blk.dim)
-                    )
-                dist = psd_distance(arr)
+            expected = (blk.dim,) if blk.kind == "soc" else (blk.dim, blk.dim)
+            if arr.shape != expected:
+                raise DimensionMismatchError(
+                    "multiplier for %r has shape %r, expected %r" % (name, arr.shape, expected)
+                )
+            dist = soc_distance(arr) if blk.kind == "soc" else psd_distance(arr)
             if dist > CONE_SLACK * max(1.0, _mu_norm(arr)):
                 raise ProblemFormatError(
                     "multiplier for %r is %g away from its cone" % (name, dist)
@@ -152,6 +144,14 @@ def dumps_trace(trace: AkktTrace) -> str:
 def dump_trace(trace: AkktTrace, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps_trace(trace))
+
+
+def _values(tokens, size, what, line_no):
+    """The floats of a trace line, which must number size."""
+    vals = np.array([float(t) for t in tokens])
+    if vals.size != size:
+        raise ProblemFormatError("%s has %d values, expected %d" % (what, vals.size, size), line=line_no)
+    return vals
 
 
 def loads_trace(prog: ConicProgram, text: str) -> AkktTrace:
@@ -194,51 +194,24 @@ def loads_trace(prog: ConicProgram, text: str) -> AkktTrace:
             elif current is None:
                 raise ProblemFormatError("line before the first record", line=line_no)
             elif tag == "x":
-                vals = np.array([float(t) for t in tokens[1:]])
-                if vals.size != prog.n:
-                    raise ProblemFormatError(
-                        "x line has %d values, expected %d" % (vals.size, prog.n),
-                        line=line_no,
-                    )
-                current["x"] = vals
+                current["x"] = _values(tokens[1:], prog.n, "x line", line_no)
             elif tag == "lambda":
-                vals = np.array([float(t) for t in tokens[1:]])
-                if vals.size != prog.p:
-                    raise ProblemFormatError(
-                        "lambda line has %d values, expected %d" % (vals.size, prog.p),
-                        line=line_no,
-                    )
-                current["lam"] = vals
+                current["lam"] = _values(tokens[1:], prog.p, "lambda line", line_no)
             elif tag == "mu":
+                if len(tokens) < 2:
+                    raise ProblemFormatError("mu line needs a block name and values", line=line_no)
                 name = tokens[1]
-                j = prog.block_index(name)
-                blk = prog.blocks[j]
-                vals = np.array([float(t) for t in tokens[2:]])
+                blk = prog.blocks[prog.block_index(name)]
                 if name in current["mu"]:
                     raise ProblemFormatError(
                         "duplicate multiplier for %r" % name, line=line_no
                     )
+                what = "multiplier for %r" % name
                 if blk.kind == "soc":
-                    if vals.size != blk.dim:
-                        raise ProblemFormatError(
-                            "multiplier for %r has %d values, expected %d"
-                            % (name, vals.size, blk.dim),
-                            line=line_no,
-                        )
-                    current["mu"][name] = vals
+                    current["mu"][name] = _values(tokens[2:], blk.dim, what, line_no)
                 else:
-                    need = blk.dim * (blk.dim + 1) // 2
-                    if vals.size != need:
-                        raise ProblemFormatError(
-                            "multiplier for %r has %d values, expected %d"
-                            % (name, vals.size, need),
-                            line=line_no,
-                        )
-                    mat = np.zeros((blk.dim, blk.dim))
-                    iu = upper_triangle(blk.dim)
-                    mat[iu] = vals
-                    mat.T[iu] = vals
-                    current["mu"][name] = mat
+                    vals = _values(tokens[2:], svec_dim(blk.dim), what, line_no)
+                    current["mu"][name] = sym_from_upper(vals, blk.dim)
             elif tag == "alpha":
                 if len(tokens) != 3:
                     raise ProblemFormatError(

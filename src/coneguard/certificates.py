@@ -15,6 +15,7 @@ Undecided, reported honestly with both residuals.
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -27,7 +28,6 @@ from .cones import (
     smat,
     soc_distance,
     svec,
-    svec_dim,
 )
 from .errors import BudgetExhaustedError, DimensionMismatchError, ReconstructionError
 
@@ -77,21 +77,15 @@ def extend_basis(base, candidates, tol_rank=TOL_RANK):
     if smax <= 0.0:
         return ()
     qs = []
-    for v in rows:
-        res = v.copy()
-        for q in qs:
-            res = res - (res @ q) * q
-        nn = float(np.linalg.norm(res))
-        if nn > tol_rank * smax:
-            qs.append(res / nn)
     picked = []
-    for idx, v in enumerate(cands):
+    for idx, v in enumerate(stacked, start=-len(rows)):  # base rows have idx < 0
         res = v.copy()
         for q in qs:
             res = res - (res @ q) * q
         nn = float(np.linalg.norm(res))
         if nn > tol_rank * smax:
-            picked.append(idx)
+            if idx >= 0:
+                picked.append(idx)
             qs.append(res / nn)
     return tuple(picked)
 
@@ -233,6 +227,16 @@ def caratheodory_reduce(fixed, coned, target, tol_rank=TOL_RANK):
     return CaratheodoryResult(tuple(kept), coeffs, lam_out, residual)
 
 
+def _span_projector(rows):
+    """v -> v minus its projection onto span(rows); the identity without rows."""
+    if not rows:
+        return lambda v: v
+    _, svals, vt = np.linalg.svd(np.vstack(rows), full_matrices=False)
+    rank = int(np.count_nonzero(svals > 1e-12 * (svals[0] if svals.size else 0.0)))
+    q = vt[:rank]
+    return lambda v: v - q.T @ (q @ v)
+
+
 class ConeMembership(NamedTuple):
     member: bool
     free_coeffs: np.ndarray
@@ -251,21 +255,7 @@ def cone_membership(target, free, coned, tol=TOL_RANK):
     n = target.size
     free = [np.asarray(v, dtype=float).reshape(-1) for v in free]
     coned = [np.asarray(v, dtype=float).reshape(-1) for v in coned]
-    if free:
-        fmat = np.vstack(free)
-        u, svals, vt = np.linalg.svd(fmat, full_matrices=False)
-        rank = int(np.count_nonzero(svals > 1e-12 * (svals[0] if svals.size else 0.0)))
-        q = vt[:rank]
-
-        def strip(v):
-            return v - q.T @ (q @ v)
-
-    else:
-        fmat = np.zeros((0, n))
-
-        def strip(v):
-            return v
-
+    strip = _span_projector(free)
     pt = strip(target)
     if coned:
         cmat = np.column_stack(coned)
@@ -276,7 +266,7 @@ def cone_membership(target, free, coned, tol=TOL_RANK):
         alpha = np.zeros(0)
         residual = float(np.linalg.norm(pt))
     if free:
-        lam, *_ = np.linalg.lstsq(fmat.T, target - cmat @ alpha, rcond=None)
+        lam, *_ = np.linalg.lstsq(np.vstack(free).T, target - cmat @ alpha, rcond=None)
     else:
         lam = np.zeros(0)
     member = residual <= tol * max(1.0, float(np.linalg.norm(target)))
@@ -314,38 +304,22 @@ class _System:
         self.socs = [np.asarray(j, dtype=float) for j in soc_blocks]
         self.psds = [np.asarray(p, dtype=float) for p in psd_blocks]
         self.rays = [np.asarray(r, dtype=float).reshape(-1) for r in rays]
-        cols = []
-        norm_coeffs = []
-        self.eq_slice = slice(0, len(self.eq))
-        for v in self.eq:
-            cols.append(v)
-            norm_coeffs.append(0.0)
-        self.soc_slices = []
-        for jmat in self.socs:
-            m = jmat.shape[0]
-            start = len(cols)
-            for r in range(m):
-                cols.append(jmat[r])
-                norm_coeffs.append(1.0 if r == 0 else 0.0)
-            self.soc_slices.append(slice(start, start + m))
-        self.psd_slices = []
-        for pt in self.psds:
-            m = pt.shape[1]
-            start = len(cols)
-            eye = svec(np.eye(m))
-            block_cols = np.vstack([svec(pt[i]) for i in range(n)]) if n else np.zeros((0, svec_dim(m)))
-            for t in range(svec_dim(m)):
-                cols.append(block_cols[:, t])
-                norm_coeffs.append(float(eye[t]))
-            self.psd_slices.append((slice(start, start + svec_dim(m)), m))
-        start = len(cols)
-        for r in self.rays:
-            cols.append(r)
-            norm_coeffs.append(1.0)
-        self.ray_slice = slice(start, start + len(self.rays))
-        self.dim = len(cols)
-        self.smat_cols = np.column_stack(cols) if cols else np.zeros((n, 0))
-        self.norm_row = np.asarray(norm_coeffs)
+        col_blocks, norm_blocks = [], []
+
+        def add(cols, norm):  # the next coefficients: their columns and normalization weights
+            start = sum(b.size for b in norm_blocks)
+            col_blocks.append(cols)
+            norm_blocks.append(norm)
+            return slice(start, start + norm.size)
+
+        self.eq_slice = add(np.reshape(self.eq, (len(self.eq), n)).T, np.zeros(len(self.eq)))
+        self.soc_slices = [add(jmat.T, np.eye(1, jmat.shape[0])[0]) for jmat in self.socs]
+        self.psd_slices = [(add(svec(pt), svec(np.eye(pt.shape[1]))), pt.shape[1]) for pt in self.psds]
+        self.ray_slice = add(np.reshape(self.rays, (len(self.rays), n)).T, np.ones(len(self.rays)))
+        # C order: BLAS rounds products with the F-ordered stack differently
+        self.smat_cols = np.ascontiguousarray(np.hstack(col_blocks))
+        self.norm_row = np.concatenate(norm_blocks)
+        self.dim = self.norm_row.size
         self.cone_dim = self.dim - len(self.eq)
 
     def project_cones(self, v):
@@ -419,36 +393,29 @@ def verify_dependence(eq_basis, soc_blocks, psd_blocks, rays, witness, tol_cert=
     return ok, residual, cone_gap, normalization
 
 
+def _soc_supergradient(jmat, z):
+    """A supergradient in d of z0 - ||zbar|| at z = jmat @ d."""
+    nz = float(np.linalg.norm(z[1:]))
+    if nz <= 1e-15:
+        return jmat[0]
+    return jmat[0] - (z[1:] / nz) @ jmat[1:]
+
+
 def _margin_terms(system, d):
-    """Slack of every cone block and ray along primal direction d."""
+    """(slack, supergradient maker) of every cone block and ray along direction d."""
     out = []
     for jmat in system.socs:
         z = jmat @ d
-        out.append(("soc", float(z[0] - np.linalg.norm(z[1:])), z))
+        out.append((float(z[0] - np.linalg.norm(z[1:])), functools.partial(_soc_supergradient, jmat, z)))
     for pt in system.psds:
         mmat = np.tensordot(d, pt, axes=(0, 0))
         mmat = 0.5 * (mmat + mmat.T)
         sd = eig_sym(mmat)
-        out.append(("psd", float(sd.eigenvalues[0]), sd))
+        vmin = sd.eigenvectors[:, 0]
+        out.append((float(sd.eigenvalues[0]), functools.partial(np.einsum, "iab,a,b->i", pt, vmin, vmin)))
     for r in system.rays:
-        out.append(("ray", float(r @ d), None))
+        out.append((float(r @ d), r.copy))
     return out
-
-
-def _margin_gradient(system, d, which, payload):
-    kind = which[0]
-    idx = which[1]
-    if kind == "soc":
-        jmat = system.socs[idx]
-        z = payload
-        nz = float(np.linalg.norm(z[1:]))
-        if nz <= 1e-15:
-            return jmat[0].copy()
-        return jmat[0] - (z[1:] / nz) @ jmat[1:]
-    if kind == "psd":
-        vmin = payload.eigenvectors[:, 0]
-        return np.einsum("iab,a,b->i", system.psds[idx], vmin, vmin)
-    return system.rays[idx].copy()
 
 
 def _margin_search(system, proj_eq, iters, tol_cert, start=None):
@@ -482,20 +449,14 @@ def _margin_search(system, proj_eq, iters, tol_cert, start=None):
     for t in range(iters):
         used = t + 1
         terms = _margin_terms(system, d)
-        kinds = [k for k, _, _ in terms]
-        slacks = [s for _, s, _ in terms]
-        i_min = int(np.argmin(slacks))
-        current = slacks[i_min]
+        i_min = int(np.argmin([slack for slack, _ in terms]))
+        current, supergradient = terms[i_min]
         if current > best:
             best = current
             best_d = d.copy()
         if best > tol_cert:
             return best, best_d, used
-        # index of the active term within its own kind
-        kind = kinds[i_min]
-        local = kinds[:i_min].count(kind)
-        grad = _margin_gradient(system, d, (kind, local), terms[i_min][2])
-        grad = proj_eq(grad)
+        grad = proj_eq(supergradient())
         gn = float(np.linalg.norm(grad))
         if gn < 1e-15:
             break
@@ -529,22 +490,16 @@ def conic_dependence(
     margin, because pairing with d bounds it below.  Neither finding within
     budget yields Undecided with both search residuals.
     """
-    n = len(np.asarray(eq_basis[0]).reshape(-1)) if eq_basis else None
-    if n is None:
-        for j in soc_blocks:
-            n = np.asarray(j).shape[1]
-            break
-    if n is None:
-        for p in psd_blocks:
-            n = np.asarray(p).shape[0]
-            break
-    if n is None:
-        for r in rays:
-            n = np.asarray(r).reshape(-1).size
-            break
-    if n is None:
+    sizes = (
+        [np.asarray(v).size for v in eq_basis]
+        + [np.asarray(j).shape[1] for j in soc_blocks]
+        + [np.asarray(p).shape[0] for p in psd_blocks]
+        + [np.asarray(r).size for r in rays]
+    )
+    if not sizes:
         return Certificate("independent", margin=float("inf"), iterations=0,
                            detail={"note": "no constraints supplied"})
+    n = sizes[0]
 
     system = _System(n, eq_basis, soc_blocks, psd_blocks, rays)
     if system.eq:
@@ -559,19 +514,7 @@ def conic_dependence(
             detail={"note": "no cone blocks or rays; independence is vacuous"},
         )
 
-    if system.eq:
-        emat = np.vstack(system.eq)
-        _, svals, vt = np.linalg.svd(emat, full_matrices=False)
-        rank = int(np.count_nonzero(svals > 1e-12 * svals[0]))
-        q = vt[:rank]
-
-        def proj_eq(v):
-            return v - q.T @ (q @ v)
-
-    else:
-
-        def proj_eq(v):
-            return v
+    proj_eq = _span_projector(system.eq)
 
     iterations = 0
     best_margin = -np.inf

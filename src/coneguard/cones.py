@@ -135,18 +135,28 @@ def upper_triangle(m):
     return rows, cols
 
 
+def sym_from_upper(vals, m):
+    """The symmetric matrix of order m whose upper triangle, row-major, is vals."""
+    rows, cols = upper_triangle(m)
+    mat = np.zeros((m, m))
+    mat[rows, cols] = vals
+    mat[cols, rows] = vals
+    return mat
+
+
 _SQRT2 = float(np.sqrt(2.0))
 
 
 def svec(mat):
-    """Row-major upper-triangle vectorization with sqrt(2)-scaled off-diagonals.
+    """Row-major upper-triangle vectorization with sqrt(2)-scaled off-diagonals,
+    of a matrix or of each matrix in a stack (..., m, m).
 
     Chosen so the Euclidean inner product of two svec images equals the
     Frobenius inner product of the matrices.
     """
-    i, j = upper_triangle(mat.shape[0])
+    i, j = upper_triangle(mat.shape[-1])
     w = np.where(i == j, 1.0, _SQRT2)
-    return mat[i, j] * w
+    return mat[..., i, j] * w
 
 
 def smat(vec, m):

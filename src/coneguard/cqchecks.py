@@ -143,7 +143,7 @@ def check_nondegeneracy(pt: EvaluatedPoint, cls: IndexClassification, *, tol_ran
     for j in sorted(cls.psd_simple + cls.psd_multiple):
         basis = _kernel_basis(pt, j, cls.tol_act, cls.tol_gap)
         red = _reduced_partials(pt, j, basis)
-        coords = np.vstack([svec(red[i]) for i in range(red.shape[0])])
+        coords = svec(red)
         for t in range(svec_dim(basis.shape[1])):
             rows.append(coords[:, t])
             labels.append("%s:kernel[%d]" % (names[j], t))
@@ -178,6 +178,19 @@ def _face_system(pt: EvaluatedPoint, cls: IndexClassification):
     rays = [entry.gradient for entry in view.entries]
     ray_indices = [entry.block for entry in view.entries]
     return socs, list(cls.soc_vertex_multi), psds, psd_indices, rays, ray_indices
+
+
+def _decide(cert, detail):
+    """The verdict of a dependence certificate; its margin, residual or
+    search residuals go into detail."""
+    if cert.verdict == "independent":
+        detail["margin"] = cert.margin
+        return "Holds"
+    if cert.verdict == "dependent":
+        detail["residual"] = cert.residual
+        return "Fails"
+    detail.update(cert.detail)
+    return "Undecided"
 
 
 def check_robinson(
@@ -220,16 +233,9 @@ def check_robinson(
         "rays": tuple(names[j] for j in ray_idx),
     }
     labels = (pt.program.eq_names, detail["soc_blocks"], detail["psd_blocks"], detail["rays"])
-    if cert.verdict == "independent":
-        detail["margin"] = cert.margin
-        verdict = "Holds"
-    elif cert.verdict == "dependent":
-        detail["residual"] = cert.residual
+    verdict = _decide(cert, detail)
+    if verdict == "Fails":
         detail["normalization"] = cert.normalization
-        verdict = "Fails"
-    else:
-        detail.update(cert.detail)
-        verdict = "Undecided"
     return CqReport("robinson", verdict, detail, cert, labels)
 
 
@@ -413,15 +419,9 @@ def check_crsc(
         cls.names(cls.psd_multiple),
         detail["j_plus"],
     )
-    if cert.verdict == "independent":
-        detail["margin"] = cert.margin
+    verdict = _decide(cert, detail)
+    if verdict == "Holds":
         detail["note"] = SAMPLING_NOTE % (len(sampled), delta)
-        verdict = "Holds"
-    elif cert.verdict == "dependent":
+    elif verdict == "Fails":
         detail["reason"] = "nonzero solution of the subspace-complement system"
-        detail["residual"] = cert.residual
-        verdict = "Fails"
-    else:
-        detail.update(cert.detail)
-        verdict = "Undecided"
     return CqReport("crsc", verdict, detail, cert, labels)

@@ -32,6 +32,7 @@ from .cones import (
     psd_distance,
     soc_distance,
     svec_dim,
+    sym_from_upper,
     upper_triangle,
 )
 from .errors import ConeguardError, DimensionMismatchError, DomainError, ProblemFormatError
@@ -224,6 +225,10 @@ def loads(text):
             if m < 1:
                 raise ProblemFormatError("block dimension must be positive", line_no)
             count = m if key == "soc" else svec_dim(m)
+            if count > len(lines) - pos:
+                raise ProblemFormatError(
+                    "block %r needs %d entry lines, %d follow" % (name, count, len(lines) - pos), line_no
+                )
             entries = []
             for _ in range(count):
                 entry_no, entry_body = take()
@@ -312,13 +317,8 @@ def evaluate(prog, x):
             values.append(SocBlockValue(vals, jac))
             distances.append(soc_distance(vals))
         else:
-            m = blk.dim
-            rows, cols = upper_triangle(m)
-            mat = np.zeros((m, m))
-            mat[rows, cols] = vals
-            mat[cols, rows] = vals
-            partials = _psd_partials(jac, m) if fold is None else fold.partials(m)
-            sym = SymMatrix(mat)
+            partials = _psd_partials(jac, blk.dim) if fold is None else fold.partials(blk.dim)
+            sym = SymMatrix(sym_from_upper(vals, blk.dim))
             spectral = eig_sym(sym)
             values.append(PsdBlockValue(sym, partials, spectral))
             distances.append(psd_distance(sym, spectral))

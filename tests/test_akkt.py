@@ -98,13 +98,13 @@ class TestTraceValidation:
 
     def test_shape_mismatches_are_rejected(self, mixed_program):
         prog = mixed_program
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DimensionMismatchError, match=r"^record x has 2 entries, expected 1$"):
             build_trace(prog, [record(prog, 0, [0.0, 1.0])])
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DimensionMismatchError, match=r"^record lambda has 2 entries, expected 0$"):
             build_trace(prog, [AkktRecord(0, np.zeros(1), np.ones(2), {}, {})])
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DimensionMismatchError, match=r"^multiplier for 'G' has shape \(3,\), expected \(2,\)$"):
             build_trace(prog, [record(prog, 0, [0.0], mu={"G": [1.0, 0.0, 0.0]})])
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DimensionMismatchError, match=r"^multiplier for 'P' has shape \(3,\), expected \(2, 2\)$"):
             build_trace(prog, [record(prog, 0, [0.0], mu={"P": np.ones(3)})])
 
     def test_cone_slack_is_relative(self, mixed_program):
@@ -145,27 +145,33 @@ class TestTraceValidation:
         with pytest.raises(ProblemFormatError):
             build_trace(prog, [record(prog, 0, [0.0], alpha={"s": -1e-6})])
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "x 0.0\n",  # line before the first record
-            "k 1\nk 2\nx 0.0\n",  # record without an x line
-            "k 1\nx 0.0 0.0\n",  # wrong x arity
-            "k 1\nx 0.0\nlambda 1.0\n",  # lambda on a program without equalities
-            "k 1\nx 0.0\nmu G 1.0\n",  # wrong multiplier arity
-            "k 1\nx 0.0\nmu Q 1.0 0.0\n",  # unknown block
-            "k 1\nx 0.0\nmu G 1.0 0.0\nmu G 1.0 0.0\n",  # duplicate multiplier
-            "k 1\nx 0.0\nalpha s\n",  # missing value
-            "k 1\nx 0.0\nalpha s 0.1\nalpha s 0.1\n",  # duplicate coefficient
-            "k 1\nx zero\n",  # non-numeric
-            "k 1 2\nx 0.0\n",  # malformed k line
-            "q 1\n",  # unknown tag
-        ],
-    )
+    # each malformed trace text -> (line, message) of its ProblemFormatError
+    MALFORMED = {
+        "x 0.0\n": (1, "line before the first record"),
+        "k 1\nk 2\nx 0.0\n": (2, "record without an x line"),
+        "k 1\nx 0.0 0.0\n": (2, "x line has 2 values, expected 1"),
+        "k 1\nx 0.0\nlambda 1.0\n": (3, "lambda line has 1 values, expected 0"),  # no equalities
+        "k 1\nx 0.0\nmu G 1.0\n": (3, "multiplier for 'G' has 1 values, expected 2"),
+        "k 1\nx 0.0\nmu P 1.0 0.0\n": (3, "multiplier for 'P' has 2 values, expected 3"),
+        "k 1\nx 0.0\nmu Q 1.0 0.0\n": (3, "'Q'"),  # unknown block
+        "k 1\nx 0.0\nmu\n": (3, "mu line needs a block name and values"),
+        "k 1\nx 0.0\nmu G 1.0 0.0\nmu G 1.0 0.0\n": (4, "duplicate multiplier for 'G'"),
+        "k 1\nx 0.0\nalpha s\n": (3, "alpha line needs a block name and one value"),
+        "k 1\nx 0.0\nalpha s 0.1\nalpha s 0.1\n": (4, "duplicate coefficient for 's'"),
+        "k 1\nx zero\n": (2, "could not convert string to float: 'zero'"),
+        "k 1 2\nx 0.0\n": (1, "k line needs one integer"),
+        "k one\nx 0.0\n": (1, "invalid literal for int() with base 10: 'one'"),
+        "q 1\n": (1, "line before the first record"),
+        "k 1\nx 0.0\nq 1\n": (3, "unknown line tag 'q'"),
+    }
+
+    @pytest.mark.parametrize("text", list(MALFORMED))
     def test_malformed_trace_text(self, mixed_program, text):
+        line, message = self.MALFORMED[text]
         with pytest.raises(ProblemFormatError) as err:
             loads_trace(mixed_program, text)
-        assert err.value.line is not None
+        assert err.value.line == line
+        assert str(err.value) == "line %d: %s" % (line, message)
 
     def test_comments_and_blank_lines_are_ignored(self, mixed_program):
         text = "# header\n\nk 1\n  x 0.5  # point\nmu G 1.0 0.5\n\n"

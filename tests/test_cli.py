@@ -580,6 +580,23 @@ class TestHostileInput:
         assert err == "error: trace file %s: record k=0: alpha for 'g' has a non-finite entry\n" % trace
         assert REPORT_BEGIN not in out
 
+    @pytest.mark.parametrize("command", ["certify", "recover"])
+    def test_bare_mu_trace_line_is_a_usage_error(self, tmp_path, capsys, command):
+        trace = tmp_path / "bare.trace"
+        trace.write_text("k 0\nx 3\nmu\n")
+        problem = str(PROBLEMS / "soc_boundary_line.txt")
+        code, out, err = run([command, "--problem", problem, "--point=3", "--trace", str(trace)], capsys)
+        assert code == EXIT_USAGE
+        assert err == "error: trace file %s: line 3: mu line needs a block name and values\n" % trace
+        assert REPORT_BEGIN not in out
+
+    def test_block_dimension_past_the_file_is_a_usage_error(self, tmp_path, capsys):
+        problem = self._write(tmp_path, "vars 2\nobjective x1\nsoc g 12345678901\nx1\n")
+        code, out, err = run(["classify", "--problem", problem, "--point", "1,1"], capsys)
+        assert code == EXIT_USAGE
+        assert err == "error: problem file %s: line 3: block 'g' needs 2147483648 entry lines, 1 follow\n" % problem
+        assert REPORT_BEGIN not in out
+
     def test_variable_count_past_int32_is_a_usage_error(self, tmp_path, capsys):
         problem = self._write(tmp_path, "vars 1000000000000\nobjective x1\nsoc g 1\n0 + 1 * x1\n")
         code, out, err = run(["classify", "--problem", problem, "--point", "1"], capsys)

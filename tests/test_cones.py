@@ -206,3 +206,5 @@ def test_svec_layout_is_row_major_upper_triangle():
     s2 = np.sqrt(2.0)
     expect = np.array([1.0, 2 * s2, 3 * s2, 4.0, 5 * s2, 6.0])
     assert np.all(np.abs(svec(a) - expect) <= 1e-15)
+    # a stack of matrices maps to the stack of their images
+    assert np.array_equal(svec(np.stack([a, -a])), np.stack([expect, -expect]))

@@ -79,6 +79,15 @@ def test_example_problem_files_parse(soc_line_program, psd_pair_program, scalar_
     assert [b.dim for b in scalar_pair_program.blocks] == [1, 1]
 
 
+# a block dimension that asks for more entry lines than follow -> its message
+BLOCK_LINE_ERRORS = {
+    "vars 2\nobjective x1\nsoc g 12345678901\nx1\n": "block 'g' needs 2147483648 entry lines, 1 follow",
+    "vars 2\nobjective x1\nsoc g 3\nx1\nx2\n": "block 'g' needs 3 entry lines, 2 follow",
+    "vars 2\nobjective x1\npsd P 99999\nx1\n": "block 'P' needs 4999950000 entry lines, 1 follow",
+    "vars 2\nobjective x1\npsd P 2\nx1\n0\n": "block 'P' needs 3 entry lines, 2 follow",
+}
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -97,7 +106,7 @@ def test_example_problem_files_parse(soc_line_program, psd_pair_program, scalar_
         "vars 1\nobjective x1\nsoc g\n",                   # missing dimension
         "vars " + "0" * 5000 + "12345678901\nobjective x1\n",  # n past 10 digits
         "vars 1\nobjective x1\nsoc g " + "0" * 5000 + "12345678901\nx1\n",  # dim past 10 digits
-    ],
+    ] + list(BLOCK_LINE_ERRORS),
 )
 def test_format_errors(text):
     with pytest.raises(ProblemFormatError):
@@ -108,6 +117,10 @@ def test_format_errors_carry_line_numbers():
     with pytest.raises(ProblemFormatError) as err:
         loads("vars 1\nobjective x1\nsoc g 1\nx2\n")
     assert err.value.line == 4
+    for text, message in BLOCK_LINE_ERRORS.items():
+        with pytest.raises(ProblemFormatError) as err:
+            loads(text)
+        assert str(err.value) == "line 3: " + message
 
 
 def test_variable_count_is_capped_at_the_int32_index_range():
