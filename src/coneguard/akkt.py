@@ -36,15 +36,15 @@ from .certificates import (
     numerical_rank,
     verify_dependence,
 )
-from .classify import TOL_ACT, TOL_GAP, classify
-from .cones import eig_sym, psd_distance, soc_distance, svec_dim, sym_from_upper, upper_triangle
+from .classify import TOL_ACT, TOL_GAP, classify, eigen_gap
+from .cones import eig_sym, listed, psd_distance, soc_distance, svec_dim, sym_from_upper
 from .errors import (
     DimensionMismatchError,
     ProblemFormatError,
     ReconstructionError,
 )
 from .model import ConicProgram, apply_jacobian_adjoint, evaluate
-from .reduction import conic_base, eigen_gap, reduced_view
+from .reduction import conic_base, reduced_view
 
 CONE_SLACK = 1e-9
 ALPHA_SLACK = -1e-12
@@ -133,9 +133,7 @@ def dumps_trace(trace: AkktTrace) -> str:
         if rec.lam.size:
             lines.append("lambda " + " ".join(_F % v for v in rec.lam))
         for name in sorted(rec.mu):
-            arr = np.asarray(rec.mu[name], dtype=float)
-            vals = arr if arr.ndim == 1 else arr[upper_triangle(arr.shape[0])]
-            lines.append("mu %s " % name + " ".join(_F % v for v in vals))
+            lines.append("mu %s " % name + " ".join(_F % v for v in listed(rec.mu[name])))
         for name in sorted(rec.alpha):
             lines.append("alpha %s " % name + _F % rec.alpha[name])
     return "\n".join(lines) + "\n"
@@ -226,8 +224,10 @@ def loads_trace(prog: ConicProgram, text: str) -> AkktTrace:
                 current["alpha"][name] = float(tokens[2])
             else:
                 raise ProblemFormatError("unknown line tag %r" % tag, line=line_no)
-        except (ValueError, KeyError) as exc:
+        except ValueError as exc:
             raise ProblemFormatError(str(exc), line=line_no) from exc
+        except KeyError as exc:
+            raise ProblemFormatError("unknown block %r" % exc.args[0], line=line_no) from exc
     flush(None)
     return build_trace(prog, records)
 
@@ -340,7 +340,7 @@ def certify_akkt(pt_star, trace, tol=TOL_KKT, tol_act=TOL_ACT, tol_gap=TOL_GAP) 
     names = cls.block_names
     for j in cls.psd_multiple:
         blk_star = pt_star.blocks[j]
-        scale = max(1.0, blk_star.value.norm())
+        scale = max(1.0, float(np.linalg.norm(blk_star.value)))
         g_vals = blk_star.spectral.eigenvalues
         g_vecs = blk_star.spectral.eigenvectors
         positive = [i for i in range(g_vals.size) if g_vals[i] > tol_act * scale]
@@ -394,11 +394,10 @@ def verify_kkt(pt, lam, mu_by_name, tol):
         if blk.kind == "soc":
             cone = soc_distance(mu)
             comp = abs(float(mu @ bv.value))
-            gnorm = float(np.linalg.norm(bv.value))
         else:
             cone = psd_distance(mu)
-            comp = abs(float(np.sum(mu * bv.value.mat)))
-            gnorm = bv.value.norm()
+            comp = abs(float(np.sum(mu * bv.value)))
+        gnorm = float(np.linalg.norm(bv.value))
         cone_worst = max(cone_worst, cone)
         comp_worst = max(comp_worst, comp / (max(1.0, _mu_norm(mu)) * max(1.0, gnorm)))
     stat_norm = float(np.linalg.norm(stat))

@@ -74,8 +74,7 @@ def _penalty_terms(pt, lam_hat, mu_hats, rho):
             proj = project_soc(mu_hats[j] - rho * bv.value)
             val += (float(proj @ proj) - float(mu_hats[j] @ mu_hats[j])) / (2.0 * rho)
         else:
-            z = mu_hats[j] - rho * bv.value.mat
-            proj = project_psd(z).mat
+            proj = project_psd(mu_hats[j] - rho * bv.value)
             val += (float(np.sum(proj * proj)) - float(np.sum(mu_hats[j] * mu_hats[j]))) / (
                 2.0 * rho
             )

@@ -328,7 +328,7 @@ class _System:
             w[sl] = project_soc(w[sl])
         for sl, m in self.psd_slices:
             mat = smat(w[sl], m)
-            w[sl] = svec(project_psd(mat).mat)
+            w[sl] = svec(project_psd(mat))
         rs = self.ray_slice
         w[rs] = np.clip(w[rs], 0.0, None)
         return w

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+import numpy as np
+
 from .cones import SocRegion, classify_soc
 from .errors import InfeasiblePointError
 from .model import block_distances
@@ -50,6 +52,15 @@ class IndexClassification(NamedTuple):
         return tuple(self.block_names[j] for j in indices)
 
 
+def eigen_gap(pt, j):
+    """Spectral gap above the smallest eigenvalue of semidefinite block j,
+    and the scale max(1, ||G||_F) it is compared at."""
+    bv = pt.blocks[j]
+    vals = bv.spectral.eigenvalues
+    gap = float(vals[1] - vals[0]) if vals.size > 1 else float("inf")
+    return gap, max(1.0, float(np.linalg.norm(bv.value)))
+
+
 def _label(pt, j, tol_act, tol_gap):
     blk = pt.program.blocks[j]
     bv = pt.blocks[j]
@@ -60,11 +71,10 @@ def _label(pt, j, tol_act, tol_gap):
         if region is SocRegion.VERTEX:
             return "vertex-scalar" if blk.dim == 1 else "vertex"
         return region.value
-    vals = bv.spectral.eigenvalues
-    if vals[0] > tol_act:
+    if bv.spectral.eigenvalues[0] > tol_act:
         return "inactive"
-    gap = float(vals[1] - vals[0]) if blk.dim > 1 else float("inf")
-    return "kernel-simple" if gap > tol_gap * max(1.0, bv.value.norm()) else "kernel-multiple"
+    gap, scale = eigen_gap(pt, j)
+    return "kernel-simple" if gap > tol_gap * scale else "kernel-multiple"
 
 
 def classify(pt, tol_act=TOL_ACT, tol_gap=TOL_GAP):

@@ -38,7 +38,7 @@ from .akkt import M_CAP, TOL_KKT, certify_akkt, dump_trace, load_trace, recover_
 from .alm import AlmConfig, solve
 from .certificates import DEFAULT_BUDGET, TOL_CERT, TOL_RANK
 from .classify import TOL_ACT, TOL_GAP, classify
-from .cones import upper_triangle
+from .cones import listed
 from .cqchecks import (
     DELTA,
     SAMPLES,
@@ -96,11 +96,6 @@ def _fmt(value):
 
 def _fmt_vec(values):
     return [_fmt(v) for v in np.asarray(values, dtype=float).reshape(-1)]
-
-
-def _fmt_upper(mat):
-    mat = np.asarray(mat, dtype=float)
-    return [_fmt(v) for v in mat[upper_triangle(mat.shape[0])]]
 
 
 class Report:
@@ -172,10 +167,8 @@ def _emit_witness(rep, scope, result):
     lam_names, soc_names, psd_names, ray_names = result.witness_names
     for name, coeff in zip(lam_names, witness.lam):
         rep.add("witness", scope, "lambda", name, _fmt(coeff))
-    for name, mu in zip(soc_names, witness.soc):
-        rep.add("witness", scope, "mu", name, *_fmt_vec(mu))
-    for name, mat in zip(psd_names, witness.psd):
-        rep.add("witness", scope, "mu", name, *_fmt_upper(mat))
+    for name, mu in zip(soc_names + psd_names, witness.soc + witness.psd):
+        rep.add("witness", scope, "mu", name, *map(_fmt, listed(mu)))
     for name, coeff in zip(ray_names, witness.alpha):
         rep.add("witness", scope, "alpha", name, _fmt(coeff))
 
@@ -424,8 +417,7 @@ def _cmd_recover(args):
             rep.add("lambda", *_fmt_vec(lam))
             human.append("lambda: %s" % " ".join(_fmt_vec(lam)))
         for blk in prog.blocks:
-            mu = outcome.multipliers["mu"][blk.name]
-            tokens = _fmt_vec(mu) if blk.kind == "soc" else _fmt_upper(mu)
+            tokens = [_fmt(v) for v in listed(outcome.multipliers["mu"][blk.name])]
             rep.add("mu", blk.name, *tokens)
             human.append("mu %s: %s" % (blk.name, " ".join(tokens)))
     _emit_witness(rep, "recover", outcome)

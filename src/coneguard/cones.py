@@ -1,9 +1,10 @@
 """Second-order cone and semidefinite cone primitives.
 
 Second-order cone values are 1-D arrays z = (z0, zbar), z0 first, with
-K_m = {z : z0 >= ||zbar||} and K_1 the nonnegative reals.  Symmetric
-matrices are decomposed by LAPACK (numpy's ``eigh``), with eigenvector
-signs fixed so that repeated calls agree bitwise.
+K_m = {z : z0 >= ||zbar||} and K_1 the nonnegative reals.  Semidefinite
+values are (m, m) symmetric arrays; ``eig_sym`` checks them and
+decomposes them by LAPACK (numpy's ``eigh``), with eigenvector signs
+fixed so that repeated calls agree bitwise.
 """
 
 from __future__ import annotations
@@ -64,39 +65,28 @@ def soc_distance(z):
     return float(np.linalg.norm(z - project_soc(z)))
 
 
-class SymMatrix:
-    __slots__ = ("mat",)
-
-    def __init__(self, mat):
-        a = np.asarray(mat, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DimensionMismatchError("expected a square matrix, got shape %r" % (a.shape,))
-        scale = float(np.linalg.norm(a, "fro"))
-        skew = float(np.max(np.abs(a - a.T))) if a.size else 0.0
-        if skew > SYMMETRY_TOL * max(1.0, scale):
-            raise SymmetryError(
-                "matrix is not symmetric: max asymmetry %.3e exceeds %.3e"
-                % (skew, SYMMETRY_TOL * max(1.0, scale))
-            )
-        self.mat = 0.5 * (a + a.T)
-
-    def norm(self):
-        return float(np.linalg.norm(self.mat, "fro"))
-
-
 class SpectralData(NamedTuple):
     eigenvalues: np.ndarray  # ascending
     eigenvectors: np.ndarray  # orthonormal columns, matching order
 
 
 def eig_sym(a):
-    """Spectral decomposition with ascending eigenvalues.
+    """Spectral decomposition of the symmetric part of a square matrix, with
+    ascending eigenvalues.
 
+    The one check of a symmetric matrix: a non-square matrix, or one whose
+    asymmetry exceeds SYMMETRY_TOL * max(1, ||a||_F), is rejected.
     Eigenvector signs follow a fixed convention (first component of
     noticeable magnitude is positive) so repeated calls agree bitwise.
     """
-    mat = a.mat if isinstance(a, SymMatrix) else SymMatrix(a).mat
-    vals, vecs = np.linalg.eigh(mat)  # ascending
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionMismatchError("expected a square matrix, got shape %r" % (a.shape,))
+    limit = SYMMETRY_TOL * max(1.0, float(np.linalg.norm(a, "fro")))
+    skew = float(np.max(np.abs(a - a.T))) if a.size else 0.0
+    if skew > limit:
+        raise SymmetryError("matrix is not symmetric: max asymmetry %.3e exceeds %.3e" % (skew, limit))
+    vals, vecs = np.linalg.eigh(0.5 * (a + a.T))  # ascending
     mag = np.abs(vecs)
     lead = np.argmax(mag > 1e-12 * mag.max(axis=0, initial=0.0), axis=0)
     vecs[:, vecs[lead, np.arange(vecs.shape[1])] < 0.0] *= -1.0
@@ -104,17 +94,18 @@ def eig_sym(a):
 
 
 def project_psd(a):
-    """Euclidean (Frobenius) projection onto the positive semidefinite cone."""
-    mat = a.mat if isinstance(a, SymMatrix) else SymMatrix(a).mat
-    sd = eig_sym(mat)
+    """Euclidean (Frobenius) projection onto the positive semidefinite cone,
+    as a new symmetric array."""
+    sd = eig_sym(a)
     clipped = np.clip(sd.eigenvalues, 0.0, None)
     out = (sd.eigenvectors * clipped) @ sd.eigenvectors.T
-    return SymMatrix(0.5 * (out + out.T))
+    return 0.5 * (out + out.T)
 
 
 def psd_distance(a, spectral=None):
-    mat = a.mat if isinstance(a, SymMatrix) else SymMatrix(a).mat
-    sd = spectral if spectral is not None else eig_sym(mat)
+    """Frobenius distance of a to the semidefinite cone; spectral, when given,
+    is ``eig_sym(a)``."""
+    sd = spectral if spectral is not None else eig_sym(a)
     neg = np.clip(sd.eigenvalues, None, 0.0)
     return float(np.linalg.norm(neg))
 
@@ -142,6 +133,13 @@ def sym_from_upper(vals, m):
     mat[rows, cols] = vals
     mat[cols, rows] = vals
     return mat
+
+
+def listed(value):
+    """The entries a file or report lists for a block value: a second-order
+    cone vector as it is, a symmetric matrix's upper triangle, row-major."""
+    value = np.asarray(value, dtype=float)
+    return value if value.ndim == 1 else value[upper_triangle(value.shape[0])]
 
 
 _SQRT2 = float(np.sqrt(2.0))

@@ -64,7 +64,7 @@ def _kernel_basis(pt: EvaluatedPoint, j: int, tol_act: float, tol_gap: float):
     blk = pt.blocks[j]
     spectral = blk.spectral
     sigma = spectral.eigenvalues
-    scale = max(1.0, float(np.linalg.norm(blk.value.mat)))
+    scale = max(1.0, float(np.linalg.norm(blk.value)))
     cutoff = max(tol_act * scale, float(sigma[0]) + tol_gap * scale)
     r = int(np.count_nonzero(sigma <= cutoff))
     return spectral.eigenvectors[:, :r]

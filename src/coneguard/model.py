@@ -27,7 +27,6 @@ import numpy as np
 from . import expr as ex
 from .cones import (
     SpectralData,
-    SymMatrix,
     eig_sym,
     psd_distance,
     soc_distance,
@@ -46,22 +45,29 @@ class AffineFold:
     Row 0 holds c0, row t term t; variable n is the constant 1, and a
     missing term is -0.0 * 1, which changes no sum.  Summing rows in
     order gives each entry's tape value; the Jacobian is summed alike.
-    The Jacobian and PSD partials are read-only, built once and shared.
+    The Jacobian and PSD partials are built on first use, read-only, shared.
     """
 
     def __init__(self, terms, n):
         shape = (1 + max(len(coef) for _, coef, _ in terms), len(terms))
+        self.n = n
         self.coef = np.full(shape, -0.0)
         self.var = np.full(shape, n, dtype=np.int32)
         for e, (c0, coef, var) in enumerate(terms):
             self.coef[: len(coef) + 1, e] = (c0, *coef)
             self.var[1 : len(var) + 1, e] = var
-        jac = np.zeros((shape[1], n + 1))
-        for t in range(1, shape[0]):
-            jac[np.arange(shape[1]), self.var[t]] += self.coef[t]
-        self.jac = jac[:, :n].copy()
-        self.jac.flags.writeable = False
-        self._partials = None
+        self._jac = self._partials = None
+
+    @property
+    def jac(self):
+        """The (entries, n) Jacobian."""
+        if self._jac is None:
+            jac = np.zeros((self.coef.shape[1], self.n + 1))
+            for t in range(1, self.coef.shape[0]):
+                jac[np.arange(self.coef.shape[1]), self.var[t]] += self.coef[t]
+            self._jac = jac[:, : self.n].copy()
+            self._jac.flags.writeable = False
+        return self._jac
 
     def values(self, x):
         # a view would hold the whole table
@@ -76,7 +82,7 @@ class AffineFold:
 
     def terms(self):
         """Per entry (c0, coefficients, variables), as from ``expr.affine_terms``."""
-        ends = 1 + np.count_nonzero(self.var[1:] < self.jac.shape[1], axis=0)
+        ends = 1 + np.count_nonzero(self.var[1:] < self.n, axis=0)
         coef, var = self.coef.T.tolist(), self.var.T.tolist()
         return [(c[0], c[1:k], v[1:k]) for c, v, k in zip(coef, var, ends.tolist())]
 
@@ -257,7 +263,7 @@ class SocBlockValue(NamedTuple):
 
 
 class PsdBlockValue(NamedTuple):
-    value: SymMatrix
+    value: np.ndarray  # (m, m) symmetric
     partials: np.ndarray  # (n, m, m), each slice symmetric
     spectral: SpectralData
 
@@ -318,10 +324,10 @@ def evaluate(prog, x):
             distances.append(soc_distance(vals))
         else:
             partials = _psd_partials(jac, blk.dim) if fold is None else fold.partials(blk.dim)
-            sym = SymMatrix(sym_from_upper(vals, blk.dim))
-            spectral = eig_sym(sym)
-            values.append(PsdBlockValue(sym, partials, spectral))
-            distances.append(psd_distance(sym, spectral))
+            mat = sym_from_upper(vals, blk.dim)
+            spectral = eig_sym(mat)
+            values.append(PsdBlockValue(mat, partials, spectral))
+            distances.append(psd_distance(mat, spectral))
     hres = float(np.max(np.abs(h))) if prog.p else 0.0
     # np.max keeps a NaN, which max would drop
     residual = float(np.max([hres] + distances))
@@ -347,8 +353,7 @@ def apply_jacobian_adjoint(pt, j, multiplier):
     bv = pt.blocks[j]
     if blk.kind == "soc":
         return bv.jac.T @ np.asarray(multiplier)
-    mat = multiplier.mat if isinstance(multiplier, SymMatrix) else np.asarray(multiplier)
-    return np.tensordot(bv.partials, mat, axes=([1, 2], [0, 1]))
+    return np.tensordot(bv.partials, np.asarray(multiplier), axes=([1, 2], [0, 1]))
 
 
 def embed_block_diagonal(prog):

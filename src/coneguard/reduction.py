@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .classify import TOL_GAP
+from .classify import TOL_GAP, eigen_gap
 from .errors import DimensionMismatchError, NonSimpleEigenvalueError
 
 _ENTRY_LABELS = {"boundary": "soc-boundary", "vertex-scalar": "scalar", "kernel-simple": "eigen-min"}
@@ -76,14 +76,6 @@ def phi_soc(pt, j):
             "block %r is not a second-order-cone block of dimension > 1" % blk.name
         )
     return _phi_soc(pt.blocks[j])[:2]
-
-
-def eigen_gap(pt, j):
-    """Spectral gap above the smallest eigenvalue, relative scale included."""
-    bv = pt.blocks[j]
-    vals = bv.spectral.eigenvalues
-    gap = float(vals[1] - vals[0]) if vals.size > 1 else float("inf")
-    return gap, max(1.0, bv.value.norm())
 
 
 def _eigen_min(pt, j, tol_gap, enforce_simple):

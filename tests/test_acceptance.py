@@ -1,6 +1,8 @@
 """Acceptance suite: one test and one printed pass/fail line per criterion."""
 
+import io
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -99,7 +101,7 @@ def test_criterion_2_kernel_pair_reproduction():
     errors = []
     started = time.perf_counter()
     try:
-        prog = loads(open(PSD_PAIR, encoding="utf-8").read())
+        prog = loads(Path(PSD_PAIR).read_text(encoding="utf-8"))
         pt = evaluate(prog, np.zeros(1))
         cls = classify(pt)
         _expect(errors, cls.psd_simple == (0, 1), "simple set %r" % (cls.psd_simple,))
@@ -138,8 +140,8 @@ def test_criterion_2_kernel_pair_reproduction():
 def test_criterion_3_block_diagonal_pathology():
     errors = []
     try:
-        pair = loads(open(PSD_PAIR, encoding="utf-8").read())
-        scalars = loads(open(SCALAR_PAIR, encoding="utf-8").read())
+        pair = loads(Path(PSD_PAIR).read_text(encoding="utf-8"))
+        scalars = loads(Path(SCALAR_PAIR).read_text(encoding="utf-8"))
 
         pt = evaluate(scalars, np.zeros(2))
         multifold = check_nondegeneracy(pt, classify(pt))
@@ -325,7 +327,7 @@ def test_criterion_6_gradient_suites():
             z_soc = mus[0] - rho * pt.blocks[0].value
             if abs(float(np.linalg.norm(z_soc[1:])) - z_soc[0]) <= 1e-3 * max(1.0, float(np.linalg.norm(z_soc))):
                 continue
-            z_psd = mus[1] - rho * pt.blocks[1].value.mat
+            z_psd = mus[1] - rho * pt.blocks[1].value
             if abs(float(z_psd[0, 0])) <= 1e-3 * max(1.0, abs(float(z_psd[0, 0]))):
                 continue
             val, grad, _ = _penalty_terms(pt, lam, mus, rho)
@@ -351,8 +353,8 @@ def test_criterion_7_end_to_end_pipeline():
             ("boundary line", SOC_LINE, np.array([3.0])),
             ("kernel pair", PSD_PAIR, np.array([0.75])),
         ]:
-            prog = loads(open(path, encoding="utf-8").read())
-            trace, status = solve(prog, x0, log=open("/dev/null", "w"))
+            prog = loads(Path(path).read_text(encoding="utf-8"))
+            trace, status = solve(prog, x0, log=io.StringIO())
             _expect(errors, status == "converged", "%s solver %s" % (label, status))
             x_star = trace.records[-1].x
             outcome = certify_akkt(evaluate(prog, x_star), trace)

@@ -153,7 +153,8 @@ class TestTraceValidation:
         "k 1\nx 0.0\nlambda 1.0\n": (3, "lambda line has 1 values, expected 0"),  # no equalities
         "k 1\nx 0.0\nmu G 1.0\n": (3, "multiplier for 'G' has 1 values, expected 2"),
         "k 1\nx 0.0\nmu P 1.0 0.0\n": (3, "multiplier for 'P' has 2 values, expected 3"),
-        "k 1\nx 0.0\nmu Q 1.0 0.0\n": (3, "'Q'"),  # unknown block
+        "k 1\nx 0.0\nmu Q 1.0 0.0\n": (3, "unknown block 'Q'"),
+        "k 1\nx 0.0\nalpha Q 0.1\n": (3, "unknown block 'Q'"),
         "k 1\nx 0.0\nmu\n": (3, "mu line needs a block name and values"),
         "k 1\nx 0.0\nmu G 1.0 0.0\nmu G 1.0 0.0\n": (4, "duplicate multiplier for 'G'"),
         "k 1\nx 0.0\nalpha s\n": (3, "alpha line needs a block name and one value"),

@@ -194,7 +194,7 @@ class TestPenaltyGradient:
                 if float(np.linalg.norm(z)) <= 1e-3:
                     return True
             else:
-                z = mu_hats[j] - rho * bv.value.mat
+                z = mu_hats[j] - rho * bv.value
                 scale = max(1.0, float(np.linalg.norm(z)))
                 if np.min(np.abs(np.linalg.eigvalsh(z))) <= 1e-3 * scale:
                     return True

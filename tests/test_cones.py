@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from coneguard.cones import (
+    SYMMETRY_TOL,
     SocRegion,
-    SymMatrix,
     classify_soc,
     eig_sym,
+    listed,
     project_psd,
     project_soc,
     psd_distance,
@@ -15,6 +16,7 @@ from coneguard.cones import (
     soc_distance,
     svec,
     svec_dim,
+    sym_from_upper,
 )
 from coneguard.errors import DimensionMismatchError, SymmetryError
 from coneguard.model import SocBlockValue
@@ -55,12 +57,12 @@ def test_psd_moreau_decomposition():
     for _ in range(300):
         m = int(rng.integers(1, 6))
         a = random_sym(rng, m)
-        plus = project_psd(a).mat
-        minus = project_psd(-a).mat
+        plus = project_psd(a)
+        minus = project_psd(-a)
         assert np.all(np.abs((plus - minus) - a) <= 1e-10)
         assert abs(float(np.sum(plus * minus))) <= 1e-10
         assert psd_distance(plus) <= 1e-10
-        again = project_psd(plus).mat
+        again = project_psd(plus)
         assert np.all(np.abs(again - plus) <= 1e-10)
 
 
@@ -176,11 +178,31 @@ def test_eig_sym_deterministic_and_sign_fixed():
         assert lead > 0.0
 
 
+@pytest.mark.parametrize("check", [eig_sym, project_psd, psd_distance], ids=lambda f: f.__name__)
+def test_psd_input_must_be_square_and_symmetric(check):
+    with pytest.raises(SymmetryError, match=r"^matrix is not symmetric: max asymmetry 2\.000e\+00 exceeds 2\.449e-12$"):
+        check(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    with pytest.raises(DimensionMismatchError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
+        check(np.ones((2, 3)))
+
+
 def test_sym_matrix_enforces_symmetry():
+    # the allowed asymmetry is SYMMETRY_TOL * max(1, ||a||_F); within it, the
+    # symmetric part is decomposed
+    a = np.diag([3.0, 4.0])  # ||a||_F = 5
+    a[0, 1] = 4.0 * SYMMETRY_TOL
+    assert eig_sym(a).eigenvalues == pytest.approx([3.0, 4.0])
+    a[0, 1] = 6.0 * SYMMETRY_TOL
     with pytest.raises(SymmetryError):
-        SymMatrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
-    with pytest.raises(DimensionMismatchError):
-        SymMatrix(np.ones((2, 3)))
+        eig_sym(a)
+
+
+def test_project_psd_returns_a_symmetric_array():
+    rng = np.random.default_rng(18)
+    for m in range(1, 6):
+        out = project_psd(random_sym(rng, m))
+        assert type(out) is np.ndarray and out.shape == (m, m)
+        assert np.array_equal(out, out.T)
 
 
 # ---------------------------------------------------------------------------
@@ -208,3 +230,10 @@ def test_svec_layout_is_row_major_upper_triangle():
     assert np.all(np.abs(svec(a) - expect) <= 1e-15)
     # a stack of matrices maps to the stack of their images
     assert np.array_equal(svec(np.stack([a, -a])), np.stack([expect, -expect]))
+
+
+def test_listed_entries_are_the_vector_or_the_upper_triangle():
+    assert listed([1.0, -2.0]).tolist() == [1.0, -2.0]
+    a = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 5.0], [3.0, 5.0, 6.0]])
+    assert listed(a).tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+    assert np.array_equal(sym_from_upper(listed(a), 3), a)

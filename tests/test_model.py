@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import coneguard.expr as ex
+from coneguard.cones import sym_from_upper
 from coneguard.errors import (
     DimensionMismatchError,
     DomainError,
@@ -162,7 +163,7 @@ def test_evaluate_is_bitwise_deterministic():
             assert np.array_equal(ba.value, bb.value)
             assert np.array_equal(ba.jac, bb.jac)
         else:
-            assert np.array_equal(ba.value.mat, bb.value.mat)
+            assert np.array_equal(ba.value, bb.value)
             assert np.array_equal(ba.partials, bb.partials)
             assert np.array_equal(ba.spectral.eigenvalues, bb.spectral.eigenvalues)
             assert np.array_equal(ba.spectral.eigenvectors, bb.spectral.eigenvectors)
@@ -204,7 +205,7 @@ def test_jacobians_match_finite_differences_at_200_points():
                     for a, b in zip(rows, cols):
                         fd = fd_gradient(
                             lambda z: value_of(
-                                z, lambda p: float(p.blocks[j].value.mat[a, b])
+                                z, lambda p: float(p.blocks[j].value[a, b])
                             ),
                             x,
                         )
@@ -332,6 +333,29 @@ def test_loads_holds_under_300_kb_for_a_212_line_affine_program():
     assert held < 300_000
 
 
+def test_loads_builds_no_jacobian_for_a_large_variable_count():
+    tracemalloc.start()
+    try:
+        prog = loads("vars 10000000\nobjective x1\nsoc g 1\n0 + 1 * x1\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000_000
+    assert prog.blocks[0].affine.terms() == [(0.0, [1.0], [0])]
+
+
+@pytest.mark.parametrize("keep", [1.0, 0.3])
+def test_psd_block_value_is_the_symmetric_array_of_its_entries(keep):
+    prog = loads(affine_program_text(np.random.default_rng(36), n=3, psd_dims=(3, 1), soc_dims=(2,), keep=keep))
+    x = np.random.default_rng(37).standard_normal(3)
+    pt = evaluate(prog, x)
+    for blk, bv in zip(prog.blocks, pt.blocks):
+        if blk.kind == "psd":
+            vals = [ex.eval_grad(entry, x).value for entry in blk.entries]
+            assert type(bv.value) is np.ndarray
+            assert bv.value.tobytes() == sym_from_upper(vals, blk.dim).tobytes()
+
+
 def test_folded_derivatives_are_shared_and_read_only():
     prog = loads(affine_program_text(np.random.default_rng(34), n=3, psd_dims=(3,), soc_dims=(2,)))
     rng = np.random.default_rng(35)
@@ -388,10 +412,10 @@ def test_embedding_values_equal_block_diagonal_assembly():
         x = rng.uniform(-1.0, 1.0, size=2)
         pa, pb = evaluate(prog, x), evaluate(merged, x)
         assert pa.f == pb.f
-        big = pb.blocks[0].value.mat
+        big = pb.blocks[0].value
         off = 0
         for j, blk in enumerate(prog.blocks):
-            small = pa.blocks[j].value.mat
+            small = pa.blocks[j].value
             assert np.array_equal(big[off : off + blk.dim, off : off + blk.dim], small)
             off += blk.dim
         # off-diagonal couplings are identically zero
@@ -422,5 +446,5 @@ def test_embedding_single_block_is_identity_shape():
     assert merged.blocks[0].dim == 2
     x = [0.8]
     assert np.array_equal(
-        evaluate(prog, x).blocks[0].value.mat, evaluate(merged, x).blocks[0].value.mat
+        evaluate(prog, x).blocks[0].value, evaluate(merged, x).blocks[0].value
     )

@@ -24,8 +24,6 @@ from coneguard import (
     ReducedEntry,
     ReducedGradients,
     SpectralData,
-    SymMatrix,
-    SymmetryError,
 )
 from coneguard.expr import GradedValue, parse
 from coneguard.model import PsdBlockValue, SocBlockValue
@@ -58,7 +56,6 @@ RECORDS = [
     (ReducedGradients, dict(entries=())),
     (SocBlockValue, dict(value=V, jac=M)),
     (SpectralData, dict(eigenvalues=V, eigenvectors=M)),
-    (SymMatrix, dict(mat=M)),
 ]
 
 
@@ -104,8 +101,6 @@ def test_validation_is_kept():
         AlmConfig(rho0=0)
     with pytest.raises(ValueError):
         AlmConfig(gamma=1)
-    with pytest.raises(SymmetryError):
-        SymMatrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 def test_no_exported_class_is_a_dataclass():

@@ -142,11 +142,11 @@ class TestSigmaMin:
                 if gap <= 10.0 * TOL_GAP * scale:
                     continue
                 value, gradient = sigma_min_grad(pt, j)
-                oracle = float(np.linalg.eigvalsh(pt.blocks[j].value.mat)[0])
+                oracle = float(np.linalg.eigvalsh(pt.blocks[j].value)[0])
                 assert value == pytest.approx(oracle, abs=1e-10 * scale)
 
                 def min_eig(y, j=j):
-                    return float(np.linalg.eigvalsh(eval_at(prog, y).blocks[j].value.mat)[0])
+                    return float(np.linalg.eigvalsh(eval_at(prog, y).blocks[j].value)[0])
 
                 fd = fd_gradient(min_eig, np.asarray(x, dtype=float))
                 tol = fd_tolerance(max(scale, float(np.max(np.abs(gradient)))))
@@ -168,7 +168,7 @@ class TestSigmaMin:
             value, gradient = sigma_min_grad(pt, 0)
 
             def min_eig(y):
-                return float(np.linalg.eigvalsh(eval_at(prog, y).blocks[0].value.mat)[0])
+                return float(np.linalg.eigvalsh(eval_at(prog, y).blocks[0].value)[0])
 
             fd = fd_gradient(min_eig, np.asarray(x, dtype=float))
             assert gradient == pytest.approx(fd, abs=fd_tolerance(max(1.0, scale)))
@@ -193,9 +193,9 @@ class TestSigmaMin:
         prog = loads("vars 1\nobjective x1\npsd p 2\nx1\n0\nx1 + 3\n")
         pt = eval_at(prog, [0.5])
         gap, scale = eigen_gap(pt, 0)
-        vals = np.linalg.eigvalsh(pt.blocks[0].value.mat)
+        vals = np.linalg.eigvalsh(pt.blocks[0].value)
         assert gap == pytest.approx(float(vals[1] - vals[0]), abs=1e-12)
-        assert scale == max(1.0, float(np.linalg.norm(pt.blocks[0].value.mat, "fro")))
+        assert scale == max(1.0, float(np.linalg.norm(pt.blocks[0].value, "fro")))
 
 
 class TestReducedView:
