@@ -79,6 +79,14 @@ def _finite(rec, what, values):
         raise ProblemFormatError("record k=%d: %s has a non-finite entry" % (rec.k, what))
 
 
+def _named_block(prog, rec, name):
+    """The block that a record's mu or alpha entry names."""
+    try:
+        return prog.blocks[prog.block_index(name)]
+    except KeyError:
+        raise ProblemFormatError("record k=%d: unknown block %r" % (rec.k, name)) from None
+
+
 def build_trace(prog: ConicProgram, records) -> AkktTrace:
     """Validate record invariants and freeze them into a trace.
 
@@ -101,8 +109,7 @@ def build_trace(prog: ConicProgram, records) -> AkktTrace:
         _finite(rec, "x", rec.x)
         _finite(rec, "lambda", rec.lam)
         for name, arr in rec.mu.items():
-            j = prog.block_index(name)
-            blk = prog.blocks[j]
+            blk = _named_block(prog, rec, name)
             arr = np.asarray(arr, dtype=float)
             _finite(rec, "mu for %r" % name, arr)
             expected = (blk.dim,) if blk.kind == "soc" else (blk.dim, blk.dim)
@@ -116,7 +123,7 @@ def build_trace(prog: ConicProgram, records) -> AkktTrace:
                     "multiplier for %r is %g away from its cone" % (name, dist)
                 )
         for name, a in rec.alpha.items():
-            prog.block_index(name)
+            _named_block(prog, rec, name)
             _finite(rec, "alpha for %r" % name, a)
             if a < ALPHA_SLACK:
                 raise ProblemFormatError(

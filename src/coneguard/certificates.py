@@ -9,13 +9,17 @@ admit a solution with every mu_j in its cone, alpha >= 0, and (mu, alpha)
 not all zero?  A positive answer is a Dependent certificate carrying the
 witness; a negative one is certified by a strictly feasible primal
 direction whose smallest slack bounds every normalized combination away
-from zero.  When neither side certifies within budget the answer is
-Undecided, reported honestly with both residuals.
+from zero.  One loop decides: each iteration takes one supergradient step
+on the margin and, unless that step certifies independence, one
+alternating-projection sweep toward a witness.  When neither side
+certifies within budget the answer is Undecided, reported honestly with
+both residuals.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import NamedTuple
 
 import numpy as np
@@ -418,53 +422,58 @@ def _margin_terms(system, d):
     return out
 
 
-def _margin_search(system, proj_eq, iters, tol_cert, start=None):
-    """Projected supergradient ascent on the minimum cone slack."""
+def _margin_steps(system, proj_eq):
+    """Projected supergradient ascent on the minimum cone slack.
+
+    Yields (slack, direction) once per step; stops when the supergradient
+    vanishes.
+    """
     n = system.n
-    if start is not None:
-        d = start.copy()
-    else:
-        d = np.zeros(n)
-        for jmat in system.socs:
-            d = d + jmat[0]
-        for pt in system.psds:
-            d = d + np.array([np.trace(pt[i]) for i in range(n)]) / pt.shape[1]
-        for r in system.rays:
-            d = d + r
-        d = proj_eq(d)
-        if float(np.linalg.norm(d)) < 1e-12:
-            for i in range(n):
-                cand = np.zeros(n)
-                cand[i] = 1.0
-                cand = proj_eq(cand)
-                if float(np.linalg.norm(cand)) > 1e-12:
-                    d = cand
-                    break
+    d = np.zeros(n)
+    for jmat in system.socs:
+        d = d + jmat[0]
+    for pt in system.psds:
+        d = d + np.array([np.trace(pt[i]) for i in range(n)]) / pt.shape[1]
+    for r in system.rays:
+        d = d + r
+    d = proj_eq(d)
+    if float(np.linalg.norm(d)) < 1e-12:
+        for i in range(n):
+            cand = np.zeros(n)
+            cand[i] = 1.0
+            cand = proj_eq(cand)
+            if float(np.linalg.norm(cand)) > 1e-12:
+                d = cand
+                break
     nd = float(np.linalg.norm(d))
     if nd > 1.0:
         d = d / nd
-    best = -np.inf
-    best_d = d.copy()
-    used = 0
-    for t in range(iters):
-        used = t + 1
+    for t in itertools.count():
         terms = _margin_terms(system, d)
-        i_min = int(np.argmin([slack for slack, _ in terms]))
-        current, supergradient = terms[i_min]
-        if current > best:
-            best = current
-            best_d = d.copy()
-        if best > tol_cert:
-            return best, best_d, used
+        current, supergradient = terms[int(np.argmin([slack for slack, _ in terms]))]
+        yield current, d
         grad = proj_eq(supergradient())
         gn = float(np.linalg.norm(grad))
         if gn < 1e-15:
-            break
+            return
         d = proj_eq(d + (0.5 / np.sqrt(t + 1.0)) * grad / gn)
         nd = float(np.linalg.norm(d))
         if nd > 1.0:
             d = d / nd
-    return best, best_d, used
+
+
+def _sweeps(system):
+    """Alternating projections between the normalized solutions of the
+    linear system and the cones, from the cones' center; yields each
+    projected point."""
+    a = np.vstack([system.smat_cols, system.norm_row])
+    b = np.zeros(system.n + 1)
+    b[-1] = 1.0
+    pinv_a = np.linalg.pinv(a)
+    v = system.center()
+    while True:
+        v = system.project_cones(v - pinv_a @ (a @ v - b))
+        yield v
 
 
 def conic_dependence(
@@ -487,8 +496,16 @@ def conic_dependence(
     substitution before being returned.  Independent answers carry the
     certified slack (margin) of a strictly feasible primal direction d:
     every normalized solution candidate has combination norm at least the
-    margin, because pairing with d bounds it below.  Neither finding within
-    budget yields Undecided with both search residuals.
+    margin, because pairing with d bounds it below.
+
+    Each of at most budget iterations takes one margin step, which returns
+    Independent once the slack exceeds tol_cert, and otherwise one sweep
+    (a least-squares step onto the normalized linear system, then a
+    projection onto the cones), which returns Dependent once its point
+    passes verify_dependence.  A query that the first margin step certifies
+    computes no sweep.  An Undecided answer costs at most budget margin steps
+    and budget sweeps, and carries the best combination residual and margin
+    that the two searches reached.
     """
     sizes = (
         [np.asarray(v).size for v in eq_basis]
@@ -514,43 +531,26 @@ def conic_dependence(
             detail={"note": "no cone blocks or rays; independence is vacuous"},
         )
 
-    proj_eq = _span_projector(system.eq)
-
-    iterations = 0
+    steps = _margin_steps(system, _span_projector(system.eq))
+    sweeps = _sweeps(system)
     best_margin = -np.inf
-    best_d = None
-
-    phase1 = max(50, min(500, budget // 8))
-    margin, d_found, used = _margin_search(system, proj_eq, phase1, tol_cert)
-    iterations += used
-    best_margin = margin
-    best_d = d_found
-    if margin > tol_cert:
-        return Certificate(
-            "independent",
-            margin=float(margin),
-            iterations=iterations,
-            detail={"certified_direction": d_found},
-        )
-
-    a = np.vstack([system.smat_cols, system.norm_row])
-    b = np.zeros(n + 1)
-    b[-1] = 1.0
-    pinv_a = np.linalg.pinv(a)
-    v = system.center()
     best_sres = np.inf
-    window = 200
-    window_best = np.inf
-    phase2 = max(200, budget // 2)
-    for sweep in range(phase2):
-        iterations += 1
-        v = v - pinv_a @ (a @ v - b)
-        w = system.project_cones(v)
+    for iterations in range(1, budget + 1):
+        step = next(steps, None)
+        if step is not None:
+            margin, d = step
+            if margin > tol_cert:
+                return Certificate(
+                    "independent",
+                    margin=float(margin),
+                    iterations=iterations,
+                    detail={"certified_direction": d},
+                )
+            best_margin = max(best_margin, margin)
+        w = next(sweeps)
         sres = float(np.linalg.norm(system.smat_cols @ w))
-        nval = float(system.norm_row @ w)
-        if sres < best_sres:
-            best_sres = sres
-        if sres <= tol_cert and nval >= 0.5:
+        best_sres = min(best_sres, sres)
+        if sres <= tol_cert and float(system.norm_row @ w) >= 0.5:
             witness = system.split(w)
             ok, residual, cone_gap, normalization = verify_dependence(
                 system.eq, system.socs, system.psds, system.rays, witness, tol_cert
@@ -564,28 +564,9 @@ def conic_dependence(
                     iterations=iterations,
                     detail={"cone_gap": cone_gap},
                 )
-        if (sweep + 1) % window == 0:
-            if best_sres > 0.99 * window_best and best_sres > 100.0 * tol_cert:
-                break
-            window_best = best_sres
-        v = w
-
-    remaining = max(200, budget - iterations)
-    margin, d_found, used = _margin_search(system, proj_eq, remaining, tol_cert, start=best_d)
-    iterations += used
-    if margin > best_margin:
-        best_margin = margin
-        best_d = d_found
-    if best_margin > tol_cert:
-        return Certificate(
-            "independent",
-            margin=float(best_margin),
-            iterations=iterations,
-            detail={"certified_direction": best_d},
-        )
     return Certificate(
         "undecided",
-        iterations=iterations,
+        iterations=budget,
         detail={
             "best_combination_residual": float(best_sres),
             "best_margin": float(best_margin),

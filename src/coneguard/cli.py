@@ -451,6 +451,13 @@ def _cmd_embed_diag(args):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes "-1e-3" or "-0.5,1" for an option unless it is a plain
+        # negative decimal; no flag starts with '-' and a digit, so read such
+        # a word as a value
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):
         self.exit(EXIT_USAGE, "%s: error: %s\n" % (self.prog, message))
 

@@ -1,5 +1,7 @@
 """Tests for trace handling, stationarity residuals, certification, recovery."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,8 @@ from coneguard.errors import (
     ProblemFormatError,
 )
 from coneguard.model import evaluate, loads
+
+PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
 
 def record(prog, k, x, lam=None, mu=None, alpha=None):
@@ -106,6 +110,13 @@ class TestTraceValidation:
             build_trace(prog, [record(prog, 0, [0.0], mu={"G": [1.0, 0.0, 0.0]})])
         with pytest.raises(DimensionMismatchError, match=r"^multiplier for 'P' has shape \(3,\), expected \(2, 2\)$"):
             build_trace(prog, [record(prog, 0, [0.0], mu={"P": np.ones(3)})])
+
+    @pytest.mark.parametrize("mu, alpha", [({"Q": np.zeros(2)}, {}), ({}, {"Q": 0.5})], ids=["mu", "alpha"])
+    def test_unknown_block_is_a_format_error(self, mu, alpha):
+        prog = loads((PROBLEMS / "soc_boundary_line.txt").read_text())
+        bad = AkktRecord(1, np.zeros(1), np.zeros(0), mu, alpha)
+        with pytest.raises(ProblemFormatError, match=r"^record k=1: unknown block 'Q'$"):
+            build_trace(prog, [bad])
 
     def test_cone_slack_is_relative(self, mixed_program):
         prog = mixed_program

@@ -342,6 +342,19 @@ def _recompute_margin(eq_basis, soc_blocks, psd_blocks, rays, d):
     return min(slacks)
 
 
+# (soc dims, psd dims, ray count) of the planted instances in the oracle tests
+_ORACLE_SHAPES = [
+    ([2], [], 1),
+    ([2], [], 2),
+    ([3], [], 1),
+    ([], [2], 1),
+    ([], [], 4),
+    ([4], [], 0),
+    ([], [2], 0),
+    ([2, 2], [], 0),
+]
+
+
 class TestConicDependence:
     def test_zero_ray_alone_is_dependent(self):
         cert = conic_dependence([], [], [], [np.zeros(1)])
@@ -431,19 +444,9 @@ class TestConicDependence:
 
     def test_agreement_with_grid_oracle_on_small_instances(self):
         rng = np.random.default_rng(77)
-        shapes = [
-            ([2], [], 1),
-            ([2], [], 2),
-            ([3], [], 1),
-            ([], [2], 1),
-            ([], [], 4),
-            ([4], [], 0),
-            ([], [2], 0),
-            ([2, 2], [], 0),
-        ]
         undecided = 0
         for trial in range(24):
-            soc_dims, psd_dims, n_rays = shapes[trial % len(shapes)]
+            soc_dims, psd_dims, n_rays = _ORACLE_SHAPES[trial % len(_ORACLE_SHAPES)]
             n = int(rng.integers(2, 4))
             if trial % 2 == 0:
                 eq, soc, psd, rays = make_planted_dependent(
@@ -463,6 +466,44 @@ class TestConicDependence:
                 best,
             )
         assert undecided <= 2
+
+
+class TestOneLoop:
+    """Each iteration is one margin step and, unless it certifies, one sweep."""
+
+    @pytest.mark.parametrize("shape", _ORACLE_SHAPES)
+    def test_planted_dependence_is_found_within_five_iterations(self, shape):
+        rng = np.random.default_rng(31)
+        for n in (2, 3):
+            eq, soc, psd, rays = make_planted_dependent(rng, n, *shape)
+            cert = conic_dependence(eq, soc, psd, rays)
+            assert cert.verdict == "dependent", (shape, n)
+            assert cert.iterations <= 5, (shape, n, cert.iterations)
+
+    def test_small_budget_bounds_an_undecided_query(self):
+        # a thin wedge: independent, but the margin search needs many steps
+        rays = [np.array([1.0, 0.0]), np.array([-1.0, 0.1])]
+        for budget in (1, 3, 5):
+            cert = conic_dependence([], [], [], rays, budget=budget)
+            assert cert.verdict == "undecided"
+            assert cert.iterations <= budget
+            assert np.isfinite(cert.detail["best_combination_residual"])
+            assert cert.detail["best_margin"] <= 1e-7
+        assert conic_dependence([], [], [], rays).verdict == "independent"
+
+    def test_first_margin_step_certificate_makes_no_sweep(self, monkeypatch):
+        from coneguard import certificates
+
+        calls = []
+        project = certificates._System.project_cones
+        monkeypatch.setattr(
+            certificates._System, "project_cones", lambda self, v: calls.append(1) or project(self, v)
+        )
+        cert = conic_dependence([], [np.eye(2)], [], [])
+        assert cert.verdict == "independent" and cert.iterations == 1
+        assert calls == []
+        assert conic_dependence([], [], [], [np.zeros(1)]).verdict == "dependent"
+        assert calls == [1]
 
 
 class TestVerifyDependence:

@@ -131,6 +131,33 @@ class TestUsage:
         )
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("value", ["-1e-3", "-.001", "-0.001"])
+    def test_point_may_start_with_a_minus_sign(self, capsys, value):
+        problem = str(PROBLEMS / "soc_boundary_line.txt")
+        code, out, err = run(["classify", "--problem", problem, "--point", value], capsys)
+        assert code == EXIT_INFEASIBLE, err
+        assert row(out, "point") == ("point", "-0.001")
+
+    @pytest.mark.parametrize("value", ["-0.5,1", "-5e-1,1", "-0.5 1"])
+    def test_x0_may_start_with_a_minus_sign(self, capsys, tmp_path, value):
+        problem = str(PROBLEMS / "scalar_pair.txt")
+        code, out, err = run(
+            ["solve", "--problem", problem, "--x0", value, "--trace", str(tmp_path / "T")], capsys
+        )
+        assert code == EXIT_OK, err
+        assert row(out, "x0") == ("x0", "-0.5", "1")
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [("-1x", "--point must be a comma- or space-separated list of numbers"),
+         ("-x", "argument --point: expected one argument")],
+    )
+    def test_non_numeric_point_with_a_minus_sign_is_rejected(self, capsys, value, message):
+        problem = str(PROBLEMS / "soc_boundary_line.txt")
+        code, _, err = run(["classify", "--problem", problem, "--point", value], capsys)
+        assert code == EXIT_USAGE
+        assert message in err
+
     def test_parser_is_built_once_per_process(self, files, capsys, monkeypatch, tmp_path):
         cli.build_parser.cache_clear()
         built = []
