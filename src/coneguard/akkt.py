@@ -161,23 +161,6 @@ def _values(tokens, size, what, line_no):
 
 def loads_trace(prog: ConicProgram, text: str) -> AkktTrace:
     records = []
-    current = None
-
-    def flush(line_no):
-        if current is None:
-            return
-        if current.get("x") is None:
-            raise ProblemFormatError("record without an x line", line=line_no)
-        records.append(
-            AkktRecord(
-                current["k"],
-                current["x"],
-                current["lam"],
-                current["mu"],
-                current["alpha"],
-            )
-        )
-
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -188,54 +171,44 @@ def loads_trace(prog: ConicProgram, text: str) -> AkktTrace:
             if tag == "k":
                 if len(tokens) != 2:
                     raise ProblemFormatError("k line needs one integer", line=line_no)
-                flush(line_no)
-                current = {
-                    "k": int(tokens[1]),
-                    "x": None,
-                    "lam": np.zeros(prog.p),
-                    "mu": {},
-                    "alpha": {},
-                }
-            elif current is None:
+                if records and records[-1].x is None:
+                    raise ProblemFormatError("record without an x line", line=line_no)
+                records.append(AkktRecord(int(tokens[1]), None, np.zeros(prog.p), {}, {}))
+            elif not records:
                 raise ProblemFormatError("line before the first record", line=line_no)
             elif tag == "x":
-                current["x"] = _values(tokens[1:], prog.n, "x line", line_no)
+                records[-1] = records[-1]._replace(x=_values(tokens[1:], prog.n, "x line", line_no))
             elif tag == "lambda":
-                current["lam"] = _values(tokens[1:], prog.p, "lambda line", line_no)
+                records[-1] = records[-1]._replace(lam=_values(tokens[1:], prog.p, "lambda line", line_no))
             elif tag == "mu":
                 if len(tokens) < 2:
                     raise ProblemFormatError("mu line needs a block name and values", line=line_no)
-                name = tokens[1]
+                name, mu = tokens[1], records[-1].mu
                 blk = prog.blocks[prog.block_index(name)]
-                if name in current["mu"]:
-                    raise ProblemFormatError(
-                        "duplicate multiplier for %r" % name, line=line_no
-                    )
+                if name in mu:
+                    raise ProblemFormatError("duplicate multiplier for %r" % name, line=line_no)
                 what = "multiplier for %r" % name
                 if blk.kind == "soc":
-                    current["mu"][name] = _values(tokens[2:], blk.dim, what, line_no)
+                    mu[name] = _values(tokens[2:], blk.dim, what, line_no)
                 else:
                     vals = _values(tokens[2:], svec_dim(blk.dim), what, line_no)
-                    current["mu"][name] = sym_from_upper(vals, blk.dim)
+                    mu[name] = sym_from_upper(vals, blk.dim)
             elif tag == "alpha":
                 if len(tokens) != 3:
-                    raise ProblemFormatError(
-                        "alpha line needs a block name and one value", line=line_no
-                    )
-                name = tokens[1]
+                    raise ProblemFormatError("alpha line needs a block name and one value", line=line_no)
+                name, alpha = tokens[1], records[-1].alpha
                 prog.block_index(name)
-                if name in current["alpha"]:
-                    raise ProblemFormatError(
-                        "duplicate coefficient for %r" % name, line=line_no
-                    )
-                current["alpha"][name] = float(tokens[2])
+                if name in alpha:
+                    raise ProblemFormatError("duplicate coefficient for %r" % name, line=line_no)
+                alpha[name] = float(tokens[2])
             else:
                 raise ProblemFormatError("unknown line tag %r" % tag, line=line_no)
         except ValueError as exc:
             raise ProblemFormatError(str(exc), line=line_no) from exc
         except KeyError as exc:
             raise ProblemFormatError("unknown block %r" % exc.args[0], line=line_no) from exc
-    flush(None)
+    if records and records[-1].x is None:
+        raise ProblemFormatError("record without an x line")
     return build_trace(prog, records)
 
 
@@ -274,7 +247,7 @@ def _stationarity(prog, cls, record):
     for entry in view.entries:
         a = float(record.alpha.get(names[entry.block], 0.0))
         vec = vec - a * entry.gradient
-        if entry.label == "eigen-min":
+        if entry.label == "kernel-simple":
             gap, scale = eigen_gap(ptk, entry.block)
             if gap <= cls.tol_gap * scale:
                 flags.append(names[entry.block])

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cones import SocRegion, classify_soc
+from .cones import classify_soc
 from .errors import InfeasiblePointError
 from .model import block_distances
 
@@ -65,12 +65,10 @@ def _label(pt, j, tol_act, tol_gap):
     blk = pt.program.blocks[j]
     bv = pt.blocks[j]
     if blk.kind == "soc":
-        region = classify_soc(bv.value, tol_act)
-        if region is SocRegion.INFEASIBLE:
+        label = classify_soc(bv.value, tol_act)
+        if label == "infeasible":
             raise InfeasiblePointError(pt.residual, block_distances(pt))
-        if region is SocRegion.VERTEX:
-            return "vertex-scalar" if blk.dim == 1 else "vertex"
-        return region.value
+        return label
     if bv.spectral.eigenvalues[0] > tol_act:
         return "inactive"
     gap, scale = eigen_gap(pt, j)

@@ -177,7 +177,7 @@ def _load_program(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _CliError(EXIT_USAGE, "cannot read problem file %s: %s" % (path, exc))
     try:
         return loads(text)
@@ -216,7 +216,7 @@ def _open_with_trace(args, command):
     prog, pt, rep = _open(args, command)
     try:
         trace = load_trace(prog, args.trace)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _CliError(EXIT_USAGE, "cannot read trace file %s: %s" % (args.trace, exc))
     except _INPUT_ERRORS as exc:
         raise _CliError(EXIT_USAGE, "trace file %s: %s" % (args.trace, exc))
@@ -434,7 +434,10 @@ def _cmd_embed_diag(args):
         embedded = embed_block_diagonal(prog)
     except DimensionMismatchError as exc:
         raise _CliError(EXIT_USAGE, str(exc))
-    text = dumps(embedded)
+    try:
+        text = dumps(embedded)
+    except ValueError as exc:  # a literal that overflowed when it was read
+        raise _CliError(EXIT_USAGE, "problem file %s: %s" % (args.problem, exc))
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

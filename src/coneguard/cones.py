@@ -9,7 +9,6 @@ fixed so that repeated calls agree bitwise.
 
 from __future__ import annotations
 
-import enum
 import functools
 from typing import NamedTuple
 
@@ -20,32 +19,27 @@ from .errors import DimensionMismatchError, SymmetryError
 SYMMETRY_TOL = 1e-12
 
 
-class SocRegion(enum.Enum):
-    INTERIOR = "interior"
-    BOUNDARY = "boundary"
-    VERTEX = "vertex"
-    INFEASIBLE = "infeasible"
-
-
 def _split(z):
     z = np.asarray(z, dtype=float).reshape(-1)
     return z, float(z[0]), z[1:]
 
 
 def classify_soc(z, tol_act=1e-8):
-    """Locate z relative to K_m: interior, nonzero boundary, vertex, or outside."""
+    """The classification label of z relative to K_m: "interior", "boundary"
+    (nonzero, on the boundary), "vertex-scalar" or "vertex" (at the apex,
+    for m = 1 or m > 1), or "infeasible"."""
     z, z0, zbar = _split(z)
     nrm = float(np.linalg.norm(zbar))
     total = float(np.sqrt(z0**2 + zbar @ zbar))
     if total <= tol_act:
-        return SocRegion.VERTEX
+        return "vertex-scalar" if z.size == 1 else "vertex"
     if z.size == 1:
-        return SocRegion.INTERIOR if z0 > tol_act else SocRegion.INFEASIBLE
+        return "interior" if z0 > tol_act else "infeasible"
     if abs(z0 - nrm) <= tol_act * max(1.0, total):
-        return SocRegion.BOUNDARY
+        return "boundary"
     if z0 > nrm:
-        return SocRegion.INTERIOR
-    return SocRegion.INFEASIBLE
+        return "interior"
+    return "infeasible"
 
 
 def project_soc(z):

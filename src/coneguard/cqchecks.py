@@ -78,7 +78,7 @@ def _reduced_partials(pt: EvaluatedPoint, j: int, basis: np.ndarray):
 class _Sample(NamedTuple):
     x: np.ndarray
     eq_rows: np.ndarray  # (p, n) equality gradients
-    grads: dict  # reduced block -> gradient; None where an eigen-min is not simple
+    grads: dict  # reduced block -> gradient; None where a smallest eigenvalue is no longer simple
     gap: float  # that eigenvalue gap, when grads is None
 
 
@@ -137,7 +137,7 @@ def check_nondegeneracy(pt: EvaluatedPoint, cls: IndexClassification, *, tol_ran
             labels.append("%s[%d]" % (names[j], r))
     view = reduced_view(pt, cls)
     for entry in view.entries:
-        if entry.label == "soc-boundary":
+        if entry.label == "boundary":
             rows.append(entry.gradient)
             labels.append(names[entry.block] + ":boundary")
     for j in sorted(cls.psd_simple + cls.psd_multiple):

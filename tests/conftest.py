@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from coneguard import ConicProgram, evaluate, loads
+from coneguard.classify import TOL_ACT, TOL_GAP, IndexClassification
 from coneguard.cones import svec_dim
 
 REPO = Path(__file__).resolve().parent.parent
@@ -57,6 +58,15 @@ def fd_gradient(fun, x, h=1e-6):
 
 def fd_tolerance(scale):
     return max(1e-6 * abs(scale), 1e-8)
+
+
+def labelled(prog, label):
+    """A classification giving every block of prog the same label.
+
+    ``reduced_view`` takes labels as given, so this fixes which reduction a
+    test exercises on a program that no point classifies that way.
+    """
+    return IndexClassification((label,) * len(prog.blocks), TOL_ACT, TOL_GAP, tuple(b.name for b in prog.blocks))
 
 
 # ---------------------------------------------------------------------------

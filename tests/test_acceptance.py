@@ -11,6 +11,7 @@ from conftest import (
     PROBLEMS,
     fd_tolerance,
     grid_dependence_oracle,
+    labelled,
     make_planted_dependent,
     make_planted_independent,
     random_feasible_program,
@@ -32,7 +33,7 @@ from coneguard.cqchecks import (
 )
 from coneguard.expr import eval_grad, parse
 from coneguard.model import embed_block_diagonal, evaluate, loads
-from coneguard.reduction import eigen_gap, phi_soc, reduced_view, sigma_min_grad
+from coneguard.reduction import eigen_gap, reduced_view
 
 SOC_LINE = str(PROBLEMS / "soc_boundary_line.txt")
 PSD_PAIR = str(PROBLEMS / "psd_pair_line.txt")
@@ -286,10 +287,12 @@ def test_criterion_6_gradient_suites():
         soc_prog = loads(
             "vars 2\nobjective x1\nsoc c 3\nx1 ^ 2 + x2\nx1 * x2 - 1\nx1 + 2 * x2\n"
         )
+        soc_cls = labelled(soc_prog, "boundary")  # given, not classified: the test points are off the cone boundary
         for _ in range(25):
             x = rng.uniform(-1.5, 1.5, size=2)
-            value, grad = phi_soc(evaluate(soc_prog, x), 0)
-            fd = _central_fd(lambda y: phi_soc(evaluate(soc_prog, y), 0)[0], x)
+            entry = reduced_view(evaluate(soc_prog, x), soc_cls)[0]
+            value, grad = entry.value, entry.gradient
+            fd = _central_fd(lambda y: reduced_view(evaluate(soc_prog, y), soc_cls)[0].value, x)
             scale = max(1.0, abs(value), float(np.max(np.abs(grad))))
             err = float(np.max(np.abs(fd - grad)))
             _expect(errors, err <= fd_tolerance(scale), "phi gradient error %g" % err)
@@ -298,6 +301,7 @@ def test_criterion_6_gradient_suites():
         psd_prog = loads(
             "vars 2\nobjective x1\npsd P 2\nx1 ^ 2 + 1\nx1 * x2\nx2 ^ 2 + 2\n"
         )
+        psd_cls = labelled(psd_prog, "kernel-simple")  # given, not classified: the block is positive definite
         checked = 0
         for _ in range(40):
             x = rng.uniform(-1.5, 1.5, size=2)
@@ -305,8 +309,9 @@ def test_criterion_6_gradient_suites():
             gap, scale0 = eigen_gap(pt, 0)
             if gap <= 10.0 * 1e-6 * scale0:
                 continue
-            value, grad = sigma_min_grad(pt, 0)
-            fd = _central_fd(lambda y: sigma_min_grad(evaluate(psd_prog, y), 0)[0], x)
+            entry = reduced_view(pt, psd_cls)[0]
+            value, grad = entry.value, entry.gradient
+            fd = _central_fd(lambda y: reduced_view(evaluate(psd_prog, y), psd_cls)[0].value, x)
             scale = max(1.0, abs(value), float(np.max(np.abs(grad))))
             err = float(np.max(np.abs(fd - grad)))
             _expect(errors, err <= fd_tolerance(scale), "sigma-min gradient error %g" % err)

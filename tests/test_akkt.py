@@ -185,6 +185,12 @@ class TestTraceValidation:
         assert err.value.line == line
         assert str(err.value) == "line %d: %s" % (line, message)
 
+    def test_last_record_without_x_has_no_line(self, mixed_program):
+        with pytest.raises(ProblemFormatError) as err:
+            loads_trace(mixed_program, "k 1\nx 0.0\nk 2\nalpha s 0.1\n")
+        assert err.value.line is None
+        assert str(err.value) == "record without an x line"
+
     def test_comments_and_blank_lines_are_ignored(self, mixed_program):
         text = "# header\n\nk 1\n  x 0.5  # point\nmu G 1.0 0.5\n\n"
         trace = loads_trace(mixed_program, text)

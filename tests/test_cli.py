@@ -617,6 +617,33 @@ class TestHostileInput:
         assert err == "error: trace file %s: line 3: mu line needs a block name and values\n" % trace
         assert REPORT_BEGIN not in out
 
+    def test_problem_file_that_is_not_utf8_is_a_usage_error(self, tmp_path, capsys):
+        problem = tmp_path / "latin1.txt"
+        problem.write_bytes(b"vars 1\nobjective x1\xff\n")
+        code, out, err = run(["classify", "--problem", str(problem), "--point", "0"], capsys)
+        assert code == EXIT_USAGE
+        assert err.startswith("error: cannot read problem file %s: 'utf-8' codec can't decode byte 0xff" % problem)
+        assert REPORT_BEGIN not in out
+
+    @pytest.mark.parametrize("command", ["certify", "recover"])
+    def test_trace_file_that_is_not_utf8_is_a_usage_error(self, tmp_path, capsys, command):
+        trace = tmp_path / "latin1.trace"
+        trace.write_bytes(b"k 0\nx 1\xfe\n")
+        problem = str(PROBLEMS / "soc_boundary_line.txt")
+        code, out, err = run([command, "--problem", problem, "--point=1", "--trace", str(trace)], capsys)
+        assert code == EXIT_USAGE
+        assert err.startswith("error: cannot read trace file %s: 'utf-8' codec can't decode byte 0xfe" % trace)
+        assert REPORT_BEGIN not in out
+
+    def test_overflowing_literal_cannot_be_embedded(self, tmp_path, capsys):
+        problem = self._write(tmp_path, "vars 1\nobjective x1\npsd a 1\n1e999 + 1 * x1\npsd b 1\nx1\n")
+        out_path = tmp_path / "embedded.txt"
+        code, out, err = run(["embed-diag", "--problem", problem, "--out", str(out_path)], capsys)
+        assert code == EXIT_USAGE
+        assert err == "error: problem file %s: cannot print non-finite literal inf\n" % problem
+        assert REPORT_BEGIN not in out
+        assert not out_path.exists()
+
     def test_block_dimension_past_the_file_is_a_usage_error(self, tmp_path, capsys):
         problem = self._write(tmp_path, "vars 2\nobjective x1\nsoc g 12345678901\nx1\n")
         code, out, err = run(["classify", "--problem", problem, "--point", "1,1"], capsys)

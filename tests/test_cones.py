@@ -5,7 +5,6 @@ import pytest
 
 from coneguard.cones import (
     SYMMETRY_TOL,
-    SocRegion,
     classify_soc,
     eig_sym,
     listed,
@@ -19,8 +18,10 @@ from coneguard.cones import (
     sym_from_upper,
 )
 from coneguard.errors import DimensionMismatchError, SymmetryError
-from coneguard.model import SocBlockValue
-from coneguard.reduction import _phi_soc
+from coneguard.model import evaluate, loads
+from coneguard.reduction import reduced_view
+
+from conftest import labelled
 
 
 def random_soc(rng, m):
@@ -82,19 +83,19 @@ def test_projection_optimality_conditions():
 
 
 def test_classify_soc_regions():
-    assert classify_soc(np.array([5.0, 3.0, 4.0])) is SocRegion.BOUNDARY
-    assert classify_soc(np.array([5.1, 3.0, 4.0])) is SocRegion.INTERIOR
-    assert classify_soc(np.array([4.9, 3.0, 4.0])) is SocRegion.INFEASIBLE
-    assert classify_soc(np.array([0.0, 0.0, 0.0])) is SocRegion.VERTEX
-    assert classify_soc(np.array([1e-12, 1e-12])) is SocRegion.VERTEX
+    assert classify_soc(np.array([5.0, 3.0, 4.0])) == "boundary"
+    assert classify_soc(np.array([5.1, 3.0, 4.0])) == "interior"
+    assert classify_soc(np.array([4.9, 3.0, 4.0])) == "infeasible"
+    assert classify_soc(np.array([0.0, 0.0, 0.0])) == "vertex"
+    assert classify_soc(np.array([1e-12, 1e-12])) == "vertex"
     # one-dimensional blocks never classify as boundary
-    assert classify_soc(np.array([2.0])) is SocRegion.INTERIOR
-    assert classify_soc(np.array([0.0])) is SocRegion.VERTEX
-    assert classify_soc(np.array([-1.0])) is SocRegion.INFEASIBLE
+    assert classify_soc(np.array([2.0])) == "interior"
+    assert classify_soc(np.array([0.0])) == "vertex-scalar"
+    assert classify_soc(np.array([-1.0])) == "infeasible"
 
 
 def test_soc_functions_accept_lists():
-    assert classify_soc([5.0, 3.0, 4]) is SocRegion.BOUNDARY
+    assert classify_soc([5.0, 3.0, 4]) == "boundary"
     projected = project_soc([0.0, 3.0, 4.0])
     assert isinstance(projected, np.ndarray)
     assert np.array_equal(projected, [2.5, 1.5, 2.0])
@@ -107,7 +108,7 @@ def test_scalar_blocks_never_boundary_randomized():
     rng = np.random.default_rng(12)
     for _ in range(200):
         z = np.array([rng.uniform(-3, 3)])
-        assert classify_soc(z) is not SocRegion.BOUNDARY
+        assert classify_soc(z) != "boundary"
 
 
 def test_soc_distance_closed_form():
@@ -137,11 +138,13 @@ def test_psd_distance_matches_dense_oracle():
 def test_reflect():
     # the SOC boundary reduction's axis is R z, R = diag(1, -1, ..., -1)
     z = np.array([2.0, 1.0, -3.0])
-    value, gradient, axis = _phi_soc(SocBlockValue(z, np.eye(3)))
-    assert np.array_equal(axis, [2.0, -1.0, 3.0])
-    assert np.array_equal(gradient, axis)
-    assert value == 0.5 * (4.0 - 10.0)
-    assert np.array_equal(z, [2.0, 1.0, -3.0])
+    prog = loads("vars 3\nobjective x1\nsoc g 3\nx1\nx2\nx3\n")
+    pt = evaluate(prog, z)
+    entry = reduced_view(pt, labelled(prog, "boundary"))[0]
+    assert np.array_equal(entry.axis, [2.0, -1.0, 3.0])
+    assert np.array_equal(entry.gradient, entry.axis)
+    assert entry.value == 0.5 * (4.0 - 10.0)
+    assert np.array_equal(pt.blocks[0].value, [2.0, 1.0, -3.0])
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ RECORDS = [
     (PsdBlockValue, dict(value=None, partials=M, spectral=None)),
     (RecoveryOutcome, dict(verdict="kkt", multipliers={}, residual=0.0, equality_basis=("e",), modal_subset=("c",),
                            modal_frequency=2, m_values=(1.0,), certificate=None, detail={"a": 1})),
-    (ReducedEntry, dict(block=0, label="scalar", value=0.0, gradient=V, axis=np.ones(1))),
+    (ReducedEntry, dict(block=0, label="vertex-scalar", value=0.0, gradient=V, axis=np.ones(1))),
     (ReducedGradients, dict(entries=())),
     (SocBlockValue, dict(value=V, jac=M)),
     (SpectralData, dict(eigenvalues=V, eigenvectors=M)),
