@@ -16,8 +16,9 @@ Trace file format (text, '#' starts a comment, 17 significant digits):
                                   m(m+1)/2 upper-triangle entries row-major)
     alpha <block-name> <value>   (reduced-block coefficient)
 
-Records start at their `k` line; `mu` and `alpha` lines may repeat per
-block.  Missing multipliers default to zero.
+Records start at their `k` line; a record has one `x` line, at most one
+`lambda` line, and at most one `mu` or `alpha` line per block.  Missing
+multipliers default to zero.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .classify import TOL_ACT, TOL_GAP, classify, eigen_gap
 from .cones import eig_sym, listed, psd_distance, soc_distance, svec_dim, sym_from_upper
 from .errors import (
     DimensionMismatchError,
+    DomainError,
     ProblemFormatError,
     ReconstructionError,
 )
@@ -174,12 +176,17 @@ def loads_trace(prog: ConicProgram, text: str) -> AkktTrace:
                 if records and records[-1].x is None:
                     raise ProblemFormatError("record without an x line", line=line_no)
                 records.append(AkktRecord(int(tokens[1]), None, np.zeros(prog.p), {}, {}))
+                seen = set()  # the x and lambda lines of this record
             elif not records:
                 raise ProblemFormatError("line before the first record", line=line_no)
-            elif tag == "x":
-                records[-1] = records[-1]._replace(x=_values(tokens[1:], prog.n, "x line", line_no))
-            elif tag == "lambda":
-                records[-1] = records[-1]._replace(lam=_values(tokens[1:], prog.p, "lambda line", line_no))
+            elif tag in ("x", "lambda"):
+                if tag in seen:
+                    raise ProblemFormatError("duplicate %s line" % tag, line=line_no)
+                seen.add(tag)
+                if tag == "x":
+                    records[-1] = records[-1]._replace(x=_values(tokens[1:], prog.n, "x line", line_no))
+                else:
+                    records[-1] = records[-1]._replace(lam=_values(tokens[1:], prog.p, "lambda line", line_no))
             elif tag == "mu":
                 if len(tokens) < 2:
                     raise ProblemFormatError("mu line needs a block name and values", line=line_no)
@@ -227,13 +234,21 @@ def _check_record_names(cls, record):
             raise DimensionMismatchError("%s blocks: %s" % (what, sorted(extra)))
 
 
+def _evaluate_record(prog, record):
+    """evaluate at a record's point; a DomainError names the record."""
+    try:
+        return evaluate(prog, record.x)
+    except DomainError as exc:
+        raise DomainError("record k=%d: %s" % (record.k, exc)) from exc
+
+
 def _stationarity(prog, cls, record):
     """Residual vector of a record with index sets frozen at the reference.
 
     Returns the vector together with the list of blocks whose eigen-gap
     collapsed at the record's point (their gradient is still used).
     """
-    ptk = evaluate(prog, record.x)
+    ptk = _evaluate_record(prog, record)
     _check_record_names(cls, record)
     vec = ptk.grad_f.copy()
     if prog.p:
@@ -466,7 +481,7 @@ def recover_kkt(
     subrecords = []
     reexpress_worst = 0.0
     for rec in tail:
-        ptk = evaluate(prog, rec.x)
+        ptk = _evaluate_record(prog, rec)
         fixed = [ptk.jac_h[i] for i in basis_i]
         if basis_i:
             amat = np.column_stack(fixed)
@@ -480,7 +495,7 @@ def recover_kkt(
             bvec = np.zeros(prog.n)
         view = reduced_view(ptk, cls, strict=False)
         coned = [
-            (entry.gradient, float(rec.alpha.get(names[entry.block], 0.0)))
+            (entry.gradient, max(0.0, float(rec.alpha.get(names[entry.block], 0.0))))
             for entry in view.entries
         ]
         target = bvec.copy()
@@ -497,6 +512,12 @@ def recover_kkt(
                     "residual": exc.residual,
                     "k": rec.k,
                 },
+            )
+        except DimensionMismatchError:
+            return RecoveryOutcome(
+                "inconclusive",
+                equality_basis=basis_names,
+                detail={"reason": "equality basis is dependent at a tail record", "k": rec.k},
             )
         subset = tuple(reduced[i] for i in result.kept)
         alpha_hat = {reduced[i]: float(c) for i, c in zip(result.kept, result.coeffs)}

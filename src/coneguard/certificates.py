@@ -1,7 +1,8 @@
 """Linear-algebra certificates over cone-constrained coefficient systems.
 
-The central question answered here: given independent "equality" vectors
-e_i, cone-blocked Jacobians, and nonnegative rays, does
+The central question answered here: given "equality" vectors e_i (any
+family; only their span matters), cone-blocked Jacobians, and nonnegative
+rays, does
 
     sum_i lambda_i e_i + sum_j J_j^T mu_j + sum_k alpha_k r_k = 0
 
@@ -94,7 +95,7 @@ def extend_basis(base, candidates, tol_rank=TOL_RANK):
     return tuple(picked)
 
 
-def null_combination(vectors, tol_rank=TOL_RANK):
+def null_combination(vectors):
     """Coefficients of a (near-)vanishing combination of the given vectors."""
     a = np.vstack([np.asarray(v, dtype=float).reshape(-1) for v in vectors])
     u, svals, _ = np.linalg.svd(a, full_matrices=True)
@@ -195,7 +196,7 @@ def caratheodory_reduce(fixed, coned, target, tol_rank=TOL_RANK):
         rank, _ = numerical_rank(cols, tol_rank)
         if rank == len(cols):
             break
-        gamma, _ = null_combination(cols, tol_rank)
+        gamma, _ = null_combination(cols)
         g_kept = gamma[p:]
         top = float(np.max(np.abs(gamma)))
         if float(np.max(np.abs(g_kept))) <= 1e-10 * top:
@@ -324,7 +325,6 @@ class _System:
         self.smat_cols = np.ascontiguousarray(np.hstack(col_blocks))
         self.norm_row = np.concatenate(norm_blocks)
         self.dim = self.norm_row.size
-        self.cone_dim = self.dim - len(self.eq)
 
     def project_cones(self, v):
         w = v.copy()
@@ -339,10 +339,7 @@ class _System:
 
     def center(self):
         v = np.zeros(self.dim)
-        pieces = len(self.soc_slices) + len(self.psd_slices) + len(self.rays)
-        if pieces == 0:
-            return v
-        mass = 1.0 / pieces
+        mass = 1.0 / (len(self.soc_slices) + len(self.psd_slices) + len(self.rays))
         for sl in self.soc_slices:
             v[sl.start] = mass
         for sl, m in self.psd_slices:
@@ -486,7 +483,8 @@ def conic_dependence(
 ):
     """Decide whether the homogeneous cone-coefficient system is degenerate.
 
-    eq_basis: linearly independent vectors with free coefficients.
+    eq_basis: vectors with free coefficients, any family (dependent ones
+        too): only their span reaches the search.
     soc_blocks: Jacobians (m, n); the coefficient mu_j ranges over K_m.
     psd_blocks: partial stacks (n, m, m); mu_j ranges over the psd cone.
     rays: vectors with scalar coefficients alpha_k >= 0.
@@ -508,29 +506,13 @@ def conic_dependence(
     that the two searches reached.
     """
     sizes = (
-        [np.asarray(v).size for v in eq_basis]
-        + [np.asarray(j).shape[1] for j in soc_blocks]
+        [np.asarray(j).shape[1] for j in soc_blocks]
         + [np.asarray(p).shape[0] for p in psd_blocks]
         + [np.asarray(r).size for r in rays]
     )
     if not sizes:
-        return Certificate("independent", margin=float("inf"), iterations=0,
-                           detail={"note": "no constraints supplied"})
-    n = sizes[0]
-
-    system = _System(n, eq_basis, soc_blocks, psd_blocks, rays)
-    if system.eq:
-        rank_e, _ = numerical_rank(system.eq)
-        if rank_e < len(system.eq):
-            raise DimensionMismatchError("eq_basis is not linearly independent")
-    if system.cone_dim == 0:
-        return Certificate(
-            "independent",
-            margin=float("inf"),
-            iterations=0,
-            detail={"note": "no cone blocks or rays; independence is vacuous"},
-        )
-
+        return Certificate("independent", margin=float("inf"), detail={"note": "no cone blocks or rays"})
+    system = _System(sizes[0], eq_basis, soc_blocks, psd_blocks, rays)
     steps = _margin_steps(system, _span_projector(system.eq))
     sweeps = _sweeps(system)
     best_margin = -np.inf

@@ -12,9 +12,11 @@ Exit codes: 0 for positive outcomes (feasible, Holds, converged,
 certified, recovered KKT point), 1 for negative ones (Fails, rejected
 trace, diverging-multiplier witness, unbounded descent), 2 for an
 infeasible point, 3 for undecided or inconclusive outcomes (also when an
-internal iteration budget runs out or a factorization does not converge),
-and 64 for unusable inputs (bad flags, malformed files or vectors, or
-input too large for the memory available).
+internal iteration budget runs out, a factorization does not converge, or
+the library raises an error no command expects), and 64 for unusable
+inputs (bad flags, malformed files or vectors, points or trace records
+outside an expression domain, or input too large for the memory
+available).
 
 The environment variable CONEGUARD_SEED, when set, overrides check --seed.
 Numeric flags are range-checked as they are parsed: tolerances, radii and
@@ -50,7 +52,6 @@ from .cqchecks import (
     check_robinson,
 )
 from .errors import (
-    BudgetExhaustedError,
     ConeguardError,
     DimensionMismatchError,
     DomainError,
@@ -375,6 +376,8 @@ def _cmd_certify(args):
         outcome = certify_akkt(pt, trace, tol=args.tol, tol_act=args.tol_act, tol_gap=args.tol_gap)
     except InfeasiblePointError as exc:
         return _infeasible_exit(rep, exc)
+    except DomainError as exc:
+        raise _CliError(EXIT_USAGE, "trace file %s: %s" % (args.trace, exc))
     rep.add("certified", "yes" if outcome.certified else "no")
     if outcome.reason is not None:
         rep.add("reason", *outcome.reason.split())
@@ -401,6 +404,8 @@ def _cmd_recover(args):
         )
     except InfeasiblePointError as exc:
         return _infeasible_exit(rep, exc)
+    except DomainError as exc:
+        raise _CliError(EXIT_USAGE, "trace file %s: %s" % (args.trace, exc))
     verdict = {"kkt": "KKT", "unbounded": "UnboundedWitness", "inconclusive": "Inconclusive"}[outcome.verdict]
     rep.add("recovery", verdict)
     rep.add("equality-basis", *outcome.equality_basis)
@@ -564,12 +569,9 @@ def main(argv=None):
     except _INPUT_ERRORS as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    except (BudgetExhaustedError, np.linalg.LinAlgError) as exc:
+    except (ConeguardError, np.linalg.LinAlgError) as exc:  # budgets, factorizations, anything unforeseen
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_UNDECIDED
-    except ConeguardError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_NEGATIVE
     except MemoryError:
         print("error: the input needs more memory than is available", file=sys.stderr)
         return EXIT_USAGE

@@ -153,7 +153,7 @@ def check_nondegeneracy(pt: EvaluatedPoint, cls: IndexClassification, *, tol_ran
     detail = {"rows": len(rows), "rank": rank, "row_labels": tuple(labels), "tol_rank": tol_rank}
     if rank == len(rows):
         return CqReport("nondegeneracy", "Holds", detail)
-    coeffs, resid = null_combination(rows, tol_rank)
+    coeffs, resid = null_combination(rows)
     detail["witness_combination"] = coeffs
     detail["witness_residual"] = resid
     detail["basis"] = basis_idx
@@ -213,7 +213,7 @@ def check_robinson(
         eq_rows = [pt.jac_h[i] for i in range(pt.program.p)]
         rank, _ = numerical_rank(eq_rows, tol_rank)
         if rank < pt.program.p:
-            coeffs, resid = null_combination(eq_rows, tol_rank)
+            coeffs, resid = null_combination(eq_rows)
             return CqReport(
                 "robinson",
                 "Fails",

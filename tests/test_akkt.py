@@ -162,6 +162,8 @@ class TestTraceValidation:
         "k 1\nk 2\nx 0.0\n": (2, "record without an x line"),
         "k 1\nx 0.0 0.0\n": (2, "x line has 2 values, expected 1"),
         "k 1\nx 0.0\nlambda 1.0\n": (3, "lambda line has 1 values, expected 0"),  # no equalities
+        "k 1\nx 5.0\nx 3.0\n": (3, "duplicate x line"),
+        "k 1\nlambda\nx 0.0\nlambda\n": (4, "duplicate lambda line"),
         "k 1\nx 0.0\nmu G 1.0\n": (3, "multiplier for 'G' has 1 values, expected 2"),
         "k 1\nx 0.0\nmu P 1.0 0.0\n": (3, "multiplier for 'P' has 2 values, expected 3"),
         "k 1\nx 0.0\nmu Q 1.0 0.0\n": (3, "unknown block 'Q'"),

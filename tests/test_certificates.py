@@ -399,10 +399,13 @@ class TestConicDependence:
         assert cert.verdict == "independent"
         assert cert.margin == float("inf")
 
-    def test_dependent_equality_basis_is_rejected(self):
-        eq = [np.array([1.0, 0.0]), np.array([2.0, 0.0])]
-        with pytest.raises(DimensionMismatchError):
-            conic_dependence(eq, [], [], [np.array([0.0, 1.0])])
+    def test_dependent_equality_family_gives_its_sub_basis_verdict(self):
+        e1, e2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        for rays, verdict in (([e2], "independent"), ([e1], "dependent"), ([e2, -e2], "dependent")):
+            family = conic_dependence([e1, 2.0 * e1], [], [], rays)
+            assert family.verdict == conic_dependence([e1], [], [], rays).verdict == verdict
+            if verdict == "dependent":
+                assert verify_dependence([e1, 2.0 * e1], [], [], rays, family.witness)[0]
 
     def test_results_are_deterministic(self):
         rng = np.random.default_rng(4)

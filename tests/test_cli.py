@@ -25,7 +25,7 @@ from coneguard.cli import (
 )
 from coneguard.classify import classify
 from coneguard.cqchecks import check_rcpld, check_robinson
-from coneguard.errors import BudgetExhaustedError
+from coneguard.errors import BudgetExhaustedError, ReconstructionError
 from coneguard.model import dumps, evaluate, loads
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -47,6 +47,14 @@ VERTEX = "vars 1\nobjective x1\nsoc G 2\nx1\nx1\n"
 # linear dependence fails)
 CPLD = "vars 2\nobjective x1\nsoc a 1\nx2\nsoc b 1\nx1 * x1 - x2\n"
 LOG = "vars 1\nobjective log(x1)\n"
+# two equality gradients, (1, 0) and (1, 1e-10): independent at --tol-rank
+# 1e-12, dependent at the default
+NEAR_PARALLEL = "vars 2\nobjective x1\neq h1 x1\neq h2 x1 + 1e-10 * x2\npsd a 1\nx2\n"
+# reduced gradients (1, 0) and (-1, 1): a pair that one margin step or one
+# sweep cannot decide
+SKEWED = "vars 2\nobjective x1\nsoc a 1\nx1\nsoc b 1\nx2 - x1\n"
+CIRCLE = "vars 1\nobjective x1\neq h x1^2 - 1\n"
+LOG_SOC = "vars 1\nobjective log(x1)\nsoc g 2\nx1\nx1\n"
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +70,10 @@ def files(tmp_path_factory):
         ("vertex", VERTEX),
         ("cpld", CPLD),
         ("log", LOG),
+        ("near_parallel", NEAR_PARALLEL),
+        ("skewed", SKEWED),
+        ("circle", CIRCLE),
+        ("log_soc", LOG_SOC),
     ]:
         p = d / (name + ".txt")
         p.write_text(text)
@@ -272,6 +284,27 @@ class TestCheck:
             "detail", "rcpld", "reason", "subset", "enumeration", "exceeds", "cap",
         )
 
+    @pytest.mark.parametrize(
+        "cq, code, verdict", [("robinson", EXIT_NEGATIVE, "Fails"), ("rcpld", EXIT_OK, "Holds"), ("crsc", EXIT_OK, "Holds")]
+    )
+    def test_equality_basis_chosen_at_tol_rank_is_accepted(self, files, capsys, cq, code, verdict):
+        argv = ["check", "--problem", files["near_parallel"], "--point", "0,0", "--cq", cq, "--tol-rank", "1e-12"]
+        got, out, err = run(argv, capsys)
+        assert (got, err) == (code, "")
+        assert row(out, "verdict") == ("verdict", cq, verdict)
+        if cq == "robinson":
+            assert [r[3] for r in rows(out, "witness", cq, "lambda")] == ["h1", "h2"]
+
+    def test_undecided_subset_query_is_undecided(self, files, capsys):
+        argv = ["check", "--problem", files["skewed"], "--point", "0,0", "--cq", "rcpld"]
+        code, out, _ = run(argv + ["--budget", "1"], capsys)
+        assert code == EXIT_UNDECIDED
+        assert row(out, "verdict") == ("verdict", "rcpld", "Undecided")
+        assert row(out, "detail", "rcpld", "undecided-subset") == ("detail", "rcpld", "undecided-subset", "a", "b")
+        code, out, _ = run(argv, capsys)
+        assert code == EXIT_OK
+        assert row(out, "verdict") == ("verdict", "rcpld", "Holds")
+
     def test_environment_seed_override(self, files, capsys, monkeypatch):
         monkeypatch.setenv("CONEGUARD_SEED", "7")
         _, out, _ = run(
@@ -467,6 +500,56 @@ class TestSolveCertifyRecover:
             "detail", "recover", "reason", "empty", "trace",
         )
 
+    def test_recover_with_dependent_tail_equalities_is_inconclusive(self, files, capsys, tmp_path):
+        path = tmp_path / "circle.trace"
+        path.write_text("k 0\nx 1\nlambda 0.5\nk 1\nx 0\nlambda 0.5\n")
+        code, out, _ = run(["recover", "--problem", files["circle"], "--point", "1", "--trace", str(path)], capsys)
+        assert code == EXIT_UNDECIDED
+        assert row(out, "recovery") == ("recovery", "Inconclusive")
+        assert " ".join(row(out, "detail", "recover", "reason")[3:]) == "equality basis is dependent at a tail record"
+        assert row(out, "detail", "recover", "k") == ("detail", "recover", "k", "1")
+
+    @pytest.mark.parametrize("command", ["certify", "recover"])
+    def test_trace_record_outside_a_domain_is_a_usage_error(self, files, capsys, tmp_path, command):
+        path = tmp_path / "log.trace"
+        path.write_text("k 0\nx 1e-7\nk 1\nx -1e-7\n")
+        code, out, err = run([command, "--problem", files["log_soc"], "--point", "1e-7", "--trace", str(path)], capsys)
+        assert code == EXIT_USAGE
+        assert err == "error: trace file %s: record k=1: log of a non-positive value (node at offset 0)\n" % path
+        assert REPORT_BEGIN not in out
+
+    def test_recover_reads_a_slightly_negative_alpha_as_zero(self, capsys, tmp_path):
+        path = tmp_path / "alpha.trace"
+        problem = str(PROBLEMS / "soc_boundary_line.txt")
+        for alpha in ("0", "-1e-13"):
+            path.write_text("k 0\nx 1\nalpha g %s\nk 1\nx 1\nalpha g %s\n" % (alpha, alpha))
+            code, out, _ = run(["recover", "--problem", problem, "--point", "1", "--trace", str(path)], capsys)
+            assert code == EXIT_OK
+            assert row(out, "recovery") == ("recovery", "KKT")
+
+    def test_recover_kkt_keeps_a_vertex_block_multiplier(self, files, capsys, tmp_path):
+        path = tmp_path / "vertex.trace"
+        path.write_text("k 0\nx 0\nmu G 1 0\nk 1\nx 0\nmu G 1 0\n")
+        code, out, _ = run(["recover", "--problem", files["vertex"], "--point", "0", "--trace", str(path)], capsys)
+        assert code == EXIT_OK
+        assert row(out, "recovery") == ("recovery", "KKT")
+        assert row(out, "mu", "G") == ("mu", "G", "1", "0")
+
+    def test_recover_kkt_reports_lambda(self, files, capsys, tmp_path):
+        path = tmp_path / "circle.trace"
+        path.write_text("k 0\nx 1\nlambda -0.5\nk 1\nx 1\nlambda -0.5\n")
+        code, out, _ = run(["recover", "--problem", files["circle"], "--point", "1", "--trace", str(path)], capsys)
+        assert code == EXIT_OK
+        assert row(out, "lambda") == ("lambda", "-0.5")
+        assert "lambda: -0.5" in out.splitlines()
+
+    def test_unwritable_trace_is_a_usage_error(self, files, capsys, tmp_path):
+        path = tmp_path / "missing" / "t.trace"
+        code, out, err = run(["solve", "--problem", files["boundary"], "--x0", "3", "--trace", str(path)], capsys)
+        assert code == EXIT_USAGE
+        assert "\nerror: cannot write trace file %s: " % path in err
+        assert REPORT_BEGIN not in out
+
     def test_malformed_trace_file(self, files, capsys, tmp_path):
         path = tmp_path / "garbled.trace"
         path.write_text("x 0.0\n")
@@ -504,6 +587,13 @@ class TestEmbedDiag:
             merged = loads(fh.read())
         assert len(merged.blocks) == 1
         assert merged.blocks[0].dim == 2
+
+    def test_unwritable_out_is_a_usage_error(self, files, capsys, tmp_path):
+        path = tmp_path / "missing" / "merged.txt"
+        code, out, err = run(["embed-diag", "--problem", files["pair"], "--out", str(path)], capsys)
+        assert code == EXIT_USAGE
+        assert err.startswith("error: cannot write %s: " % path)
+        assert REPORT_BEGIN not in out
 
     def test_soc_blocks_cannot_be_merged(self, files, capsys, tmp_path):
         code, _, err = run(
@@ -688,6 +778,16 @@ class TestInternalFailures:
         )
         assert code == EXIT_UNDECIDED
         assert err.startswith("error: nnls iteration budget exhausted")
+
+    def test_unexpected_library_error_is_undecided(self, files, capsys, monkeypatch):
+        def failed(*args, **kwargs):
+            raise ReconstructionError(1.0, 0.5)
+
+        monkeypatch.setattr(cli, "check_robinson", failed)
+        code, out, err = run(["check", "--problem", files["pair"], "--point", "0,0", "--cq", "robinson"], capsys)
+        assert code == EXIT_UNDECIDED
+        assert err == "error: supplied combination misses the target: residual 1.000e+00 > 5.000e-01\n"
+        assert REPORT_BEGIN not in out
 
     def test_eigensolver_failure_is_undecided(self, files, capsys, monkeypatch):
         def diverged(*args, **kwargs):
