@@ -202,12 +202,10 @@ def caratheodory_reduce(fixed, coned, target, tol_rank=TOL_RANK):
         if float(np.max(np.abs(g_kept))) <= 1e-10 * top:
             raise DimensionMismatchError("fixed vectors are not linearly independent")
         tiny = 1e-14 * top
-        pos = [(beta[j] / g_kept[i], j) for i, j in enumerate(kept) if g_kept[i] > tiny]
-        if pos:
-            t = min(r for r, _ in pos)
-        else:
-            neg = [(beta[j] / g_kept[i], j) for i, j in enumerate(kept) if g_kept[i] < -tiny]
-            t = max(r for r, _ in neg)
+        if not np.any(g_kept > tiny):  # step along -gamma; negation is exact
+            gamma = -gamma
+            g_kept = gamma[p:]
+        t = min(beta[j] / g_kept[i] for i, j in enumerate(kept) if g_kept[i] > tiny)
         lam = lam - t * gamma[:p]
         for i, j in enumerate(kept):
             beta[j] = beta[j] - t * g_kept[i]
@@ -422,8 +420,9 @@ def _margin_terms(system, d):
 def _margin_steps(system, proj_eq):
     """Projected supergradient ascent on the minimum cone slack.
 
-    Yields (slack, direction) once per step; stops when the supergradient
-    vanishes.
+    Starts from the projected sum of the cone axes (when it nearly vanishes,
+    so does every slack sum, and no step certifies).  Yields (slack,
+    direction) once per step; stops when the supergradient vanishes.
     """
     n = system.n
     d = np.zeros(n)
@@ -434,18 +433,10 @@ def _margin_steps(system, proj_eq):
     for r in system.rays:
         d = d + r
     d = proj_eq(d)
-    if float(np.linalg.norm(d)) < 1e-12:
-        for i in range(n):
-            cand = np.zeros(n)
-            cand[i] = 1.0
-            cand = proj_eq(cand)
-            if float(np.linalg.norm(cand)) > 1e-12:
-                d = cand
-                break
-    nd = float(np.linalg.norm(d))
-    if nd > 1.0:
-        d = d / nd
     for t in itertools.count():
+        nd = float(np.linalg.norm(d))
+        if nd > 1.0:
+            d = d / nd
         terms = _margin_terms(system, d)
         current, supergradient = terms[int(np.argmin([slack for slack, _ in terms]))]
         yield current, d
@@ -454,9 +445,6 @@ def _margin_steps(system, proj_eq):
         if gn < 1e-15:
             return
         d = proj_eq(d + (0.5 / np.sqrt(t + 1.0)) * grad / gn)
-        nd = float(np.linalg.norm(d))
-        if nd > 1.0:
-            d = d / nd
 
 
 def _sweeps(system):

@@ -300,6 +300,16 @@ def check_rcpld(
             detail.update(reason=_NON_SIMPLE, gap=sp.gap)
             return CqReport("rcpld", "Undecided", detail)
 
+    # Rays only and an independent family: one query on the ground set decides
+    # every subset, whose dependence padded with zeros is one of the ground set.
+    note = SAMPLING_NOTE % (len(sampled), delta)
+    ground_rays = [grads_star[j] for j in ground]
+    if not socs and not psds and numerical_rank(basis_rows + ground_rays, tol_rank)[0] == rank_star + len(ground):
+        cert = conic_dependence(basis_rows, socs, psds, ground_rays, budget=budget, tol_cert=tol_cert)
+        if cert.verdict == "independent":
+            detail.update(subset_log=({"subset": detail["ground_set"], "system": "independent"},), note=note)
+            return CqReport("rcpld", "Holds", detail)
+
     # Only minimal dependent subsets need a query: a superset of a dependent
     # subset is dependent (zero coefficients on the added rays), and its
     # family stays linearly dependent at a sample wherever the subset's does.
@@ -341,7 +351,7 @@ def check_rcpld(
         detail["reason"] = "a dependence query was undecided"
         detail["undecided_subset"] = undecided["subset"]
         return CqReport("rcpld", "Undecided", detail)
-    detail["note"] = SAMPLING_NOTE % (len(sampled), delta)
+    detail["note"] = note
     return CqReport("rcpld", "Holds", detail)
 
 

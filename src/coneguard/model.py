@@ -307,8 +307,7 @@ def evaluate(prog, x):
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.size != prog.n:
         raise DimensionMismatchError("point has %d coordinates, program has %d" % (x.size, prog.n))
-    gf = ex.eval_grad(prog.objective, x)
-    _finite(np.array([gf.value]), gf.partials[None], lambda i: "objective")
+    f, grad_f = _rows((prog.objective,), x, lambda i: "objective")
     h, jac_h = _rows(prog.equalities, x, lambda i: "equality %r" % prog.eq_names[i])
     values = []
     distances = []
@@ -331,7 +330,7 @@ def evaluate(prog, x):
     hres = float(np.max(np.abs(h))) if prog.p else 0.0
     # np.max keeps a NaN, which max would drop
     residual = float(np.max([hres] + distances))
-    return EvaluatedPoint(prog, x.copy(), gf.value, gf.partials, h, jac_h, tuple(values), residual)
+    return EvaluatedPoint(prog, x.copy(), float(f[0]), grad_f[0], h, jac_h, tuple(values), residual)
 
 
 def block_distances(pt):

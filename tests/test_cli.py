@@ -515,7 +515,7 @@ class TestSolveCertifyRecover:
         path.write_text("k 0\nx 1e-7\nk 1\nx -1e-7\n")
         code, out, err = run([command, "--problem", files["log_soc"], "--point", "1e-7", "--trace", str(path)], capsys)
         assert code == EXIT_USAGE
-        assert err == "error: trace file %s: record k=1: log of a non-positive value (node at offset 0)\n" % path
+        assert err == "error: trace file %s: record k=1: objective: log of a non-positive value (node at offset 0)\n" % path
         assert REPORT_BEGIN not in out
 
     def test_recover_reads_a_slightly_negative_alpha_as_zero(self, capsys, tmp_path):

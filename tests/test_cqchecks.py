@@ -135,6 +135,20 @@ class TestKernelPairExample:
 
 
 class TestMinimalSubsets:
+    @staticmethod
+    def _rcpld_queries(monkeypatch, lines, x):
+        """check_rcpld's report, and the ray count of each dependence query it asks."""
+        pt, cls = _point(loads("\n".join(lines) + "\n"), x)
+        queries = []
+        original = cqchecks.conic_dependence
+
+        def counting(*args, **kwargs):
+            queries.append(len(args[3]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cqchecks, "conic_dependence", counting)
+        return check_rcpld(pt, cls), queries
+
     def test_kernel_chain_queries_only_minimal_dependent_subsets(self, monkeypatch):
         # six 2x2 blocks whose smallest eigenvalues alternate between x1 and
         # -x1: every opposite pair is a minimal dependent subset
@@ -145,16 +159,7 @@ class TestMinimalSubsets:
                 lines += ["(x1 + 1) / 2", "(x1 - 1) / 2", "(x1 + 1) / 2"]
             else:
                 lines += ["(1 - x1) / 2", "(-x1 - 1) / 2", "(1 - x1) / 2"]
-        pt, cls = _point(loads("\n".join(lines) + "\n"), [0.0])
-        queries = []
-        original = cqchecks.conic_dependence
-
-        def counting(*args, **kwargs):
-            queries.append(len(args[3]))
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(cqchecks, "conic_dependence", counting)
-        rep = check_rcpld(pt, cls)
+        rep, queries = self._rcpld_queries(monkeypatch, lines, [0.0])
         assert rep.verdict == "Holds"
         log = rep.detail["subset_log"]
         assert len(queries) == len(log) < 64
@@ -166,6 +171,27 @@ class TestMinimalSubsets:
             if entry["system"] == "dependent":
                 dependent.append(subset)
         assert len(dependent) == 9
+
+    # a boundary SOC block, a kernel-simple PSD block and a scalar block whose
+    # reduced gradients at the origin are e1, e2 and e3
+    RAYS_ONLY = ["vars 3", "objective x1 + x2 + x3", "soc s 3", "1 + x1", "1", "x3",
+                 "psd p 2", "x2", "0", "1", "psd c 1", "x3"]
+
+    def test_independent_rays_only_family_is_decided_by_one_query(self, monkeypatch):
+        rep, queries = self._rcpld_queries(monkeypatch, self.RAYS_ONLY, [0.0, 0.0, 0.0])
+        assert rep.verdict == "Holds"
+        assert rep.detail["ground_set"] == ("s", "p", "c")
+        assert queries == [3]
+        assert rep.detail["subset_log"] == ({"subset": ("s", "p", "c"), "system": "independent"},)
+        assert rep.detail["note"] == SAMPLING_NOTE % (20, 1e-3)
+
+    def test_full_cone_block_still_queries_every_subset(self, monkeypatch):
+        vertex = ["soc v 3", "x1", "x2", "x3"]
+        rep, queries = self._rcpld_queries(monkeypatch, self.RAYS_ONLY + vertex, [0.0, 0.0, 0.0])
+        assert rep.verdict == "Holds"
+        assert rep.detail["ground_set"] == ("s", "p", "c")
+        assert queries == [0, 1, 1, 1, 2, 2, 2, 3]
+        assert queries == [len(entry["subset"]) for entry in rep.detail["subset_log"]]
 
 
 class TestNoUsableSample:
@@ -395,11 +421,14 @@ class TestFurtherExamples:
 class TestCorpusProperties:
     def test_hierarchy_on_random_programs(self):
         rng = np.random.default_rng(20260814)
-        robinson_holds = 0
+        robinson_holds = nondegenerate = 0
         for _ in range(50):
             prog, x_star = random_feasible_program(rng)
             pt, cls = _point(prog, x_star)
             rob = check_robinson(pt, cls, budget=4000)
+            if check_nondegeneracy(pt, cls).verdict == "Holds":
+                nondegenerate += 1
+                assert rob.verdict == "Holds", (prog.eq_names, x_star)
             if rob.verdict != "Holds":
                 continue
             robinson_holds += 1
@@ -408,6 +437,7 @@ class TestCorpusProperties:
             assert rcpld.verdict != "Fails", (prog.eq_names, x_star)
             assert crsc.verdict != "Fails", (prog.eq_names, x_star)
         assert robinson_holds >= 5
+        assert nondegenerate >= 20
 
     def test_rcpld_collapses_to_robinson_without_reducible_blocks(self):
         rng = np.random.default_rng(31415)
