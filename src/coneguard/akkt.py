@@ -72,10 +72,6 @@ class AkktTrace(NamedTuple):
         return len(self.records)
 
 
-def _mu_norm(arr):
-    return float(np.linalg.norm(np.asarray(arr)))
-
-
 def _finite(rec, what, values):
     if not np.isfinite(values).all():
         raise ProblemFormatError("record k=%d: %s has a non-finite entry" % (rec.k, what))
@@ -120,7 +116,7 @@ def build_trace(prog: ConicProgram, records) -> AkktTrace:
                     "multiplier for %r has shape %r, expected %r" % (name, arr.shape, expected)
                 )
             dist = soc_distance(arr) if blk.kind == "soc" else psd_distance(arr)
-            if dist > CONE_SLACK * max(1.0, _mu_norm(arr)):
+            if dist > CONE_SLACK * max(1.0, float(np.linalg.norm(arr))):
                 raise ProblemFormatError(
                     "multiplier for %r is %g away from its cone" % (name, dist)
                 )
@@ -224,7 +220,16 @@ def load_trace(prog: ConicProgram, path) -> AkktTrace:
         return loads_trace(prog, fh.read())
 
 
-def _check_record_names(cls, record):
+def _record_point(prog, cls, record):
+    """The evaluated point of a record, for certify and recover alike.
+
+    A DomainError names the record; a mu or alpha on a block that takes none
+    under the reference classification cls is a DimensionMismatchError.
+    """
+    try:
+        ptk = evaluate(prog, record.x)
+    except DomainError as exc:
+        raise DomainError("record k=%d: %s" % (record.k, exc)) from exc
     for given, allowed, what in (
         (record.mu, cls.conic(), "cone multipliers for non-irreducible"),
         (record.alpha, cls.reduced(), "reduced coefficients for non-reduced"),
@@ -232,14 +237,7 @@ def _check_record_names(cls, record):
         extra = set(given) - set(cls.names(allowed))
         if extra:
             raise DimensionMismatchError("%s blocks: %s" % (what, sorted(extra)))
-
-
-def _evaluate_record(prog, record):
-    """evaluate at a record's point; a DomainError names the record."""
-    try:
-        return evaluate(prog, record.x)
-    except DomainError as exc:
-        raise DomainError("record k=%d: %s" % (record.k, exc)) from exc
+    return ptk
 
 
 def _stationarity(prog, cls, record):
@@ -248,8 +246,7 @@ def _stationarity(prog, cls, record):
     Returns the vector together with the list of blocks whose eigen-gap
     collapsed at the record's point (their gradient is still used).
     """
-    ptk = _evaluate_record(prog, record)
-    _check_record_names(cls, record)
+    ptk = _record_point(prog, cls, record)
     vec = ptk.grad_f.copy()
     if prog.p:
         vec = vec + ptk.jac_h.T @ record.lam
@@ -394,7 +391,7 @@ def verify_kkt(pt, lam, mu_by_name, tol):
             comp = abs(float(np.sum(mu * bv.value)))
         gnorm = float(np.linalg.norm(bv.value))
         cone_worst = max(cone_worst, cone)
-        comp_worst = max(comp_worst, comp / (max(1.0, _mu_norm(mu)) * max(1.0, gnorm)))
+        comp_worst = max(comp_worst, comp / (max(1.0, float(np.linalg.norm(mu))) * max(1.0, gnorm)))
     stat_norm = float(np.linalg.norm(stat))
     ok = stat_norm <= tol and cone_worst <= tol and comp_worst <= tol
     return ok, {
@@ -481,7 +478,7 @@ def recover_kkt(
     subrecords = []
     reexpress_worst = 0.0
     for rec in tail:
-        ptk = _evaluate_record(prog, rec)
+        ptk = _record_point(prog, cls, rec)
         fixed = [ptk.jac_h[i] for i in basis_i]
         if basis_i:
             amat = np.column_stack(fixed)
@@ -523,7 +520,7 @@ def recover_kkt(
         alpha_hat = {reduced[i]: float(c) for i, c in zip(result.kept, result.coeffs)}
         mvals = [float(np.max(np.abs(result.fixed_coeffs), initial=0.0))]
         mvals.append(float(np.max(np.abs(result.coeffs), initial=0.0)))
-        mvals.extend(_mu_norm(rec.mu[names[j]]) for j in cls.conic() if names[j] in rec.mu)
+        mvals.extend(float(np.linalg.norm(rec.mu[names[j]])) for j in cls.conic() if names[j] in rec.mu)
         subrecords.append(
             {
                 "rec": rec,

@@ -131,16 +131,14 @@ def parse_report(text):
 def _emit_detail(rep, scope, detail):
     """Serialize the flat part of a detail dict deterministically.
 
-    Scalars, strings, arrays, and flat homogeneous tuples are emitted as
-    ``detail <scope> <key> <values...>`` with keys sorted; nested
+    Numbers, strings, arrays, and flat tuples of strings or of integers are
+    emitted as ``detail <scope> <key> <values...>`` with keys sorted; other
     structures stay in the human-readable section only.
     """
     for key in sorted(detail):
         value = detail[key]
         name = key.replace("_", "-")
-        if isinstance(value, bool):
-            rep.add("detail", scope, name, "yes" if value else "no")
-        elif isinstance(value, (int, np.integer)):
+        if isinstance(value, (int, np.integer)):
             rep.add("detail", scope, name, "%d" % int(value))
         elif isinstance(value, (float, np.floating)):
             rep.add("detail", scope, name, _fmt(value))
@@ -154,8 +152,6 @@ def _emit_detail(rep, scope, detail):
                 rep.add("detail", scope, name, *items)
             elif all(isinstance(t, (int, np.integer)) for t in items):
                 rep.add("detail", scope, name, *("%d" % int(t) for t in items))
-            elif all(isinstance(t, (int, float, np.integer, np.floating)) for t in items):
-                rep.add("detail", scope, name, *(_fmt(t) for t in items))
         # nested values (subset logs, per-sample tables) are human-only
 
 
@@ -331,17 +327,8 @@ def _cmd_check(args):
 def _cmd_solve(args):
     prog = _load_program(args.problem)
     x0 = _parse_vector(args.x0, prog.n, "--x0")
-    cfg = AlmConfig(
-        rho0=args.rho0,
-        gamma=args.gamma,
-        cap=args.cap,
-        outer_max=args.outer_max,
-        inner_max=args.inner_max,
-        tol_stat=args.tol_stat,
-        tol_feas=args.tol_feas,
-    )
     try:
-        trace, status = solve(prog, x0, cfg)
+        trace, status = solve(prog, x0, AlmConfig(**{name: getattr(args, name) for name in _ALM_OPTIONS}))
     except DomainError as exc:  # only from x0: the line search catches the others
         raise _CliError(EXIT_USAGE, "--x0 leaves an expression domain: %s" % exc)
     try:
@@ -354,7 +341,7 @@ def _cmd_solve(args):
     rep.add("command", "solve")
     rep.add("problem", args.problem)
     rep.add("x0", *_fmt_vec(x0))
-    _echo(rep, args, "rho0", "gamma", "cap", "outer-max", "inner-max", "tol-stat", "tol-feas")
+    _echo(rep, args, *(name.replace("_", "-") for name in _ALM_OPTIONS))
     rep.add("status", status)
     rep.add("records", "%d" % len(trace.records))
     rep.add("final-x", *_fmt_vec(final.x))
@@ -487,6 +474,9 @@ _POSITIVE = _ranged(float, "a finite number > 0", lambda v: 0 < v < math.inf)
 _ABOVE_ONE = _ranged(float, "a finite number > 1", lambda v: 1 < v < math.inf)
 _COUNT = _ranged(int, "an integer >= 1", lambda v: v >= 1)
 _SEED = _ranged(int, "an integer >= 0", lambda v: v >= 0)
+# AlmConfig's options in its __slots__ order, each with its argparse type
+_ALM_OPTIONS = dict(rho0=_POSITIVE, gamma=_ABOVE_ONE, cap=_POSITIVE, outer_max=_COUNT, inner_max=_COUNT,
+                    tol_stat=_POSITIVE, tol_feas=_POSITIVE)
 
 
 def _subcommand(subs, name, description, *required):
@@ -526,13 +516,8 @@ def build_parser():
     p = _subcommand(subs, "solve", "Run the augmented Lagrangian solver and write a trace.", "--problem", "--x0")
     p.add_argument("--trace", required=True, help="output trace file")
     defaults = AlmConfig()
-    p.add_argument("--rho0", type=_POSITIVE, default=defaults.rho0)
-    p.add_argument("--gamma", type=_ABOVE_ONE, default=defaults.gamma)
-    p.add_argument("--cap", type=_POSITIVE, default=defaults.cap)
-    p.add_argument("--outer-max", type=_COUNT, default=defaults.outer_max)
-    p.add_argument("--inner-max", type=_COUNT, default=defaults.inner_max)
-    p.add_argument("--tol-stat", type=_POSITIVE, default=defaults.tol_stat)
-    p.add_argument("--tol-feas", type=_POSITIVE, default=defaults.tol_feas)
+    for name, kind in _ALM_OPTIONS.items():
+        p.add_argument("--" + name.replace("_", "-"), type=kind, default=getattr(defaults, name))
 
     p = _subcommand(subs, "certify", "Certify a trace as approximately stationary at a point.", "--problem", "--point")
     p.add_argument("--trace", required=True, help="input trace file")

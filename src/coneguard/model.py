@@ -108,22 +108,21 @@ def _psd_partials(jac, m):
 
 
 class ConicBlock:
-    __slots__ = ("name", "kind", "dim", "tapes", "affine", "_entries")
+    __slots__ = ("name", "kind", "dim", "tapes", "affine")
 
     def __init__(self, name, kind, dim, tapes=None, affine=None):
         self.name = name
         self.kind = kind  # "soc" | "psd"
         self.dim = dim
-        self.tapes = tapes  # None when folded
+        self.tapes = tapes  # None for a folded block until entries is read
         self.affine = affine
-        self._entries = tapes
 
     @property
     def entries(self):
         """Entry tapes; a folded block builds them on first use."""
-        if self._entries is None:
-            self._entries = tuple(_tape(*terms) for terms in self.affine.terms())
-        return self._entries
+        if self.tapes is None:
+            self.tapes = tuple(_tape(*terms) for terms in self.affine.terms())
+        return self.tapes
 
 
 def _block(name, kind, dim, entries, n):

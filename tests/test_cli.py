@@ -11,6 +11,7 @@ import pytest
 
 from coneguard import cli, cqchecks
 from coneguard.akkt import build_trace, dumps_trace, AkktRecord
+from coneguard.alm import AlmConfig
 from coneguard.cli import (
     EXIT_INFEASIBLE,
     EXIT_NEGATIVE,
@@ -55,6 +56,10 @@ NEAR_PARALLEL = "vars 2\nobjective x1\neq h1 x1\neq h2 x1 + 1e-10 * x2\npsd a 1\
 SKEWED = "vars 2\nobjective x1\nsoc a 1\nx1\nsoc b 1\nx2 - x1\n"
 CIRCLE = "vars 1\nobjective x1\neq h x1^2 - 1\n"
 LOG_SOC = "vars 1\nobjective log(x1)\nsoc g 2\nx1\nx1\n"
+# x1 >= 0, -x1 >= 0 and a redundant x1 >= 0 as 1x1 semidefinite blocks: at
+# the origin the opposite rays break Robinson's CQ, and the constant-rank
+# conditions still hold
+OPPOSITE = "vars 1\nobjective x1\npsd a 1\nx1\npsd b 1\n-x1\npsd c 1\nx1\n"
 
 
 @pytest.fixture(scope="module")
@@ -74,11 +79,14 @@ def files(tmp_path_factory):
         ("skewed", SKEWED),
         ("circle", CIRCLE),
         ("log_soc", LOG_SOC),
+        ("opposite", OPPOSITE),
     ]:
         p = d / (name + ".txt")
         p.write_text(text)
         paths[name] = str(p)
     paths["psd_pair"] = str(PROBLEMS / "psd_pair_line.txt")
+    paths["scalar_pair"] = str(PROBLEMS / "scalar_pair.txt")
+    paths["soc_line"] = str(PROBLEMS / "soc_boundary_line.txt")
     paths["dir"] = d
     return paths
 
@@ -251,6 +259,14 @@ class TestCheck:
         assert row(out, "verdict") == ("verdict", "robinson", "Fails")
         wit = row(out, "witness", "robinson", "alpha", "g")
         assert float(wit[4]) == pytest.approx(1.0, abs=1e-6)
+
+    def test_infeasible_point_reports_distances_and_no_verdict(self, files, capsys):
+        code, out, _ = run(["check", "--problem", files["soc_line"], "--point=-5", "--cq", "all"], capsys)
+        assert code == EXIT_INFEASIBLE
+        assert row(out, "status") == ("status", "infeasible")
+        assert float(row(out, "residual")[1]) > 0.0
+        assert float(row(out, "distance", "g")[2]) == pytest.approx(5.0 * np.sqrt(2.0), rel=1e-12)
+        assert rows(out, "verdict") == []
 
     def test_holding_check_exits_zero(self, files, capsys):
         code, out, _ = run(
@@ -542,6 +558,45 @@ class TestSolveCertifyRecover:
         assert code == EXIT_OK
         assert row(out, "lambda") == ("lambda", "-0.5")
         assert "lambda: -0.5" in out.splitlines()
+
+    @pytest.mark.parametrize("command", ["certify", "recover"])
+    def test_multiplier_on_a_reduced_block_is_a_usage_error(self, files, capsys, tmp_path, command):
+        # block a is kernel-simple at the origin: it takes an alpha, not a mu
+        path = tmp_path / "mu.trace"
+        path.write_text("k 0\nx 0 0\nmu a 1.0\nk 1\nx 0 0\nmu a 1.0\n")
+        code, out, err = run([command, "--problem", files["scalar_pair"], "--point=0,0", "--trace", str(path)], capsys)
+        assert code == EXIT_USAGE
+        assert err == "error: cone multipliers for non-irreducible blocks: ['a']\n"
+        assert REPORT_BEGIN not in out
+
+    def test_opposite_rays_keep_bounded_multipliers(self, files, capsys, tmp_path):
+        code, out, _ = run(["check", "--problem", files["opposite"], "--point", "0", "--cq", "all"], capsys)
+        assert code == EXIT_NEGATIVE
+        assert row(out, "verdict", "robinson")[2] == "Fails"
+        assert row(out, "verdict", "rcpld")[2] == "Holds"
+        assert row(out, "verdict", "crsc")[2] == "Holds"
+        # alpha a and alpha b grow along (t + 1, t): their sum stays bounded
+        path = tmp_path / "opposite.trace"
+        path.write_text("".join("k %d\nx 0\nalpha a %r\nalpha b %r\n" % (k, 10.0**k + 1, 10.0**k) for k in range(8)))
+        argv = ["--problem", files["opposite"], "--point", "0", "--trace", str(path)]
+        code, out, _ = run(["certify"] + argv, capsys)
+        assert code == EXIT_OK
+        assert row(out, "certified") == ("certified", "yes")
+        code, out, _ = run(["recover"] + argv, capsys)
+        assert code == EXIT_OK
+        assert row(out, "recovery") == ("recovery", "KKT")
+        assert float(row(out, "mu", "a")[2]) == pytest.approx(1.0, abs=1e-9)
+        assert row(out, "mu", "b") == ("mu", "b", "0")
+        assert row(out, "mu", "c") == ("mu", "c", "0")
+
+    def test_solve_options_follow_the_alm_config_fields(self, files, capsys, tmp_path):
+        assert tuple(cli._ALM_OPTIONS) == AlmConfig.__slots__
+        argv = ["solve", "--problem", files["boundary"], "--x0", "3", "--trace", str(tmp_path / "t.trace")]
+        _, out, _ = run(argv + ["--outer-max", "2", "--tol-feas", "1e-5"], capsys)
+        echoed = [r[0] for r in parse_report(out)[3:10]]
+        assert echoed == ["rho0", "gamma", "cap", "outer-max", "inner-max", "tol-stat", "tol-feas"]
+        assert row(out, "outer-max") == ("outer-max", "2")
+        assert row(out, "tol-feas") == ("tol-feas", "1.0000000000000001e-05")
 
     def test_unwritable_trace_is_a_usage_error(self, files, capsys, tmp_path):
         path = tmp_path / "missing" / "t.trace"
