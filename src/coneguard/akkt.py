@@ -475,21 +475,18 @@ def recover_kkt(
     basis_names = tuple(prog.eq_names[i] for i in basis_i)
 
     tail = records[len(records) // 2 :]
-    subrecords = []
+    chains = {}  # kept subset -> (record, equality coefficients, alpha by block, m) in tail order
     reexpress_worst = 0.0
     for rec in tail:
         ptk = _record_point(prog, cls, rec)
         fixed = [ptk.jac_h[i] for i in basis_i]
+        bvec = ptk.jac_h.T @ rec.lam if basis_i else np.zeros(prog.n)
         if basis_i:
             amat = np.column_stack(fixed)
-            bvec = ptk.jac_h.T @ rec.lam if prog.p else np.zeros(prog.n)
             lam_hat, *_ = np.linalg.lstsq(amat, bvec, rcond=None)
             reexpress_worst = max(
                 reexpress_worst, float(np.linalg.norm(amat @ lam_hat - bvec))
             )
-        else:
-            lam_hat = np.zeros(0)
-            bvec = np.zeros(prog.n)
         view = reduced_view(ptk, cls, strict=False)
         coned = [
             (entry.gradient, max(0.0, float(rec.alpha.get(names[entry.block], 0.0))))
@@ -516,55 +513,42 @@ def recover_kkt(
                 equality_basis=basis_names,
                 detail={"reason": "equality basis is dependent at a tail record", "k": rec.k},
             )
-        subset = tuple(reduced[i] for i in result.kept)
         alpha_hat = {reduced[i]: float(c) for i, c in zip(result.kept, result.coeffs)}
         mvals = [float(np.max(np.abs(result.fixed_coeffs), initial=0.0))]
         mvals.append(float(np.max(np.abs(result.coeffs), initial=0.0)))
         mvals.extend(float(np.linalg.norm(rec.mu[names[j]])) for j in cls.conic() if names[j] in rec.mu)
-        subrecords.append(
-            {
-                "rec": rec,
-                "subset": subset,
-                "lam": result.fixed_coeffs,
-                "alpha": alpha_hat,
-                "m": max(mvals),
-            }
-        )
+        subset = tuple(reduced[i] for i in result.kept)
+        chains.setdefault(subset, []).append((rec, result.fixed_coeffs, alpha_hat, max(mvals)))
 
-    counts = {}
-    for sr in subrecords:
-        counts[sr["subset"]] = counts.get(sr["subset"], 0) + 1
-    modal = sorted(counts.items(), key=lambda item: (-item[1], item[0]))[0][0]
-    chain = [sr for sr in subrecords if sr["subset"] == modal]
-    m_values = tuple(sr["m"] for sr in chain)
-    modal_names = tuple(names[j] for j in modal)
+    modal = min(chains, key=lambda sub: (-len(chains[sub]), sub))
+    chain = chains[modal]
+    m_values = tuple(m for *_, m in chain)
+    modal_names = cls.names(modal)
     base_detail = {
         "tail_length": len(tail),
         "reexpression_residual": reexpress_worst,
-        "subset_counts": tuple(
-            (tuple(names[j] for j in sub), cnt) for sub, cnt in sorted(counts.items())
-        ),
+        "subset_counts": tuple((cls.names(sub), len(chains[sub])) for sub in sorted(chains)),
     }
     outcome = functools.partial(
         RecoveryOutcome,
         equality_basis=basis_names,
         modal_subset=modal_names,
-        modal_frequency=counts[modal],
+        modal_frequency=len(chain),
         m_values=m_values,
         detail=base_detail,
     )
 
-    last = chain[-1]
-    last_mu = last["rec"].mu
+    last_rec, last_lam, last_alpha, _ = chain[-1]
+    last_mu = last_rec.mu
     view_star = reduced_view(pt_star, cls, strict=False)
     if max(m_values) <= m_cap:
         lam_full = np.zeros(prog.p)
-        lam_full[list(basis_i)] = last["lam"]
+        lam_full[list(basis_i)] = last_lam
         mu_map = {blk.name: _zero_multiplier(blk) for blk in prog.blocks}
         for j in cls.conic():
             mu_map[names[j]] = np.asarray(last_mu.get(names[j], mu_map[names[j]]), dtype=float)
         for entry in view_star.entries:
-            mu_map[names[entry.block]] = entry.multiplier(float(last["alpha"].get(entry.block, 0.0)))
+            mu_map[names[entry.block]] = entry.multiplier(float(last_alpha.get(entry.block, 0.0)))
         ok, vdetail = verify_kkt(pt_star, lam_full, mu_map, 10.0 * tol)
         base_detail.update(vdetail)
         if ok:
@@ -581,19 +565,15 @@ def recover_kkt(
         eq_basis = [pt_star.jac_h[i] for i in basis_i]
         socs, psds = conic_base(pt_star, cls)
         rays = [view_star[j].gradient for j in modal]
-        lam_w = -np.asarray(last["lam"], dtype=float) / m_last
+        lam_w = -np.asarray(last_lam, dtype=float) / m_last
 
         def scaled(j):
             return np.asarray(last_mu.get(names[j], _zero_multiplier(prog.blocks[j])), dtype=float) / m_last
 
         soc_w = [scaled(j) for j in cls.soc_vertex_multi]
         psd_w = [scaled(j) for j in cls.psd_multiple]
-        alpha_w = np.array([last["alpha"].get(j, 0.0) / m_last for j in modal])
-        normalization = (
-            sum(float(mu[0]) for mu in soc_w)
-            + sum(float(np.trace(mat)) for mat in psd_w)
-            + float(np.sum(alpha_w))
-        )
+        alpha_w = np.array([last_alpha.get(j, 0.0) / m_last for j in modal])
+        normalization = DependenceWitness(lam_w, soc_w, psd_w, alpha_w).mass()
         if normalization <= 1e-12:
             base_detail["reason"] = "diverging coefficients carry no cone mass"
             return outcome("inconclusive")

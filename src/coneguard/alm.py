@@ -104,7 +104,6 @@ def _inner_minimize(prog, pt, lam_hat, mu_hats, rho, eps, inner_max):
         if val <= UNBOUNDED_OBJECTIVE or pt.f <= UNBOUNDED_OBJECTIVE:
             return pt, val, grad, projections, "unbounded"
         t = 1.0
-        accepted = False
         while t >= 1e-18:
             trial = pt.x - t * grad
             try:
@@ -115,10 +114,9 @@ def _inner_minimize(prog, pt, lam_hat, mu_hats, rho, eps, inner_max):
             val_t, grad_t, proj_t = _penalty_terms(pt_t, lam_hat, mu_hats, rho)
             if val_t <= val - 1e-4 * t * gn * gn:
                 pt, val, grad, projections = pt_t, val_t, grad_t, proj_t
-                accepted = True
                 break
             t *= 0.5
-        if not accepted:
+        else:
             return pt, val, grad, projections, "stalled"
     return pt, val, grad, projections, "stalled"
 
@@ -153,15 +151,14 @@ def solve(prog: ConicProgram, x0, cfg: AlmConfig | None = None, log=None):
     pt = evaluate(prog, x)
     feas_prev = pt.residual
     rho = cfg.rho0
-    raw = [(0, pt, lam_hat.copy(), [m.copy() for m in mu_hats])]
+    raw = [(0, pt, lam_hat, mu_hats)]  # multiplier arrays are replaced, never changed in place
     status = "iteration-limit"
     for k in range(cfg.outer_max):
         pt, val, grad, projections, inner_status = _inner_minimize(
             prog, pt, lam_hat, mu_hats, rho, inner_tolerance(k), cfg.inner_max
         )
         lam_new = lam_hat + rho * pt.h if prog.p else np.zeros(0)
-        mu_new = projections
-        raw.append((k + 1, pt, lam_new.copy(), [np.asarray(m, dtype=float).copy() for m in mu_new]))
+        raw.append((k + 1, pt, lam_new, projections))
         stat = float(np.linalg.norm(grad))
         feas = pt.residual
         print(
@@ -182,14 +179,14 @@ def solve(prog: ConicProgram, x0, cfg: AlmConfig | None = None, log=None):
             rho *= cfg.gamma
         feas_prev = feas
         lam_hat = np.clip(lam_new, -cfg.cap, cfg.cap)
-        mu_hats = [_cap_radially(m, cfg.cap) for m in mu_new]
+        mu_hats = [_cap_radially(m, cfg.cap) for m in projections]
 
     final_pt = raw[-1][1]
     tol_act = TOL_ACT
     try:
         cls = classify(final_pt, tol_act, TOL_GAP)
     except InfeasiblePointError:
-        # just outside an SOC, classify_soc sees sqrt(2) * residual
+        # a final iterate outside the cones is classified at 1.5 times its residual
         tol_act = max(final_pt.residual * 1.5, TOL_ACT)
         cls = classify(final_pt, tol_act, TOL_GAP)
     records = [_split_record(k, pt_k, lam_k, mus_k, cls) for k, pt_k, lam_k, mus_k in raw]

@@ -185,7 +185,6 @@ def caratheodory_reduce(fixed, coned, target, tol_rank=TOL_RANK):
         lam, *_ = np.linalg.lstsq(fmat, rest, rcond=None)
         recon = float(np.linalg.norm(fmat @ lam - rest))
     else:
-        fmat = np.zeros((n, 0))
         lam = np.zeros(0)
         recon = float(np.linalg.norm(rest))
     if recon > 1e-8 * scale:
@@ -281,6 +280,15 @@ class DependenceWitness(NamedTuple):
     soc: tuple  # per soc block, arrays of shape (m,)
     psd: tuple  # per psd block, symmetric arrays (m, m)
     alpha: np.ndarray
+
+    def mass(self):
+        """The cone mass a certificate normalizes: soc first components, psd
+        traces and ray coefficients, summed."""
+        return float(
+            sum(float(mu[0]) for mu in self.soc)
+            + sum(float(np.trace(mat)) for mat in self.psd)
+            + float(np.sum(self.alpha))
+        )
 
 
 class Certificate:
@@ -383,11 +391,7 @@ def verify_dependence(eq_basis, soc_blocks, psd_blocks, rays, witness, tol_cert=
         cone_gap = max(cone_gap, psd_distance(0.5 * (mat + mat.T)))
     if witness.alpha.size:
         cone_gap = max(cone_gap, float(np.max(-witness.alpha, initial=0.0)))
-    normalization = float(
-        sum(mu[0] for mu in witness.soc)
-        + sum(np.trace(mat) for mat in witness.psd)
-        + float(np.sum(witness.alpha))
-    )
+    normalization = witness.mass()
     ok = residual <= tol_cert and cone_gap <= tol_cert and normalization >= 0.5
     return ok, residual, cone_gap, normalization
 

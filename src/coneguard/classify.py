@@ -65,10 +65,7 @@ def _label(pt, j, tol_act, tol_gap):
     blk = pt.program.blocks[j]
     bv = pt.blocks[j]
     if blk.kind == "soc":
-        label = classify_soc(bv.value, tol_act)
-        if label == "infeasible":
-            raise InfeasiblePointError(pt.residual, block_distances(pt))
-        return label
+        return classify_soc(bv.value, tol_act)  # never "infeasible": classify checked the residual
     if bv.spectral.eigenvalues[0] > tol_act:
         return "inactive"
     gap, scale = eigen_gap(pt, j)

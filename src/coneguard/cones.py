@@ -26,8 +26,8 @@ def _split(z):
 
 def classify_soc(z, tol_act=1e-8):
     """The classification label of z relative to K_m: "interior", "boundary"
-    (nonzero, on the boundary), "vertex-scalar" or "vertex" (at the apex,
-    for m = 1 or m > 1), or "infeasible"."""
+    (nonzero, on the boundary or within tol_act of K_m), "vertex-scalar" or
+    "vertex" (at the apex, for m = 1 or m > 1), or "infeasible"."""
     z, z0, zbar = _split(z)
     nrm = float(np.linalg.norm(zbar))
     total = float(np.sqrt(z0**2 + zbar @ zbar))
@@ -39,7 +39,7 @@ def classify_soc(z, tol_act=1e-8):
         return "boundary"
     if z0 > nrm:
         return "interior"
-    return "infeasible"
+    return "boundary" if soc_distance(z) <= tol_act else "infeasible"
 
 
 def project_soc(z):
@@ -152,9 +152,6 @@ def svec(mat):
 
 
 def smat(vec, m):
+    """The symmetric matrix of order m whose svec is vec."""
     i, j = upper_triangle(m)
-    w = np.where(i == j, 1.0, _SQRT2)
-    out = np.zeros((m, m))
-    out[i, j] = vec / w
-    out = out + np.triu(out, 1).T
-    return out
+    return sym_from_upper(vec / np.where(i == j, 1.0, _SQRT2), m)

@@ -29,7 +29,7 @@ from .certificates import (
     numerical_rank,
 )
 from .classify import IndexClassification
-from .cones import svec, svec_dim
+from .cones import svec
 from .errors import DomainError, NonSimpleEigenvalueError
 from .model import EvaluatedPoint, evaluate
 from .reduction import conic_base, reduced_view
@@ -59,20 +59,15 @@ class CqReport:
         self.witness_names = witness_names
 
 
-def _kernel_basis(pt: EvaluatedPoint, j: int, tol_act: float, tol_gap: float):
-    """Eigenvectors spanning the zero-eigenvalue cluster of an active psd block."""
+def _kernel_partials(pt: EvaluatedPoint, j: int, cls: IndexClassification):
+    """Partial derivatives of active psd block j compressed onto the
+    eigenvectors of its zero-eigenvalue cluster: (n, r, r)."""
     blk = pt.blocks[j]
-    spectral = blk.spectral
-    sigma = spectral.eigenvalues
+    sigma = blk.spectral.eigenvalues
     scale = max(1.0, float(np.linalg.norm(blk.value)))
-    cutoff = max(tol_act * scale, float(sigma[0]) + tol_gap * scale)
-    r = int(np.count_nonzero(sigma <= cutoff))
-    return spectral.eigenvectors[:, :r]
-
-
-def _reduced_partials(pt: EvaluatedPoint, j: int, basis: np.ndarray):
-    """Partial derivatives of the block compressed onto the kernel basis: (n, r, r)."""
-    return np.einsum("ar,iab,bs->irs", basis, pt.blocks[j].partials, basis)
+    cutoff = max(cls.tol_act * scale, float(sigma[0]) + cls.tol_gap * scale)
+    basis = blk.spectral.eigenvectors[:, : int(np.count_nonzero(sigma <= cutoff))]
+    return np.einsum("ar,iab,bs->irs", basis, blk.partials, basis)
 
 
 class _Sample(NamedTuple):
@@ -141,10 +136,8 @@ def check_nondegeneracy(pt: EvaluatedPoint, cls: IndexClassification, *, tol_ran
             rows.append(entry.gradient)
             labels.append(names[entry.block] + ":boundary")
     for j in sorted(cls.psd_simple + cls.psd_multiple):
-        basis = _kernel_basis(pt, j, cls.tol_act, cls.tol_gap)
-        red = _reduced_partials(pt, j, basis)
-        coords = svec(red)
-        for t in range(svec_dim(basis.shape[1])):
+        coords = svec(_kernel_partials(pt, j, cls))
+        for t in range(coords.shape[1]):
             rows.append(coords[:, t])
             labels.append("%s:kernel[%d]" % (names[j], t))
     if not rows:
@@ -168,16 +161,9 @@ def _face_system(pt: EvaluatedPoint, cls: IndexClassification):
     kernels, single rays for boundary / scalar / simple-eigenvalue blocks.
     """
     socs = conic_base(pt, cls)[0]
-    psds = []
-    psd_indices = []
-    for j in cls.psd_multiple:
-        basis = _kernel_basis(pt, j, cls.tol_act, cls.tol_gap)
-        psds.append(_reduced_partials(pt, j, basis))
-        psd_indices.append(j)
-    view = reduced_view(pt, cls)
-    rays = [entry.gradient for entry in view.entries]
-    ray_indices = [entry.block for entry in view.entries]
-    return socs, list(cls.soc_vertex_multi), psds, psd_indices, rays, ray_indices
+    psds = [_kernel_partials(pt, j, cls) for j in cls.psd_multiple]
+    rays = [entry.gradient for entry in reduced_view(pt, cls).entries]  # in cls.reduced() order
+    return socs, cls.soc_vertex_multi, psds, cls.psd_multiple, rays, cls.reduced()
 
 
 def _decide(cert, detail):
@@ -208,7 +194,6 @@ def check_robinson(
     blocks.  A rank-deficient equality Jacobian fails outright; otherwise a
     dependence certificate decides.
     """
-    names = cls.block_names
     if pt.program.p:
         eq_rows = [pt.jac_h[i] for i in range(pt.program.p)]
         rank, _ = numerical_rank(eq_rows, tol_rank)
@@ -228,9 +213,9 @@ def check_robinson(
     socs, soc_idx, psds, psd_idx, rays, ray_idx = _face_system(pt, cls)
     cert = conic_dependence(eq_rows, socs, psds, rays, budget=budget, tol_cert=tol_cert)
     detail = {
-        "soc_blocks": tuple(names[j] for j in soc_idx),
-        "psd_blocks": tuple(names[j] for j in psd_idx),
-        "rays": tuple(names[j] for j in ray_idx),
+        "soc_blocks": cls.names(soc_idx),
+        "psd_blocks": cls.names(psd_idx),
+        "rays": cls.names(ray_idx),
     }
     labels = (pt.program.eq_names, detail["soc_blocks"], detail["psd_blocks"], detail["rays"])
     verdict = _decide(cert, detail)

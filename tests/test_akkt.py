@@ -1,5 +1,6 @@
 """Tests for trace handling, stationarity residuals, certification, recovery."""
 
+import io
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,9 @@ from coneguard.akkt import (
     recover_kkt,
     verify_kkt,
 )
+from coneguard.alm import solve
 from coneguard.classify import classify
+from coneguard.cqchecks import check_crsc, check_rcpld, check_robinson
 from coneguard.errors import (
     DimensionMismatchError,
     InfeasiblePointError,
@@ -527,3 +530,31 @@ class TestRecover:
         )
         after = akkt_residual(prog, cls, thinned)
         assert abs(after - before) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "name, x0",
+    [
+        ("soc_boundary_line", [3.0]),
+        ("soc_boundary_line", [-2.0]),
+        ("psd_pair_line", [0.5]),
+        ("psd_pair_line", [-0.5]),
+        ("scalar_pair", [1.0, 2.0]),
+        ("scalar_pair", [3.0, 0.5]),
+    ],
+)
+def test_constant_rank_cq_and_a_certified_trace_give_bounded_multipliers(name, x0):
+    # the sequential argument of the paper: when rcpld or crsc holds at the
+    # limit of a certified AKKT trace, the thinned multipliers stay bounded,
+    # so recover must not answer with a divergence witness
+    prog = loads((PROBLEMS / (name + ".txt")).read_text())
+    trace, status = solve(prog, np.array(x0), log=io.StringIO())
+    assert status == "converged"
+    pt = evaluate(prog, trace.records[-1].x)
+    cls = classify(pt)
+    verdicts = {check.__name__: check(pt, cls).verdict for check in (check_robinson, check_rcpld, check_crsc)}
+    assert certify_akkt(pt, trace).certified
+    assert verdicts["check_rcpld"] == verdicts["check_crsc"] == "Holds"
+    assert recover_kkt(pt, trace).verdict == "kkt"
+    # the motivating case: multipliers exist although Robinson's CQ fails
+    assert verdicts["check_robinson"] == ("Holds" if name == "scalar_pair" else "Fails")

@@ -228,6 +228,15 @@ class TestClassify:
         dist = row(out, "distance", "g")
         assert float(dist[2]) == pytest.approx(np.sqrt(2.0), rel=1e-12)
 
+    def test_block_within_tol_act_of_its_cone_is_feasible(self, tmp_path, capsys):
+        # (0, 1.2e-8) lies 1.2e-8 / sqrt(2) from K_2: within tol-act 1e-8
+        path = tmp_path / "gap.txt"
+        path.write_text("vars 2\nobjective x1\nsoc g 2\nx1\nx2\n")
+        code, out, _ = run(["classify", "--problem", str(path), "--point=0,1.2e-8"], capsys)
+        assert code == EXIT_OK
+        assert row(out, "status") == ("status", "feasible")
+        assert row(out, "block", "g") == ("block", "g", "soc", "2", "boundary")
+
     def test_report_round_trips(self, files, capsys):
         _, out, _ = run(
             ["classify", "--problem", files["kernel"], "--point", "0"], capsys
@@ -524,6 +533,43 @@ class TestSolveCertifyRecover:
         assert row(out, "recovery") == ("recovery", "Inconclusive")
         assert " ".join(row(out, "detail", "recover", "reason")[3:]) == "equality basis is dependent at a tail record"
         assert row(out, "detail", "recover", "k") == ("detail", "recover", "k", "1")
+
+    @pytest.mark.parametrize("command", ["certify", "recover"])
+    def test_infeasible_point_reports_distances(self, files, capsys, tmp_path, command):
+        path = tmp_path / "line.trace"
+        path.write_text("k 0\nx 1\nk 1\nx 1\n")
+        code, out, _ = run([command, "--problem", files["soc_line"], "--point=-5", "--trace", str(path)], capsys)
+        assert code == EXIT_INFEASIBLE
+        assert row(out, "status") == ("status", "infeasible")
+        assert row(out, "residual") == ("residual", "7.0710678118654755")
+        assert row(out, "distance", "g") == ("distance", "g", "7.0710678118654755")
+
+    def test_recover_reports_a_combination_it_cannot_reconstruct(self, tmp_path, capsys):
+        # at the origin the basis is eq a's gradient (1, 0); eq b's gradient
+        # (1, 2 x2) leaves it by 2 x2 at the records
+        problem = tmp_path / "recon.txt"
+        problem.write_text("vars 2\nobjective x1\neq a x1\neq b x1 + x2^2\n")
+        path = tmp_path / "recon.trace"
+        path.write_text("".join("k %d\nx 0 %r\nlambda 0 1\n" % (k, 10.0 ** -(k + 1)) for k in range(4)))
+        code, out, _ = run(["recover", "--problem", str(problem), "--point=0,0", "--trace", str(path)], capsys)
+        assert code == EXIT_UNDECIDED
+        assert row(out, "recovery") == ("recovery", "Inconclusive")
+        assert " ".join(row(out, "detail", "recover", "reason")[3:]) == "combination could not be reconstructed"
+        assert row(out, "detail", "recover", "k") == ("detail", "recover", "k", "2")
+        assert row(out, "detail", "recover", "residual") == ("detail", "recover", "residual", "0.002")
+
+    def test_certify_flags_a_collapsed_eigen_gap(self, tmp_path, capsys):
+        # diag(x1, x2) at (0, 2e-6) has a simple zero eigenvalue; at the
+        # records the gap x2 is below tol-gap
+        problem = tmp_path / "gap.txt"
+        problem.write_text("vars 2\nobjective x1\npsd G 2\nx1\n0\nx2\n")
+        path = tmp_path / "gap.trace"
+        path.write_text("".join("k %d\nx 0 %r\nalpha G 1\n" % (k, (5 + k) * 1e-7) for k in range(4)))
+        argv = ["certify", "--problem", str(problem), "--point=0,2e-6", "--trace", str(path), "--tol", "1e-5"]
+        code, out, _ = run(argv, capsys)
+        assert code == EXIT_OK
+        assert row(out, "certified") == ("certified", "yes")
+        assert row(out, "detail", "certify", "eigen-gap-flags") == ("detail", "certify", "eigen-gap-flags", "G")
 
     @pytest.mark.parametrize("command", ["certify", "recover"])
     def test_trace_record_outside_a_domain_is_a_usage_error(self, files, capsys, tmp_path, command):

@@ -88,6 +88,8 @@ def test_classify_soc_regions():
     assert classify_soc(np.array([4.9, 3.0, 4.0])) == "infeasible"
     assert classify_soc(np.array([0.0, 0.0, 0.0])) == "vertex"
     assert classify_soc(np.array([1e-12, 1e-12])) == "vertex"
+    # outside K_2 by 1.2e-8 / sqrt(2), within tol_act = 1e-8 of it
+    assert classify_soc(np.array([0.0, 1.2e-8])) == "boundary"
     # one-dimensional blocks never classify as boundary
     assert classify_soc(np.array([2.0])) == "interior"
     assert classify_soc(np.array([0.0])) == "vertex-scalar"

@@ -99,6 +99,7 @@ BLOCK_LINE_ERRORS = {
         "vars 1\nobjective\n",                             # empty objective
         "vars 1\nobjective x1\nwhat g 1\nx1\n",            # unknown directive
         "vars 1\nobjective x1\neq h x1\neq h x1\n",        # duplicate eq name
+        "vars 1\nobjective x1\neq h\n",                   # eq without expression
         "vars 1\nobjective x1\nsoc g 1\nx1\nsoc g 1\nx1\n",  # duplicate block
         "vars 1\nobjective x1\nsoc g 0\n",                 # nonpositive dim
         "vars 1\nobjective x1\nsoc g 2\nx1\n",             # missing entries
