@@ -16,9 +16,7 @@ from .akkt import (
     akkt_residual,
     build_trace,
     certify_akkt,
-    dump_trace,
     dumps_trace,
-    load_trace,
     loads_trace,
     recover_kkt,
     verify_kkt,
@@ -84,73 +82,4 @@ from .model import (
 )
 from .reduction import ReducedEntry, ReducedGradients, reduced_view
 
-__all__ = [
-    "AkktRecord",
-    "AkktTrace",
-    "AlmConfig",
-    "BudgetExhaustedError",
-    "CaratheodoryResult",
-    "Certificate",
-    "CertifyOutcome",
-    "ConeMembership",
-    "ConeguardError",
-    "ConicBlock",
-    "ConicProgram",
-    "CqReport",
-    "DependenceWitness",
-    "DimensionMismatchError",
-    "DomainError",
-    "EvaluatedPoint",
-    "ExprSyntaxError",
-    "IndexClassification",
-    "InfeasiblePointError",
-    "NonSimpleEigenvalueError",
-    "ProblemFormatError",
-    "ReconstructionError",
-    "RecoveryOutcome",
-    "ReducedEntry",
-    "ReducedGradients",
-    "SpectralData",
-    "SymmetryError",
-    "UnknownIdentifierError",
-    "VariableIndexError",
-    "akkt_residual",
-    "apply_jacobian_adjoint",
-    "block_distances",
-    "build_trace",
-    "caratheodory_reduce",
-    "certify_akkt",
-    "check_crsc",
-    "check_nondegeneracy",
-    "check_rcpld",
-    "check_robinson",
-    "classify",
-    "classify_soc",
-    "cone_membership",
-    "conic_dependence",
-    "dump_trace",
-    "dumps",
-    "dumps_trace",
-    "eig_sym",
-    "eigen_gap",
-    "embed_block_diagonal",
-    "evaluate",
-    "extend_basis",
-    "load_trace",
-    "loads",
-    "loads_trace",
-    "nnls",
-    "numerical_rank",
-    "project_psd",
-    "project_soc",
-    "psd_distance",
-    "recover_kkt",
-    "reduced_view",
-    "smat",
-    "soc_distance",
-    "solve",
-    "svec",
-    "svec_dim",
-    "verify_dependence",
-    "verify_kkt",
-]
+__all__ = sorted(name for name, value in globals().items() if name[0] != "_" and callable(value))  # not the modules

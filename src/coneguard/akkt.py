@@ -6,7 +6,8 @@ reduced blocks).  The stationarity residual of a record keeps the index
 sets frozen at a reference point while evaluating all gradients at the
 record's own point.
 
-Trace file format (text, '#' starts a comment, 17 significant digits):
+Trace text format, as dumps_trace writes it and loads_trace reads it ('#'
+starts a comment, 17 significant digits; the module opens no file):
 
     k <integer>
     x <n values>
@@ -34,6 +35,7 @@ from .certificates import (
     Certificate,
     DependenceWitness,
     caratheodory_reduce,
+    factored,
     numerical_rank,
     verify_dependence,
 )
@@ -144,11 +146,6 @@ def dumps_trace(trace: AkktTrace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def dump_trace(trace: AkktTrace, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_trace(trace))
-
-
 def _values(tokens, size, what, line_no):
     """The floats of a trace line, which must number size."""
     vals = np.array([float(t) for t in tokens])
@@ -213,11 +210,6 @@ def loads_trace(prog: ConicProgram, text: str) -> AkktTrace:
     if records and records[-1].x is None:
         raise ProblemFormatError("record without an x line")
     return build_trace(prog, records)
-
-
-def load_trace(prog: ConicProgram, path) -> AkktTrace:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_trace(prog, fh.read())
 
 
 def _record_point(prog, cls, record):
@@ -483,7 +475,7 @@ def recover_kkt(
         bvec = ptk.jac_h.T @ rec.lam if basis_i else np.zeros(prog.n)
         if basis_i:
             amat = np.column_stack(fixed)
-            lam_hat, *_ = np.linalg.lstsq(amat, bvec, rcond=None)
+            lam_hat, *_ = factored(np.linalg.lstsq(amat, bvec, rcond=None))
             reexpress_worst = max(
                 reexpress_worst, float(np.linalg.norm(amat @ lam_hat - bvec))
             )

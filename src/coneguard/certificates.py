@@ -41,6 +41,13 @@ TOL_CERT = 1e-7
 DEFAULT_BUDGET = 20000
 
 
+def factored(result):
+    """A numpy.linalg result, which raises LinAlgError when it holds a non-finite value."""
+    if not all(np.isfinite(part).all() for part in (result if isinstance(result, tuple) else (result,))):
+        raise np.linalg.LinAlgError("a factorization returned a non-finite value")
+    return result
+
+
 def numerical_rank(vectors, tol_rank=TOL_RANK):
     """Rank of a vector family and a greedily pivoted basis index set.
 
@@ -52,7 +59,7 @@ def numerical_rank(vectors, tol_rank=TOL_RANK):
     if not vecs:
         return 0, ()
     a = np.vstack(vecs)
-    svals = np.linalg.svd(a, compute_uv=False)
+    svals = factored(np.linalg.svd(a, compute_uv=False))
     smax = float(svals[0]) if svals.size else 0.0
     if smax <= 0.0:
         return 0, ()
@@ -77,7 +84,7 @@ def extend_basis(base, candidates, tol_rank=TOL_RANK):
     stacked = rows + cands
     if not stacked:
         return ()
-    svals = np.linalg.svd(np.vstack(stacked), compute_uv=False)
+    svals = factored(np.linalg.svd(np.vstack(stacked), compute_uv=False))
     smax = float(svals[0]) if svals.size else 0.0
     if smax <= 0.0:
         return ()
@@ -98,7 +105,7 @@ def extend_basis(base, candidates, tol_rank=TOL_RANK):
 def null_combination(vectors):
     """Coefficients of a (near-)vanishing combination of the given vectors."""
     a = np.vstack([np.asarray(v, dtype=float).reshape(-1) for v in vectors])
-    u, svals, _ = np.linalg.svd(a, full_matrices=True)
+    u, svals, _ = factored(np.linalg.svd(a, full_matrices=True))
     coeffs = u[:, -1]
     residual = float(np.linalg.norm(coeffs @ a))
     return coeffs, residual
@@ -130,7 +137,7 @@ def nnls(a, b):
         passive[free[int(np.argmax(w[free]))]] = True
         while True:
             cols = np.where(passive)[0]
-            z, *_ = np.linalg.lstsq(a[:, cols], b, rcond=None)
+            z, *_ = factored(np.linalg.lstsq(a[:, cols], b, rcond=None))
             if z.size == 0 or float(np.min(z)) > 0.0:
                 x[:] = 0.0
                 x[cols] = z
@@ -182,7 +189,7 @@ def caratheodory_reduce(fixed, coned, target, tol_rank=TOL_RANK):
     rest = target - sum((beta[j] * vecs[j] for j in kept), np.zeros(n))
     if p:
         fmat = np.column_stack(fixed)
-        lam, *_ = np.linalg.lstsq(fmat, rest, rcond=None)
+        lam, *_ = factored(np.linalg.lstsq(fmat, rest, rcond=None))
         recon = float(np.linalg.norm(fmat @ lam - rest))
     else:
         lam = np.zeros(0)
@@ -214,7 +221,7 @@ def caratheodory_reduce(fixed, coned, target, tol_rank=TOL_RANK):
     cols = fixed + [vecs[j] for j in kept]
     if cols:
         mat = np.column_stack(cols)
-        sol, *_ = np.linalg.lstsq(mat, target, rcond=None)
+        sol, *_ = factored(np.linalg.lstsq(mat, target, rcond=None))
         if kept and sol[p:].size and float(np.min(sol[p:])) <= 0.0:
             sol = np.concatenate([lam, [beta[j] for j in kept]])
         residual = float(np.linalg.norm(mat @ sol - target))
@@ -233,7 +240,7 @@ def _span_projector(rows):
     """v -> v minus its projection onto span(rows); the identity without rows."""
     if not rows:
         return lambda v: v
-    _, svals, vt = np.linalg.svd(np.vstack(rows), full_matrices=False)
+    _, svals, vt = factored(np.linalg.svd(np.vstack(rows), full_matrices=False))
     rank = int(np.count_nonzero(svals > 1e-12 * (svals[0] if svals.size else 0.0)))
     q = vt[:rank]
     return lambda v: v - q.T @ (q @ v)
@@ -268,7 +275,7 @@ def cone_membership(target, free, coned, tol=TOL_RANK):
         alpha = np.zeros(0)
         residual = float(np.linalg.norm(pt))
     if free:
-        lam, *_ = np.linalg.lstsq(np.vstack(free).T, target - cmat @ alpha, rcond=None)
+        lam, *_ = factored(np.linalg.lstsq(np.vstack(free).T, target - cmat @ alpha, rcond=None))
     else:
         lam = np.zeros(0)
     member = residual <= tol * max(1.0, float(np.linalg.norm(target)))
@@ -458,7 +465,7 @@ def _sweeps(system):
     a = np.vstack([system.smat_cols, system.norm_row])
     b = np.zeros(system.n + 1)
     b[-1] = 1.0
-    pinv_a = np.linalg.pinv(a)
+    pinv_a = factored(np.linalg.pinv(a))
     v = system.center()
     while True:
         v = system.project_cones(v - pinv_a @ (a @ v - b))

@@ -36,7 +36,7 @@ import time
 
 import numpy as np
 
-from .akkt import M_CAP, TOL_KKT, certify_akkt, dump_trace, load_trace, recover_kkt
+from .akkt import M_CAP, TOL_KKT, certify_akkt, dumps_trace, loads_trace, recover_kkt
 from .alm import AlmConfig, solve
 from .certificates import DEFAULT_BUDGET, TOL_CERT, TOL_RANK
 from .classify import TOL_ACT, TOL_GAP, classify
@@ -170,16 +170,26 @@ def _emit_witness(rep, scope, result):
         rep.add("witness", scope, "alpha", name, _fmt(coeff))
 
 
-def _load_program(path):
+def _read(path, what, parse):
+    """parse(text) of the what ("problem" or "trace") file at path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise _CliError(EXIT_USAGE, "cannot read problem file %s: %s" % (path, exc))
+        raise _CliError(EXIT_USAGE, "cannot read %s file %s: %s" % (what, path, exc))
     try:
-        return loads(text)
+        return parse(text)
     except _INPUT_ERRORS as exc:
-        raise _CliError(EXIT_USAGE, "problem file %s: %s" % (path, exc))
+        raise _CliError(EXIT_USAGE, "%s file %s: %s" % (what, path, exc))
+
+
+def _write(path, text, what):
+    """Write text to path; what names the file in the error."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _CliError(EXIT_USAGE, "cannot write %s: %s" % (what, exc))
 
 
 def _parse_vector(text, n, what):
@@ -195,7 +205,7 @@ def _parse_vector(text, n, what):
 
 def _open(args, command):
     """Load the program, evaluate --point on it, and open the report."""
-    prog = _load_program(args.problem)
+    prog = _read(args.problem, "problem", loads)
     x = _parse_vector(args.point, prog.n, "--point")
     try:
         pt = evaluate(prog, x)
@@ -211,12 +221,7 @@ def _open(args, command):
 def _open_with_trace(args, command):
     """_open, then load the --trace file and report it with --tol."""
     prog, pt, rep = _open(args, command)
-    try:
-        trace = load_trace(prog, args.trace)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise _CliError(EXIT_USAGE, "cannot read trace file %s: %s" % (args.trace, exc))
-    except _INPUT_ERRORS as exc:
-        raise _CliError(EXIT_USAGE, "trace file %s: %s" % (args.trace, exc))
+    trace = _read(args.trace, "trace", functools.partial(loads_trace, prog))
     rep.add("trace", args.trace)
     _echo(rep, args, "tol")
     rep.add("records", "%d" % len(trace.records))
@@ -325,16 +330,13 @@ def _cmd_check(args):
 
 
 def _cmd_solve(args):
-    prog = _load_program(args.problem)
+    prog = _read(args.problem, "problem", loads)
     x0 = _parse_vector(args.x0, prog.n, "--x0")
     try:
         trace, status = solve(prog, x0, AlmConfig(**{name: getattr(args, name) for name in _ALM_OPTIONS}))
     except DomainError as exc:  # only from x0: the line search catches the others
         raise _CliError(EXIT_USAGE, "--x0 leaves an expression domain: %s" % exc)
-    try:
-        dump_trace(trace, args.trace)
-    except OSError as exc:
-        raise _CliError(EXIT_USAGE, "cannot write trace file %s: %s" % (args.trace, exc))
+    _write(args.trace, dumps_trace(trace), "trace file " + args.trace)
     final = trace.records[-1]
     final_pt = evaluate(prog, final.x)
     rep = Report()
@@ -421,7 +423,7 @@ def _cmd_recover(args):
 
 
 def _cmd_embed_diag(args):
-    prog = _load_program(args.problem)
+    prog = _read(args.problem, "problem", loads)
     try:
         embedded = embed_block_diagonal(prog)
     except DimensionMismatchError as exc:
@@ -430,11 +432,7 @@ def _cmd_embed_diag(args):
         text = dumps(embedded)
     except ValueError as exc:  # a literal that overflowed when it was read
         raise _CliError(EXIT_USAGE, "problem file %s: %s" % (args.problem, exc))
-    try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise _CliError(EXIT_USAGE, "cannot write %s: %s" % (args.out, exc))
+    _write(args.out, text, args.out)
     rep = Report()
     rep.add("command", "embed-diag")
     rep.add("problem", args.problem)
@@ -548,9 +546,6 @@ def main(argv=None):
     except _CliError as exc:
         print("error: %s" % exc.message, file=sys.stderr)
         return exc.code
-    except InfeasiblePointError as exc:
-        print("error: point is infeasible (residual %s)" % _fmt(exc.residual), file=sys.stderr)
-        return EXIT_INFEASIBLE
     except _INPUT_ERRORS as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

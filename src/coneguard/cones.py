@@ -71,7 +71,8 @@ def eig_sym(a):
     The one check of a symmetric matrix: a non-square matrix, or one whose
     asymmetry exceeds SYMMETRY_TOL * max(1, ||a||_F), is rejected.
     Eigenvector signs follow a fixed convention (first component of
-    noticeable magnitude is positive) so repeated calls agree bitwise.
+    noticeable magnitude is positive) so repeated calls agree bitwise.  A
+    non-finite result raises LinAlgError, as a failed decomposition does.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -81,6 +82,8 @@ def eig_sym(a):
     if skew > limit:
         raise SymmetryError("matrix is not symmetric: max asymmetry %.3e exceeds %.3e" % (skew, limit))
     vals, vecs = np.linalg.eigh(0.5 * (a + a.T))  # ascending
+    if not (np.isfinite(vals).all() and np.isfinite(vecs).all()):
+        raise np.linalg.LinAlgError("eigendecomposition returned a non-finite value")
     mag = np.abs(vecs)
     lead = np.argmax(mag > 1e-12 * mag.max(axis=0, initial=0.0), axis=0)
     vecs[:, vecs[lead, np.arange(vecs.shape[1])] < 0.0] *= -1.0

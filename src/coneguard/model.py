@@ -37,6 +37,7 @@ from .cones import (
 from .errors import ConeguardError, DimensionMismatchError, DomainError, ProblemFormatError
 
 _MAX_VARS = 2**31 - 1  # folds store variable indices, and n itself, as int32
+BLOCK_LIMIT = 1e154  # about the root of the largest double, so products of block data stay finite
 
 
 class AffineFold:
@@ -278,7 +279,7 @@ class EvaluatedPoint(NamedTuple):
     residual: float
 
 
-def _rows(tapes, x, where):
+def _rows(tapes, x, where, limit=np.finfo(float).max):
     """Values and gradient rows of tapes at x; ``where(i)`` names tape i."""
     vals, jac = np.zeros(len(tapes)), np.zeros((len(tapes), x.size))
     for i, tape in enumerate(tapes):
@@ -287,13 +288,17 @@ def _rows(tapes, x, where):
         except DomainError as err:
             raise DomainError("%s: %s" % (where(i), err)) from err
         vals[i], jac[i] = gv.value, gv.partials
-    return _finite(vals, jac, where)
+    return _finite(vals, jac, where, limit)
 
 
-def _finite(vals, jac, where):
-    if np.count_nonzero(np.isfinite(jac)) + np.count_nonzero(np.isfinite(vals)) < jac.size + len(vals):
-        bad = ~(np.isfinite(vals) & np.isfinite(jac).all(axis=1))
-        raise DomainError("%s: non-finite value or derivative" % where(int(np.argmax(bad))))
+def _finite(vals, jac, where, limit=np.finfo(float).max):
+    """vals and jac, unless an entry is non-finite or above limit in magnitude."""
+    bounds = (vals.min(initial=0.0), vals.max(initial=0.0), jac.min(initial=0.0), jac.max(initial=0.0))
+    if not all(-limit <= b <= limit for b in bounds):  # a NaN bound fails too
+        i = int(np.argmax(~((np.abs(vals) <= limit) & (np.abs(jac) <= limit).all(axis=1))))
+        if np.isfinite(vals[i]) and np.isfinite(jac[i]).all():
+            raise DomainError("%s: value or derivative too large (above %g in magnitude)" % (where(i), limit))
+        raise DomainError("%s: non-finite value or derivative" % where(i))
     return vals, jac
 
 
@@ -301,7 +306,8 @@ def _finite(vals, jac, where):
 def evaluate(prog, x):
     """Evaluate objective, constraints, Jacobians, and cone residuals at x.
 
-    Raises DomainError outside a domain or on a non-finite value.
+    Raises DomainError outside a domain, on a non-finite value, or on a block
+    value or derivative above BLOCK_LIMIT in magnitude.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.size != prog.n:
@@ -314,9 +320,9 @@ def evaluate(prog, x):
         where = lambda i: "block %r entry %d" % (blk.name, i)
         fold = blk.affine
         if fold is None:
-            vals, jac = _rows(blk.entries, x, where)
+            vals, jac = _rows(blk.entries, x, where, BLOCK_LIMIT)
         else:
-            vals, jac = _finite(fold.values(x), fold.jac, where)
+            vals, jac = _finite(fold.values(x), fold.jac, where, BLOCK_LIMIT)
         if blk.kind == "soc":
             values.append(SocBlockValue(vals, jac))
             distances.append(soc_distance(vals))

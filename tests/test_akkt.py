@@ -13,9 +13,7 @@ from coneguard.akkt import (
     akkt_residual,
     build_trace,
     certify_akkt,
-    dump_trace,
     dumps_trace,
-    load_trace,
     loads_trace,
     recover_kkt,
     verify_kkt,
@@ -87,15 +85,16 @@ class TestTraceValidation:
             assert a.alpha == b.alpha
         assert dumps_trace(back) == text
 
-    def test_file_round_trip(self, mixed_program, tmp_path):
+    def test_records_without_multipliers_round_trip_through_text(self, mixed_program):
         prog = mixed_program
         trace = build_trace(
             prog, [record(prog, 0, [0.5], mu={"G": [1.0, 0.5]}), record(prog, 1, [0.25])]
         )
-        path = tmp_path / "trace.txt"
-        dump_trace(trace, path)
-        back = load_trace(prog, path)
-        assert dumps_trace(back) == dumps_trace(trace)
+        text = dumps_trace(trace)
+        assert text == "k 0\nx 0.5\nmu G 1 0.5\nk 1\nx 0.25\n"
+        back = loads_trace(prog, text)
+        assert [rec.mu.keys() for rec in back.records] == [{"G"}, set()]
+        assert dumps_trace(back) == text
 
     def test_record_indices_must_increase(self, mixed_program):
         prog = mixed_program

@@ -2,6 +2,7 @@
 
 import argparse
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -921,3 +922,11 @@ def test_solve_report_and_trace_ignore_blas_thread_count(tmp_path):
     four = _fenced_under_threads(4, argv + [str(tmp_path / "four.trace")])
     assert one == four
     assert (tmp_path / "one.trace").read_bytes() == (tmp_path / "four.trace").read_bytes()
+
+
+def test_only_the_cli_opens_files():
+    # the library reads and writes text; cli._read and cli._write are the
+    # package's only file paths
+    package = ROOT / "src" / "coneguard"
+    openers = sorted(p.name for p in package.glob("*.py") if re.search(r"\bopen\(", p.read_text()))
+    assert openers == ["cli.py"]
