@@ -36,7 +36,6 @@ from .certificates import (
     DependenceWitness,
     caratheodory_reduce,
     factored,
-    numerical_rank,
     verify_dependence,
 )
 from .classify import TOL_ACT, TOL_GAP, classify, eigen_gap
@@ -48,7 +47,7 @@ from .errors import (
     ReconstructionError,
 )
 from .model import ConicProgram, apply_jacobian_adjoint, evaluate
-from .reduction import conic_base, reduced_view
+from .reduction import conic_base, dependence_system, equality_basis, reduced_view
 
 CONE_SLACK = 1e-9
 ALPHA_SLACK = -1e-12
@@ -459,11 +458,7 @@ def recover_kkt(
     names = cls.block_names
     reduced = cls.reduced()
 
-    eq_rows_star = [pt_star.jac_h[i] for i in range(prog.p)]
-    if eq_rows_star:
-        _, basis_i = numerical_rank(eq_rows_star, tol_rank)
-    else:
-        basis_i = ()
+    eq_rows_star, _, basis_i = equality_basis(pt_star, tol_rank)
     basis_names = tuple(prog.eq_names[i] for i in basis_i)
 
     tail = records[len(records) // 2 :]
@@ -515,7 +510,6 @@ def recover_kkt(
     modal = min(chains, key=lambda sub: (-len(chains[sub]), sub))
     chain = chains[modal]
     m_values = tuple(m for *_, m in chain)
-    modal_names = cls.names(modal)
     base_detail = {
         "tail_length": len(tail),
         "reexpression_residual": reexpress_worst,
@@ -524,7 +518,7 @@ def recover_kkt(
     outcome = functools.partial(
         RecoveryOutcome,
         equality_basis=basis_names,
-        modal_subset=modal_names,
+        modal_subset=cls.names(modal),
         modal_frequency=len(chain),
         m_values=m_values,
         detail=base_detail,
@@ -554,9 +548,9 @@ def recover_kkt(
 
     if m_values[-1] >= GROWTH_FACTOR * max(m_values[0], 1.0):
         m_last = max(m_values[-1], 1.0)
-        eq_basis = [pt_star.jac_h[i] for i in basis_i]
-        socs, psds = conic_base(pt_star, cls)
-        rays = [view_star[j].gradient for j in modal]
+        eq = [(prog.eq_names[i], eq_rows_star[i]) for i in basis_i]
+        rays = [(names[j], view_star[j].gradient) for j in modal]
+        system, witness_names = dependence_system(cls, eq, conic_base(pt_star, cls), rays)
         lam_w = -np.asarray(last_lam, dtype=float) / m_last
 
         def scaled(j):
@@ -575,9 +569,7 @@ def recover_kkt(
             tuple(mat / normalization for mat in psd_w),
             alpha_w / normalization,
         )
-        ok, residual, cone_gap, norm_value = verify_dependence(
-            eq_basis, socs, psds, rays, witness, tol_cert
-        )
+        ok, residual, cone_gap, norm_value = verify_dependence(*system, witness, tol_cert)
         base_detail["witness_residual"] = residual
         base_detail["witness_cone_gap"] = cone_gap
         if ok:
@@ -589,8 +581,7 @@ def recover_kkt(
                 iterations=0,
                 detail={"source": "diverging multiplier trace", "cone_gap": cone_gap},
             )
-            labels = (basis_names, cls.names(cls.soc_vertex_multi), cls.names(cls.psd_multiple), modal_names)
-            return outcome("unbounded", certificate=cert, witness_names=labels)
+            return outcome("unbounded", certificate=cert, witness_names=witness_names)
         base_detail["reason"] = "divergence witness failed substitution"
         return outcome("inconclusive")
 

@@ -105,13 +105,12 @@ def _inner_minimize(prog, pt, lam_hat, mu_hats, rho, eps, inner_max):
             return pt, val, grad, projections, "unbounded"
         t = 1.0
         while t >= 1e-18:
-            trial = pt.x - t * grad
             try:
-                pt_t = evaluate(prog, trial)
-            except DomainError:
+                pt_t = evaluate(prog, pt.x - t * grad)
+                val_t, grad_t, proj_t = _penalty_terms(pt_t, lam_hat, mu_hats, rho)
+            except (DomainError, FloatingPointError):  # outside a domain, or overflowing under np.errstate
                 t *= 0.5
                 continue
-            val_t, grad_t, proj_t = _penalty_terms(pt_t, lam_hat, mu_hats, rho)
             if val_t <= val - 1e-4 * t * gn * gn:
                 pt, val, grad, projections = pt_t, val_t, grad_t, proj_t
                 break

@@ -12,8 +12,9 @@ Exit codes: 0 for positive outcomes (feasible, Holds, converged,
 certified, recovered KKT point), 1 for negative ones (Fails, rejected
 trace, diverging-multiplier witness, unbounded descent), 2 for an
 infeasible point, 3 for undecided or inconclusive outcomes (also when an
-internal iteration budget runs out, a factorization does not converge, or
-the library raises an error no command expects), and 64 for unusable
+internal iteration budget runs out, a factorization does not converge, a
+floating-point operation overflows, is invalid or divides by zero, or the
+library raises an error no command expects), and 64 for unusable
 inputs (bad flags, malformed files or vectors, points or trace records
 outside an expression domain, or input too large for the memory
 available).
@@ -542,14 +543,15 @@ def main(argv=None):
         return EXIT_USAGE
     started = time.perf_counter()
     try:
-        code = globals()[args.handler](args)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            code = globals()[args.handler](args)
     except _CliError as exc:
         print("error: %s" % exc.message, file=sys.stderr)
         return exc.code
     except _INPUT_ERRORS as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    except (ConeguardError, np.linalg.LinAlgError) as exc:  # budgets, factorizations, anything unforeseen
+    except (ConeguardError, np.linalg.LinAlgError, FloatingPointError) as exc:  # library, LAPACK and float errors
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_UNDECIDED
     except MemoryError:

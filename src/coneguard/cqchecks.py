@@ -32,7 +32,7 @@ from .classify import IndexClassification
 from .cones import svec
 from .errors import DomainError, NonSimpleEigenvalueError
 from .model import EvaluatedPoint, evaluate
-from .reduction import conic_base, reduced_view
+from .reduction import conic_base, dependence_system, equality_basis, reduced_view
 
 DELTA = 1e-3
 SAMPLES = 20
@@ -194,34 +194,21 @@ def check_robinson(
     blocks.  A rank-deficient equality Jacobian fails outright; otherwise a
     dependence certificate decides.
     """
-    if pt.program.p:
-        eq_rows = [pt.jac_h[i] for i in range(pt.program.p)]
-        rank, _ = numerical_rank(eq_rows, tol_rank)
-        if rank < pt.program.p:
-            coeffs, resid = null_combination(eq_rows)
-            return CqReport(
-                "robinson",
-                "Fails",
-                {
-                    "reason": "equality gradients are linearly dependent",
-                    "witness_combination": coeffs,
-                    "witness_residual": resid,
-                },
-            )
-    else:
-        eq_rows = []
-    socs, soc_idx, psds, psd_idx, rays, ray_idx = _face_system(pt, cls)
-    cert = conic_dependence(eq_rows, socs, psds, rays, budget=budget, tol_cert=tol_cert)
-    detail = {
-        "soc_blocks": cls.names(soc_idx),
-        "psd_blocks": cls.names(psd_idx),
-        "rays": cls.names(ray_idx),
-    }
-    labels = (pt.program.eq_names, detail["soc_blocks"], detail["psd_blocks"], detail["rays"])
+    eq_rows, rank, _ = equality_basis(pt, tol_rank)
+    if rank < pt.program.p:
+        coeffs, resid = null_combination(eq_rows)
+        reason = "equality gradients are linearly dependent"
+        detail = {"reason": reason, "witness_combination": coeffs, "witness_residual": resid}
+        return CqReport("robinson", "Fails", detail)
+    socs, _, psds, _, rays, ray_idx = _face_system(pt, cls)
+    eq = zip(pt.program.eq_names, eq_rows)
+    system, names = dependence_system(cls, eq, (socs, psds), zip(cls.names(ray_idx), rays))
+    cert = conic_dependence(*system, budget=budget, tol_cert=tol_cert)
+    detail = {"soc_blocks": names[1], "psd_blocks": names[2], "rays": names[3]}
     verdict = _decide(cert, detail)
     if verdict == "Fails":
         detail["normalization"] = cert.normalization
-    return CqReport("robinson", verdict, detail, cert, labels)
+    return CqReport("robinson", verdict, detail, cert, names)
 
 
 def check_rcpld(
@@ -259,27 +246,23 @@ def check_rcpld(
         detail["subset_cap"] = subset_cap
         return CqReport("rcpld", "Undecided", detail)
 
-    eq_rows = [pt.jac_h[i] for i in range(pt.program.p)]
     sampled, skipped = _neighbourhood(pt.program, pt.x.tobytes(), cls, delta, samples, seed)
     detail["samples_skipped"] = skipped
     if not sampled:
         return CqReport("rcpld", "Undecided", dict(detail, reason=_NO_SAMPLE))
-    if pt.program.p:
-        rank_star, basis_i = numerical_rank(eq_rows, tol_rank)
-        for t, sp in enumerate(sampled):
-            rank_s, _ = numerical_rank(sp.eq_rows, tol_rank)
-            if rank_s != rank_star:
-                detail.update(reason="equality gradient rank is not locally constant")
-                detail.update(rank_at_point=rank_star, rank_at_sample=rank_s, sample_index=t, sample_point=sp.x)
-                return CqReport("rcpld", "Fails", detail)
-    else:
-        rank_star, basis_i = 0, ()
-    detail["equality_basis"] = tuple(pt.program.eq_names[i] for i in basis_i)
-    basis_rows = [eq_rows[i] for i in basis_i]
+    eq_rows, rank_star, basis_i = equality_basis(pt, tol_rank)
+    for t, sp in enumerate(sampled):
+        rank_s = numerical_rank(sp.eq_rows, tol_rank)[0] if eq_rows else 0
+        if rank_s != rank_star:
+            detail.update(reason="equality gradient rank is not locally constant")
+            detail.update(rank_at_point=rank_star, rank_at_sample=rank_s, sample_index=t, sample_point=sp.x)
+            return CqReport("rcpld", "Fails", detail)
 
-    socs, psds = conic_base(pt, cls)
-    conic_names = (cls.names(cls.soc_vertex_multi), cls.names(cls.psd_multiple))
-    grads_star = {entry.block: entry.gradient for entry in reduced_view(pt, cls).entries}
+    eq = [(pt.program.eq_names[i], eq_rows[i]) for i in basis_i]
+    query = functools.partial(dependence_system, cls, eq, conic_base(pt, cls))
+    rays_star = {entry.block: (names[entry.block], entry.gradient) for entry in reduced_view(pt, cls).entries}
+    ground_system, ground_names = query([rays_star[j] for j in ground])
+    detail["equality_basis"] = ground_names[0]
     for sp in sampled:
         if sp.grads is None:
             detail.update(reason=_NON_SIMPLE, gap=sp.gap)
@@ -288,9 +271,9 @@ def check_rcpld(
     # Rays only and an independent family: one query on the ground set decides
     # every subset, whose dependence padded with zeros is one of the ground set.
     note = SAMPLING_NOTE % (len(sampled), delta)
-    ground_rays = [grads_star[j] for j in ground]
-    if not socs and not psds and numerical_rank(basis_rows + ground_rays, tol_rank)[0] == rank_star + len(ground):
-        cert = conic_dependence(basis_rows, socs, psds, ground_rays, budget=budget, tol_cert=tol_cert)
+    eq_vectors, socs, psds, ground_rays = ground_system
+    if not socs and not psds and numerical_rank(eq_vectors + ground_rays, tol_rank)[0] == rank_star + len(ground):
+        cert = conic_dependence(*ground_system, budget=budget, tol_cert=tol_cert)
         if cert.verdict == "independent":
             detail.update(subset_log=({"subset": detail["ground_set"], "system": "independent"},), note=note)
             return CqReport("rcpld", "Holds", detail)
@@ -308,9 +291,9 @@ def check_rcpld(
             if any(code & d == d for d in dependent):
                 continue
             subset = [ground[i] for i in range(len(ground)) if code >> i & 1]
-            rays = [grads_star[j] for j in subset]
-            cert = conic_dependence(basis_rows, socs, psds, rays, budget=budget, tol_cert=tol_cert)
-            entry = {"subset": tuple(names[j] for j in subset), "system": cert.verdict}
+            system, witness_names = query([rays_star[j] for j in subset])
+            cert = conic_dependence(*system, budget=budget, tol_cert=tol_cert)
+            entry = {"subset": witness_names[3], "system": cert.verdict}
             subset_log.append(entry)
             if cert.verdict == "undecided":
                 entry.update(cert.detail)
@@ -327,8 +310,7 @@ def check_rcpld(
                 else:
                     continue
                 detail.update(subset=entry["subset"], sample_index=t, subset_log=tuple(subset_log))
-                labels = (detail["equality_basis"], conic_names[0], conic_names[1], entry["subset"])
-                return CqReport("rcpld", "Fails", detail, cert, labels)
+                return CqReport("rcpld", "Fails", detail, cert, witness_names)
             entry["persisted"] = True
             dependent.append(code)
     detail["subset_log"] = tuple(subset_log)
@@ -363,7 +345,7 @@ def check_crsc(
     names = cls.block_names
     ground = cls.reduced()
     detail = {"delta": delta, "samples": samples, "seed": seed}
-    eq_rows = [pt.jac_h[i] for i in range(pt.program.p)]
+    eq_rows, _, basis_i = equality_basis(pt, tol_rank)
     grads_star = {entry.block: entry.gradient for entry in reduced_view(pt, cls).entries}
     all_grads = [grads_star[j] for j in ground]
 
@@ -376,12 +358,7 @@ def check_crsc(
     detail["j_minus"] = tuple(names[j] for j in j_minus)
     detail["j_plus"] = tuple(names[j] for j in j_plus)
 
-    if pt.program.p:
-        _, basis_i = numerical_rank(eq_rows, tol_rank)
-    else:
-        basis_i = ()
-    basis_rows = [eq_rows[i] for i in basis_i]
-    picked = extend_basis(basis_rows, [grads_star[j] for j in j_minus], tol_rank)
+    picked = extend_basis([eq_rows[i] for i in basis_i], [grads_star[j] for j in j_minus], tol_rank)
     j_basis = [j_minus[i] for i in picked]
     detail["equality_basis"] = tuple(pt.program.eq_names[i] for i in basis_i)
     detail["gradient_basis"] = tuple(names[j] for j in j_basis)
@@ -403,20 +380,14 @@ def check_crsc(
             detail.update(rank_at_point=rank_star, rank_at_sample=rank_s, sample_index=t, sample_point=sp.x)
             return CqReport("crsc", "Fails", detail)
 
-    socs, psds = conic_base(pt, cls)
-    eq_basis = basis_rows + [grads_star[j] for j in j_basis]
-    rays = [grads_star[j] for j in j_plus]
-    cert = conic_dependence(eq_basis, socs, psds, rays, budget=budget, tol_cert=tol_cert)
+    eq = [(pt.program.eq_names[i], eq_rows[i]) for i in basis_i] + [(names[j], grads_star[j]) for j in j_basis]
+    rays = [(names[j], grads_star[j]) for j in j_plus]
+    system, witness_names = dependence_system(cls, eq, conic_base(pt, cls), rays)
+    cert = conic_dependence(*system, budget=budget, tol_cert=tol_cert)
     detail["system"] = cert.verdict
-    labels = (
-        detail["equality_basis"] + detail["gradient_basis"],
-        cls.names(cls.soc_vertex_multi),
-        cls.names(cls.psd_multiple),
-        detail["j_plus"],
-    )
     verdict = _decide(cert, detail)
     if verdict == "Holds":
         detail["note"] = SAMPLING_NOTE % (len(sampled), delta)
     elif verdict == "Fails":
         detail["reason"] = "nonzero solution of the subspace-complement system"
-    return CqReport("crsc", verdict, detail, cert, labels)
+    return CqReport("crsc", verdict, detail, cert, witness_names)

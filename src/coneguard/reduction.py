@@ -13,7 +13,9 @@ A reduced entry carries its block's classification label ("boundary",
 coefficient a and its cone multiplier a R g, a e0 or a v v^T, both ways.
 The other active blocks (vertex blocks of dimension > 1, semidefinite
 blocks with a repeated smallest eigenvalue) keep full cones;
-``conic_base`` collects them.
+``conic_base`` collects them.  ``dependence_system`` assembles one
+dependence query from an equality basis (``equality_basis``), those cone
+blocks and reduced gradients as rays, with the names of its witness rows.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .certificates import numerical_rank
 from .classify import eigen_gap
 from .errors import NonSimpleEigenvalueError
 
@@ -95,3 +98,25 @@ def conic_base(pt, cls):
     socs = [pt.blocks[j].jac for j in cls.soc_vertex_multi]
     psds = [pt.blocks[j].partials for j in cls.psd_multiple]
     return socs, psds
+
+
+def equality_basis(pt, tol_rank):
+    """Equality gradient rows at pt, their numerical rank and pivoted basis;
+    the rank is computed only when there are equalities."""
+    rows = list(pt.jac_h)
+    return (rows, *numerical_rank(rows, tol_rank)) if rows else (rows, 0, ())
+
+
+def dependence_system(cls, eq, cones, rays):
+    """One dependence query and the names of its witness rows.
+
+    eq (free coefficients) and rays (nonnegative ones) are (name, vector)
+    pairs; cones holds the SOC and PSD lists of cls's full-cone blocks, as
+    ``conic_base`` gives them or compressed to their kernel faces.  Returns
+    the system (eq vectors, socs, psds, ray vectors) and its witness names
+    (eq names, SOC names, PSD names, ray names).
+    """
+    eq, rays = tuple(eq), tuple(rays)
+    system = ([v for _, v in eq], *cones, [v for _, v in rays])
+    blocks = (cls.names(cls.soc_vertex_multi), cls.names(cls.psd_multiple))
+    return system, (tuple(n for n, _ in eq), *blocks, tuple(n for n, _ in rays))

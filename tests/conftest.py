@@ -114,8 +114,7 @@ def _dyadic(rng, size=None, lo=-4, hi=5):
 _PYTHAGOREAN = ((3.0, 4.0, 5.0), (1.5, 2.0, 2.5), (6.0, 8.0, 10.0))
 
 
-def random_feasible_program(rng, *, allow_soc=True, allow_psd=True, max_eq=2,
-                            exact_psd_kernel=True):
+def random_feasible_program(rng, *, allow_soc=True, allow_psd=True, max_eq=2):
     """Random program with exactly representable structure at a known point.
 
     Active semidefinite blocks with a repeated zero eigenvalue are placed
@@ -181,7 +180,7 @@ def random_feasible_program(rng, *, allow_soc=True, allow_psd=True, max_eq=2,
                     if rng.integers(0, 2):
                         mat = mat[::-1, ::-1]
             else:
-                mat = np.zeros((m, m)) if exact_psd_kernel else np.zeros((m, m))
+                mat = np.zeros((m, m))
             iu = np.triu_indices(m)
             values = mat[iu]
             coeff_rows = rng.integers(-2, 3, size=(count, n))

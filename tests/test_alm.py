@@ -70,6 +70,23 @@ class TestLineSearch:
         assert misses and all(x <= 0.0 for x in misses)
         assert trace.records[-1].x == pytest.approx([np.sqrt(0.5)], abs=1e-7)
 
+    def test_step_halves_when_a_trial_point_overflows(self, monkeypatch):
+        # the penalty terms at the first trial point raise as np.errstate(over="raise")
+        # makes an overflow raise; the step halves as it does outside a domain
+        points = []
+
+        def overflowing_once(pt, *args):
+            points.append(float(pt.x[0]))
+            if len(points) == 2:
+                raise FloatingPointError("overflow encountered in multiply")
+            return _penalty_terms(pt, *args)
+
+        monkeypatch.setattr(alm, "_penalty_terms", overflowing_once)
+        prog, trace, status = run("vars 1\nobjective (x1 - 1)^2\n", [3.0])
+        assert status == "converged"
+        assert points[:3] == [3.0, -1.0, 1.0]  # start, the raising trial at t = 1, then t = 1/2
+        assert trace.records[-1].x == pytest.approx([1.0], abs=1e-7)
+
 
 class TestStatuses:
     def test_boundary_quadratic_converges(self):

@@ -4,7 +4,8 @@ Each LAPACK routine the package calls (eigh, svd, lstsq, pinv) is made, in
 turn, to fail or to return NaN.  Every command that reaches it must end in
 exit 3 (undecided) or 64 (unusable input), never in a verdict or a
 traceback.  Block data above ``model.BLOCK_LIMIT`` in magnitude exits 64
-before any product of it can overflow.
+before any product of it can overflow; block data just under it that
+overflows inside a check exits 3.
 """
 
 import contextlib
@@ -135,3 +136,17 @@ def test_oversized_block_data_is_a_usage_error(tmp_path, capsys):
             assert code == EXIT_USAGE, argv
             assert err.startswith("error: --") and err.endswith(message), err
             assert REPORT_BEGIN not in out
+
+
+def test_block_data_that_overflows_inside_a_check_gives_no_verdict(tmp_path, capsys):
+    # every entry passes BLOCK_LIMIT, but norms and products of the 4x4 block's
+    # partials overflow: in numerical_rank's pivot loop and in the margin steps
+    path = tmp_path / "sum.txt"
+    path.write_text("vars 3\nobjective x1 + x2 + x3\npsd G 4\n" + "1e154 * x1 + 1e154 * x2 + 1e154 * x3\n" * 10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for cq in ("nondegeneracy", "robinson", "rcpld", "crsc"):
+            code, out, err = run(["check", "--problem", str(path), "--point", "0,0,0", "--cq", cq], capsys)
+            assert code == EXIT_UNDECIDED, (cq, code, out)
+            assert REPORT_BEGIN not in out
+            assert err.startswith("error: overflow encountered in "), err
