@@ -19,7 +19,8 @@ starts a comment, 17 significant digits; the module opens no file):
 
 Records start at their `k` line; a record has one `x` line, at most one
 `lambda` line, and at most one `mu` or `alpha` line per block.  Missing
-multipliers default to zero.
+multipliers default to zero.  ``trace_from_iterates`` builds a trace from
+a solver's iterates.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .cones import eig_sym, listed, psd_distance, soc_distance, svec_dim, sym_fr
 from .errors import (
     DimensionMismatchError,
     DomainError,
+    InfeasiblePointError,
     ProblemFormatError,
     ReconstructionError,
 )
@@ -129,6 +131,28 @@ def build_trace(prog: ConicProgram, records) -> AkktTrace:
                     "coefficient for %r is negative (%g)" % (name, a)
                 )
     return AkktTrace(records)
+
+
+def trace_from_iterates(prog: ConicProgram, iterates) -> AkktTrace:
+    """The trace of a solver's iterates, each (k, evaluated point, lambda,
+    one cone multiplier per block), split under the last point's classification.
+
+    A last point outside the cones is classified at 1.5 times its residual.
+    Irreducible blocks keep their nonzero multipliers; each reduced block
+    keeps its multiplier's coefficient along the block's axis.
+    """
+    last = iterates[-1][1]
+    try:
+        cls = classify(last)
+    except InfeasiblePointError:
+        cls = classify(last, max(last.residual * 1.5, TOL_ACT))
+    names = cls.block_names
+    records = []
+    for k, pt, lam, mus in iterates:
+        mu = {names[j]: mus[j] for j in cls.conic() if float(np.linalg.norm(mus[j])) > 0.0}
+        alpha = {names[e.block]: e.coefficient(mus[e.block]) for e in reduced_view(pt, cls, strict=False).entries}
+        records.append(AkktRecord(k, pt.x.copy(), np.array(lam, dtype=float), mu, alpha))
+    return build_trace(prog, records)
 
 
 def dumps_trace(trace: AkktTrace) -> str:

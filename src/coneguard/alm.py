@@ -17,23 +17,21 @@ search to a scheduled inner tolerance, then updates multipliers with the
 same projected quantities, so the outer stationarity norm equals the inner
 gradient norm at acceptance.  The safeguard then clips lam_hat
 componentwise and scales each mu_hat radially into the ball of radius
-cap.  Every outer iterate is appended to a trace whose cone
-coefficients are split, at the final classification, into
-irreducible-block multipliers and reduced-block scalars.
+cap.  ``akkt.trace_from_iterates`` turns the starting point and every
+outer iterate into the returned trace.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 
 import numpy as np
 
-from .akkt import AkktRecord, AkktTrace, _zero_multiplier, build_trace
-from .classify import TOL_ACT, TOL_GAP, classify
+from .akkt import trace_from_iterates
 from .cones import project_psd, project_soc
-from .errors import DomainError, InfeasiblePointError
+from .errors import DomainError
 from .model import ConicProgram, apply_jacobian_adjoint, evaluate
-from .reduction import reduced_view
 
 UNBOUNDED_OBJECTIVE = -1e12
 # inner tolerance of outer iteration k: max(EPS0 * EPS_DECAY**k, EPS_FLOOR)
@@ -49,10 +47,11 @@ class AlmConfig:
         self.rho0, self.gamma, self.cap = rho0, gamma, cap
         self.outer_max, self.inner_max = outer_max, inner_max
         self.tol_stat, self.tol_feas = tol_stat, tol_feas
-        if self.rho0 <= 0:
-            raise ValueError("rho0 must be positive")
-        if self.gamma <= 1:
-            raise ValueError("gamma must exceed 1")
+        for name, low in dict(rho0=0, gamma=1, cap=0, tol_stat=0, tol_feas=0).items():
+            if not low < getattr(self, name) < math.inf:  # a NaN fails too
+                raise ValueError("%s must be a finite number > %d" % (name, low))
+        if not (outer_max >= 1 and inner_max >= 1):
+            raise ValueError("outer_max and inner_max must be at least 1")
 
 
 def inner_tolerance(k):
@@ -120,16 +119,6 @@ def _inner_minimize(prog, pt, lam_hat, mu_hats, rho, eps, inner_max):
     return pt, val, grad, projections, "stalled"
 
 
-def _split_record(k, pt, lam, mu_full, cls):
-    """Express one raw iterate, evaluated as pt, in trace form under a fixed classification."""
-    names = cls.block_names
-    arrays = {names[j]: np.asarray(mu_full[j], dtype=float) for j in cls.conic()}
-    mu = {name: arr for name, arr in arrays.items() if float(np.linalg.norm(arr)) > 0.0}
-    view = reduced_view(pt, cls, strict=False)
-    alpha = {names[e.block]: e.coefficient(mu_full[e.block]) for e in view.entries}
-    return AkktRecord(k, pt.x.copy(), np.asarray(lam, dtype=float).copy(), mu, alpha)
-
-
 def solve(prog: ConicProgram, x0, cfg: AlmConfig | None = None, log=None):
     """Run the safeguarded augmented Lagrangian method from x0.
 
@@ -146,8 +135,8 @@ def solve(prog: ConicProgram, x0, cfg: AlmConfig | None = None, log=None):
     if x.size != prog.n:
         raise ValueError("starting point has %d entries, expected %d" % (x.size, prog.n))
     lam_hat = np.zeros(prog.p)
-    mu_hats = [_zero_multiplier(blk) for blk in prog.blocks]
     pt = evaluate(prog, x)
+    mu_hats = [np.zeros_like(bv.value) for bv in pt.blocks]
     feas_prev = pt.residual
     rho = cfg.rho0
     raw = [(0, pt, lam_hat, mu_hats)]  # multiplier arrays are replaced, never changed in place
@@ -180,13 +169,4 @@ def solve(prog: ConicProgram, x0, cfg: AlmConfig | None = None, log=None):
         lam_hat = np.clip(lam_new, -cfg.cap, cfg.cap)
         mu_hats = [_cap_radially(m, cfg.cap) for m in projections]
 
-    final_pt = raw[-1][1]
-    tol_act = TOL_ACT
-    try:
-        cls = classify(final_pt, tol_act, TOL_GAP)
-    except InfeasiblePointError:
-        # a final iterate outside the cones is classified at 1.5 times its residual
-        tol_act = max(final_pt.residual * 1.5, TOL_ACT)
-        cls = classify(final_pt, tol_act, TOL_GAP)
-    records = [_split_record(k, pt_k, lam_k, mus_k, cls) for k, pt_k, lam_k, mus_k in raw]
-    return build_trace(prog, records), status
+    return trace_from_iterates(prog, raw), status

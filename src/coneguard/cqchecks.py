@@ -240,12 +240,6 @@ def check_rcpld(
         "seed": seed,
         "ground_set": tuple(names[j] for j in ground),
     }
-    if len(ground) > 0 and 2 ** len(ground) > subset_cap:
-        detail["reason"] = "subset enumeration exceeds cap"
-        detail["subset_count"] = 2 ** len(ground)
-        detail["subset_cap"] = subset_cap
-        return CqReport("rcpld", "Undecided", detail)
-
     sampled, skipped = _neighbourhood(pt.program, pt.x.tobytes(), cls, delta, samples, seed)
     detail["samples_skipped"] = skipped
     if not sampled:
@@ -277,6 +271,12 @@ def check_rcpld(
         if cert.verdict == "independent":
             detail.update(subset_log=({"subset": detail["ground_set"], "system": "independent"},), note=note)
             return CqReport("rcpld", "Holds", detail)
+
+    if len(ground) > 0 and 2 ** len(ground) > subset_cap:
+        detail["reason"] = "subset enumeration exceeds cap"
+        detail["subset_count"] = 2 ** len(ground)
+        detail["subset_cap"] = subset_cap
+        return CqReport("rcpld", "Undecided", detail)
 
     # Only minimal dependent subsets need a query: a superset of a dependent
     # subset is dependent (zero coefficients on the added rays), and its

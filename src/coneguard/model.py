@@ -276,6 +276,7 @@ class EvaluatedPoint(NamedTuple):
     h: np.ndarray
     jac_h: np.ndarray  # (p, n)
     blocks: tuple
+    distances: tuple  # each block's distance to its cone
     residual: float
 
 
@@ -335,19 +336,13 @@ def evaluate(prog, x):
     hres = float(np.max(np.abs(h))) if prog.p else 0.0
     # np.max keeps a NaN, which max would drop
     residual = float(np.max([hres] + distances))
-    return EvaluatedPoint(prog, x.copy(), float(f[0]), grad_f[0], h, jac_h, tuple(values), residual)
+    return EvaluatedPoint(prog, x.copy(), float(f[0]), grad_f[0], h, jac_h, tuple(values), tuple(distances), residual)
 
 
 def block_distances(pt):
     """Per-constraint infeasibility, keyed by name."""
-    out = {}
-    for i, name in enumerate(pt.program.eq_names):
-        out["eq:" + name] = abs(float(pt.h[i]))
-    for blk, bv in zip(pt.program.blocks, pt.blocks):
-        if blk.kind == "soc":
-            out[blk.name] = soc_distance(bv.value)
-        else:
-            out[blk.name] = psd_distance(bv.value, bv.spectral)
+    out = {"eq:" + name: abs(float(h)) for name, h in zip(pt.program.eq_names, pt.h)}
+    out.update(zip((blk.name for blk in pt.program.blocks), pt.distances))
     return out
 
 

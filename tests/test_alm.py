@@ -33,10 +33,18 @@ class TestConfig:
             {"rho0": -1.0},
             {"gamma": 1.0},
             {"gamma": 0.5},
+            # every field rejects what the CLI's argparse types reject
+            {"rho0": float("inf")},
+            {"gamma": float("nan")},
+            {"cap": -1.0},
+            {"outer_max": 0},
+            {"inner_max": 0},
+            {"tol_stat": float("nan")},
+            {"tol_feas": 0.0},
         ],
     )
     def test_invalid_configs_are_rejected(self, kw):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kw))):
             AlmConfig(**kw)
 
     def test_inner_tolerance_schedule(self):

@@ -296,6 +296,14 @@ class TestCheck:
         assert [v[1] for v in verdicts] == ["nondegeneracy", "robinson", "rcpld", "crsc"]
         assert all(v[2] == "Holds" for v in verdicts)
 
+    def test_subset_cap_does_not_stop_a_ground_set_decision(self, tmp_path, capsys):
+        # 17 blocks are 2**17 subsets, above the default cap; one query decides rcpld
+        problem = tmp_path / "seventeen.txt"
+        problem.write_text("vars 17\nobjective x1\n" + "".join("psd a%d 1\nx%d\n" % (i, i) for i in range(1, 18)))
+        code, out, _ = run(["check", "--problem", str(problem), "--point", ",".join(["0"] * 17), "--cq", "all"], capsys)
+        assert code == EXIT_OK
+        assert [v[2] for v in rows(out, "verdict")] == ["Holds"] * 4
+
     def test_subset_cap_yields_undecided_exit(self, files, capsys):
         code, out, _ = run(
             [

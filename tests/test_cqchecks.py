@@ -185,6 +185,18 @@ class TestMinimalSubsets:
         assert rep.detail["subset_log"] == ({"subset": ("s", "p", "c"), "system": "independent"},)
         assert rep.detail["note"] == SAMPLING_NOTE % (20, 1e-3)
 
+    # 17 scalar blocks x_i >= 0 at the origin: 2**17 subsets exceed the cap,
+    # and the ground-set query decides without enumerating them
+    SEVENTEEN = ["vars 17", "objective x1"] + [line for i in range(1, 18) for line in ("psd a%d 1" % i, "x%d" % i)]
+
+    def test_subset_cap_leaves_the_ground_set_query_alone(self, monkeypatch):
+        rep, queries = self._rcpld_queries(monkeypatch, self.SEVENTEEN, np.zeros(17))
+        assert 2**17 > cqchecks.SUBSET_CAP
+        assert rep.verdict == "Holds"
+        assert queries == [17]
+        pt, cls = _point(loads("\n".join(self.SEVENTEEN) + "\n"), np.zeros(17))
+        assert check_robinson(pt, cls).verdict == check_crsc(pt, cls).verdict == "Holds"
+
     def test_full_cone_block_still_queries_every_subset(self, monkeypatch):
         vertex = ["soc v 3", "x1", "x2", "x3"]
         rep, queries = self._rcpld_queries(monkeypatch, self.RAYS_ONLY + vertex, [0.0, 0.0, 0.0])

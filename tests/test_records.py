@@ -46,7 +46,7 @@ RECORDS = [
     (ConicProgram, dict(n=1, objective=TAPE, eq_names=(), equalities=(), blocks=())),
     (CqReport, dict(name="rcpld", verdict="Holds", detail={"a": 1}, certificate=None)),
     (DependenceWitness, dict(lam=V, soc=(V,), psd=(M,), alpha=V)),
-    (EvaluatedPoint, dict(program=None, x=V, f=0.0, grad_f=V, h=V, jac_h=M, blocks=(), residual=0.0)),
+    (EvaluatedPoint, dict(program=None, x=V, f=0.0, grad_f=V, h=V, jac_h=M, blocks=(), distances=(), residual=0.0)),
     (GradedValue, dict(value=1.0, partials=V)),
     (IndexClassification, dict(labels=("interior",), tol_act=1e-8, tol_gap=1e-6, block_names=("c",))),
     (PsdBlockValue, dict(value=None, partials=M, spectral=None)),
