@@ -30,7 +30,6 @@ from .certificates import (
     caratheodory_reduce,
     cone_membership,
     conic_dependence,
-    extend_basis,
     nnls,
     numerical_rank,
     verify_dependence,

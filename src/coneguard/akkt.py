@@ -450,10 +450,6 @@ class RecoveryOutcome:
         self.witness_names = witness_names
 
 
-def _zero_multiplier(blk):
-    return np.zeros(blk.dim) if blk.kind == "soc" else np.zeros((blk.dim, blk.dim))
-
-
 def recover_kkt(
     pt_star,
     trace,
@@ -554,7 +550,7 @@ def recover_kkt(
     if max(m_values) <= m_cap:
         lam_full = np.zeros(prog.p)
         lam_full[list(basis_i)] = last_lam
-        mu_map = {blk.name: _zero_multiplier(blk) for blk in prog.blocks}
+        mu_map = {name: np.zeros_like(bv.value) for name, bv in zip(names, pt_star.blocks)}
         for j in cls.conic():
             mu_map[names[j]] = np.asarray(last_mu.get(names[j], mu_map[names[j]]), dtype=float)
         for entry in view_star.entries:
@@ -578,7 +574,7 @@ def recover_kkt(
         lam_w = -np.asarray(last_lam, dtype=float) / m_last
 
         def scaled(j):
-            return np.asarray(last_mu.get(names[j], _zero_multiplier(prog.blocks[j])), dtype=float) / m_last
+            return np.asarray(last_mu.get(names[j], np.zeros_like(pt_star.blocks[j].value)), dtype=float) / m_last
 
         soc_w = [scaled(j) for j in cls.soc_vertex_multi]
         psd_w = [scaled(j) for j in cls.psd_multiple]

@@ -77,31 +77,6 @@ def numerical_rank(vectors, tol_rank=TOL_RANK):
     return rank, tuple(sorted(chosen))
 
 
-def extend_basis(base, candidates, tol_rank=TOL_RANK):
-    """Indices of candidates that enlarge the span of base, greedily in order."""
-    rows = [np.asarray(v, dtype=float).reshape(-1) for v in base]
-    cands = [np.asarray(v, dtype=float).reshape(-1) for v in candidates]
-    stacked = rows + cands
-    if not stacked:
-        return ()
-    svals = factored(np.linalg.svd(np.vstack(stacked), compute_uv=False))
-    smax = float(svals[0]) if svals.size else 0.0
-    if smax <= 0.0:
-        return ()
-    qs = []
-    picked = []
-    for idx, v in enumerate(stacked, start=-len(rows)):  # base rows have idx < 0
-        res = v.copy()
-        for q in qs:
-            res = res - (res @ q) * q
-        nn = float(np.linalg.norm(res))
-        if nn > tol_rank * smax:
-            if idx >= 0:
-                picked.append(idx)
-            qs.append(res / nn)
-    return tuple(picked)
-
-
 def null_combination(vectors):
     """Coefficients of a (near-)vanishing combination of the given vectors."""
     a = np.vstack([np.asarray(v, dtype=float).reshape(-1) for v in vectors])

@@ -204,29 +204,26 @@ def _parse_vector(text, n, what):
     return np.array(values, dtype=float)
 
 
-def _open(args, command):
-    """Load the program, evaluate --point on it, and open the report."""
+def _open(args, rep):
+    """Load the program and evaluate --point on it, which rep reports."""
     prog = _read(args.problem, "problem", loads)
     x = _parse_vector(args.point, prog.n, "--point")
     try:
         pt = evaluate(prog, x)
     except DomainError as exc:
         raise _CliError(EXIT_USAGE, "--point leaves an expression domain: %s" % exc)
-    rep = Report()
-    rep.add("command", command)
-    rep.add("problem", args.problem)
     rep.add("point", *_fmt_vec(x))
-    return prog, pt, rep
+    return prog, pt
 
 
-def _open_with_trace(args, command):
+def _open_with_trace(args, rep):
     """_open, then load the --trace file and report it with --tol."""
-    prog, pt, rep = _open(args, command)
+    prog, pt = _open(args, rep)
     trace = _read(args.trace, "trace", functools.partial(loads_trace, prog))
     rep.add("trace", args.trace)
     _echo(rep, args, "tol")
     rep.add("records", "%d" % len(trace.records))
-    return prog, pt, trace, rep
+    return prog, pt, trace
 
 
 def _echo(rep, args, *flags):
@@ -265,13 +262,10 @@ def _infeasible_exit(rep, exc):
     return EXIT_INFEASIBLE
 
 
-def _cmd_classify(args):
-    prog, pt, rep = _open(args, "classify")
+def _cmd_classify(args, rep):
+    prog, pt = _open(args, rep)
     _echo(rep, args, "tol-act", "tol-gap")
-    try:
-        cls = classify(pt, args.tol_act, args.tol_gap)
-    except InfeasiblePointError as exc:
-        return _infeasible_exit(rep, exc)
+    cls = classify(pt, args.tol_act, args.tol_gap)
     rep.add("status", "feasible")
     rep.add("objective", _fmt(pt.f))
     rep.add("residual", _fmt(pt.residual))
@@ -298,20 +292,17 @@ def _run_check(name, pt, cls, args):
     return check_crsc(pt, cls, **sampled)
 
 
-def _cmd_check(args):
+def _cmd_check(args, rep):
     env = os.environ.get("CONEGUARD_SEED")
     if env is not None:
         try:
             args.seed = _SEED(env)
         except (ValueError, argparse.ArgumentTypeError):
             raise _CliError(EXIT_USAGE, "CONEGUARD_SEED must be an integer >= 0, got %r" % env)
-    prog, pt, rep = _open(args, "check")
+    prog, pt = _open(args, rep)
     rep.add("cq", args.cq)
     _echo(rep, args, "tol-act", "tol-gap", "tol-rank", "tol-cert", "radius", "samples", "seed", "budget")
-    try:
-        cls = classify(pt, args.tol_act, args.tol_gap)
-    except InfeasiblePointError as exc:
-        return _infeasible_exit(rep, exc)
+    cls = classify(pt, args.tol_act, args.tol_gap)
     rep.add("status", "feasible")
     _emit_classification(rep, prog, cls)
     human = []
@@ -330,7 +321,7 @@ def _cmd_check(args):
     return EXIT_OK if all(v == "Holds" for v in verdicts) else EXIT_UNDECIDED
 
 
-def _cmd_solve(args):
+def _cmd_solve(args, rep):
     prog = _read(args.problem, "problem", loads)
     x0 = _parse_vector(args.x0, prog.n, "--x0")
     try:
@@ -340,9 +331,6 @@ def _cmd_solve(args):
     _write(args.trace, dumps_trace(trace), "trace file " + args.trace)
     final = trace.records[-1]
     final_pt = evaluate(prog, final.x)
-    rep = Report()
-    rep.add("command", "solve")
-    rep.add("problem", args.problem)
     rep.add("x0", *_fmt_vec(x0))
     _echo(rep, args, *(name.replace("_", "-") for name in _ALM_OPTIONS))
     rep.add("status", status)
@@ -360,12 +348,10 @@ def _cmd_solve(args):
     return EXIT_NEGATIVE if status == "unbounded" else EXIT_UNDECIDED
 
 
-def _cmd_certify(args):
-    _, pt, trace, rep = _open_with_trace(args, "certify")
+def _cmd_certify(args, rep):
+    _, pt, trace = _open_with_trace(args, rep)
     try:
         outcome = certify_akkt(pt, trace, tol=args.tol, tol_act=args.tol_act, tol_gap=args.tol_gap)
-    except InfeasiblePointError as exc:
-        return _infeasible_exit(rep, exc)
     except DomainError as exc:
         raise _CliError(EXIT_USAGE, "trace file %s: %s" % (args.trace, exc))
     rep.add("certified", "yes" if outcome.certified else "no")
@@ -379,8 +365,8 @@ def _cmd_certify(args):
     return EXIT_OK if outcome.certified else EXIT_NEGATIVE
 
 
-def _cmd_recover(args):
-    prog, pt, trace, rep = _open_with_trace(args, "recover")
+def _cmd_recover(args, rep):
+    prog, pt, trace = _open_with_trace(args, rep)
     try:
         outcome = recover_kkt(
             pt,
@@ -392,8 +378,6 @@ def _cmd_recover(args):
             tol_cert=args.tol_cert,
             m_cap=args.m_cap,
         )
-    except InfeasiblePointError as exc:
-        return _infeasible_exit(rep, exc)
     except DomainError as exc:
         raise _CliError(EXIT_USAGE, "trace file %s: %s" % (args.trace, exc))
     verdict = {"kkt": "KKT", "unbounded": "UnboundedWitness", "inconclusive": "Inconclusive"}[outcome.verdict]
@@ -423,7 +407,7 @@ def _cmd_recover(args):
     return EXIT_NEGATIVE if outcome.verdict == "unbounded" else EXIT_UNDECIDED
 
 
-def _cmd_embed_diag(args):
+def _cmd_embed_diag(args, rep):
     prog = _read(args.problem, "problem", loads)
     try:
         embedded = embed_block_diagonal(prog)
@@ -434,9 +418,6 @@ def _cmd_embed_diag(args):
     except ValueError as exc:  # a literal that overflowed when it was read
         raise _CliError(EXIT_USAGE, "problem file %s: %s" % (args.problem, exc))
     _write(args.out, text, args.out)
-    rep = Report()
-    rep.add("command", "embed-diag")
-    rep.add("problem", args.problem)
     rep.add("out", args.out)
     rep.add("blocks-merged", "%d" % len(prog.blocks))
     rep.add("dim", "%d" % (embedded.blocks[0].dim if embedded.blocks else 0))
@@ -479,11 +460,12 @@ _ALM_OPTIONS = dict(rho0=_POSITIVE, gamma=_ABOVE_ONE, cap=_POSITIVE, outer_max=_
 
 
 def _subcommand(subs, name, description, *required):
-    """A subcommand whose handler main looks up by name, so wrappers installed
-    on the module's _cmd_* functions are called."""
+    """A subcommand with --problem and the required flags; main looks its
+    handler up by name, so wrappers installed on the module's _cmd_*
+    functions are called."""
     p = subs.add_parser(name, description=description)
     p.set_defaults(handler="_cmd_" + name.replace("-", "_"))
-    for flag in required:
+    for flag in ("--problem",) + required:
         p.add_argument(flag, required=True)
     return p
 
@@ -498,10 +480,10 @@ def build_parser():
     parser = _Parser(prog="coneguard", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     subs = parser.add_subparsers(dest="subcommand")
 
-    p = _subcommand(subs, "classify", "Classify constraint blocks at a point.", "--problem", "--point")
+    p = _subcommand(subs, "classify", "Classify constraint blocks at a point.", "--point")
     _add_point_tols(p)
 
-    p = _subcommand(subs, "check", "Verify constraint qualifications at a point.", "--problem", "--point")
+    p = _subcommand(subs, "check", "Verify constraint qualifications at a point.", "--point")
     p.add_argument("--cq", required=True, choices=_CHECK_ORDER + ("all",))
     _add_point_tols(p)
     p.add_argument("--tol-rank", type=_POSITIVE, default=TOL_RANK)
@@ -512,18 +494,18 @@ def build_parser():
     p.add_argument("--budget", type=_COUNT, default=DEFAULT_BUDGET)
     p.add_argument("--subset-cap", type=_COUNT, default=SUBSET_CAP)
 
-    p = _subcommand(subs, "solve", "Run the augmented Lagrangian solver and write a trace.", "--problem", "--x0")
+    p = _subcommand(subs, "solve", "Run the augmented Lagrangian solver and write a trace.", "--x0")
     p.add_argument("--trace", required=True, help="output trace file")
     defaults = AlmConfig()
     for name, kind in _ALM_OPTIONS.items():
         p.add_argument("--" + name.replace("_", "-"), type=kind, default=getattr(defaults, name))
 
-    p = _subcommand(subs, "certify", "Certify a trace as approximately stationary at a point.", "--problem", "--point")
+    p = _subcommand(subs, "certify", "Certify a trace as approximately stationary at a point.", "--point")
     p.add_argument("--trace", required=True, help="input trace file")
     p.add_argument("--tol", type=_POSITIVE, default=TOL_KKT)
     _add_point_tols(p)
 
-    p = _subcommand(subs, "recover", "Recover candidate multipliers from a trace.", "--problem", "--point")
+    p = _subcommand(subs, "recover", "Recover candidate multipliers from a trace.", "--point")
     p.add_argument("--trace", required=True, help="input trace file")
     p.add_argument("--tol", type=_POSITIVE, default=TOL_KKT)
     _add_point_tols(p)
@@ -531,7 +513,7 @@ def build_parser():
     p.add_argument("--tol-cert", type=_POSITIVE, default=TOL_CERT)
     p.add_argument("--m-cap", type=_POSITIVE, default=M_CAP)
 
-    _subcommand(subs, "embed-diag", "Merge all semidefinite blocks into one block-diagonal block.", "--problem", "--out")
+    _subcommand(subs, "embed-diag", "Merge all semidefinite blocks into one block-diagonal block.", "--out")
     return parser
 
 
@@ -542,9 +524,14 @@ def main(argv=None):
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     started = time.perf_counter()
+    rep = Report()
+    rep.add("command", args.subcommand)
+    rep.add("problem", args.problem)
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            code = globals()[args.handler](args)
+            code = globals()[args.handler](args, rep)
+    except InfeasiblePointError as exc:  # classify's answer at --point
+        code = _infeasible_exit(rep, exc)
     except _CliError as exc:
         print("error: %s" % exc.message, file=sys.stderr)
         return exc.code

@@ -24,7 +24,6 @@ from .certificates import (
     TOL_RANK,
     cone_membership,
     conic_dependence,
-    extend_basis,
     null_combination,
     numerical_rank,
 )
@@ -358,8 +357,11 @@ def check_crsc(
     detail["j_minus"] = tuple(names[j] for j in j_minus)
     detail["j_plus"] = tuple(names[j] for j in j_plus)
 
-    picked = extend_basis([eq_rows[i] for i in basis_i], [grads_star[j] for j in j_minus], tol_rank)
-    j_basis = [j_minus[i] for i in picked]
+    rows, j_basis = [eq_rows[i] for i in basis_i], []
+    for j in j_minus:  # in order, each gradient that raises the rank
+        if numerical_rank(rows + [grads_star[j]], tol_rank)[0] > len(rows):
+            rows.append(grads_star[j])
+            j_basis.append(j)
     detail["equality_basis"] = tuple(pt.program.eq_names[i] for i in basis_i)
     detail["gradient_basis"] = tuple(names[j] for j in j_basis)
 

@@ -15,7 +15,7 @@ stack, carrying each node's gradient forward with its value, so one pass
 yields the value and the full gradient.  Nothing here recurses except
 the parser, which limits nesting to MAX_NESTING.  ``affine_terms``
 recognizes c0 + c1 * xi + ... in source text, which ``model`` folds per
-block into coefficient arrays.
+block into coefficient arrays; ``affine_tape`` builds such terms' tape.
 """
 
 from __future__ import annotations
@@ -75,6 +75,18 @@ class _Builder:
         self.spans.append(-1 if span is None else span)
 
 
+def affine_tape(c0, coef, var):
+    """``parse``'s tape of c0 + c1 * xi + ..., spans aside."""
+    out = _Builder()
+    out.emit(LIT, float(c0), None)
+    for c, i in zip(coef, var):
+        out.emit(LIT, float(c), None)
+        out.emit(VAR, i, None)
+        out.emit(MUL, 0, None)
+        out.emit(ADD, 0, None)
+    return Tape(out)
+
+
 _NUMBER = r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
 _TOKEN_RE = re.compile(r"(?P<num>%s)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()])" % _NUMBER)
 # a literal of c0 + c1 * xi + ..., maybe under '-' and '(' as in -(-2), with a
@@ -86,7 +98,7 @@ _AFFINE_RE = re.compile(
 _VAR_RE = re.compile(r"^x(\d+)$")
 
 
-def _bounded(digits):
+def bounded(digits):
     """Value of a digit string, 2**31 past 10 digits: int() refuses over 4300."""
     digits = digits.lstrip("0")
     return int(digits or "0") if len(digits) <= 10 else 2**31
@@ -175,7 +187,7 @@ class _Parser(_Builder):
             kind, text, off = self.peek()
         if kind != "num" or not text.isdigit():
             raise ExprSyntaxError("exponent must be an integer literal", off)
-        value = _bounded(text)
+        value = bounded(text)
         if value >= 2**31:
             raise ExprSyntaxError("exponent out of range", off)
         self.advance()
@@ -189,7 +201,7 @@ class _Parser(_Builder):
         if kind == "ident":
             m = _VAR_RE.match(text)
             if m:
-                index = _bounded(m.group(1))
+                index = bounded(m.group(1))
                 if index < 1 or index > self.n:
                     raise VariableIndexError(
                         "variable index out of range: %s (n=%d)" % (text, self.n), off
@@ -244,7 +256,7 @@ def affine_terms(source, n):
         term, depth = bool(values), prefix.count("(")
         if (plus is None) == term or (index is None) == term or depth != suffix.count(")"):
             return None
-        index = _bounded(index) if term else 0
+        index = bounded(index) if term else 0
         if depth > MAX_NESTING or (term and not 1 <= index <= n):
             return None
         values.append(-float(num) if prefix.count("-") % 2 else float(num))

@@ -88,18 +88,6 @@ class AffineFold:
         return [(c[0], c[1:k], v[1:k]) for c, v, k in zip(coef, var, ends.tolist())]
 
 
-def _tape(c0, coef, var):
-    """``expr.parse``'s tape of c0 + c1 * xi + ..., spans aside."""
-    out = ex._Builder()
-    out.emit(ex.LIT, float(c0), None)
-    for c, i in zip(coef, var):
-        out.emit(ex.LIT, float(c), None)
-        out.emit(ex.VAR, i, None)
-        out.emit(ex.MUL, 0, None)
-        out.emit(ex.ADD, 0, None)
-    return ex.Tape(out)
-
-
 def _psd_partials(jac, m):
     rows, cols = upper_triangle(m)
     partials = np.zeros((jac.shape[1], m, m))
@@ -122,7 +110,7 @@ class ConicBlock:
     def entries(self):
         """Entry tapes; a folded block builds them on first use."""
         if self.tapes is None:
-            self.tapes = tuple(_tape(*terms) for terms in self.affine.terms())
+            self.tapes = tuple(ex.affine_tape(*terms) for terms in self.affine.terms())
         return self.tapes
 
 
@@ -130,7 +118,7 @@ def _block(name, kind, dim, entries, n):
     """A block of entry tapes, or folded if all entries are terms."""
     if all(isinstance(entry, tuple) for entry in entries):
         return ConicBlock(name, kind, dim, affine=AffineFold(entries, n))
-    return ConicBlock(name, kind, dim, tuple(_tape(*e) if isinstance(e, tuple) else e for e in entries))
+    return ConicBlock(name, kind, dim, tuple(ex.affine_tape(*e) if isinstance(e, tuple) else e for e in entries))
 
 
 class ConicProgram(NamedTuple):
@@ -162,7 +150,7 @@ def _count(text, what, line_no):
     """A count; all-digit text is read like variable indices, so leading
     zeros of any length are fine and more than 10 digits reads as 2**31."""
     if text.isascii() and text.isdigit():
-        return ex._bounded(text)
+        return ex.bounded(text)
     try:
         return int(text)
     except ValueError:
@@ -226,6 +214,8 @@ def loads(text):
             name = parts[1]
             if name in seen_blocks:
                 raise ProblemFormatError("duplicate block name %r" % name, line_no)
+            if name in eq_names:  # witness rows name equalities and blocks alike
+                raise ProblemFormatError("block name %r is an equality's name" % name, line_no)
             seen_blocks.add(name)
             m = _count(parts[2], "block dimension", line_no)
             if m < 1:
@@ -373,7 +363,7 @@ def embed_block_diagonal(prog):
         off += blk.dim
     entries = [grid[a][b] for a, b in zip(*upper_triangle(total))]
     name = "diag"
-    taken = {blk.name for blk in prog.blocks}
+    taken = {blk.name for blk in prog.blocks} | set(prog.eq_names)
     while name in taken:
         name += "_"
     block = _block(name, "psd", total, entries, prog.n)

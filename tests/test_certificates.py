@@ -11,7 +11,6 @@ from coneguard.certificates import (
     combination,
     cone_membership,
     conic_dependence,
-    extend_basis,
     nnls,
     null_combination,
     numerical_rank,
@@ -87,45 +86,6 @@ class TestNumericalRank:
         rng = np.random.default_rng(8)
         vecs = [rng.standard_normal(4) for _ in range(9)]
         assert numerical_rank(vecs) == numerical_rank(vecs)
-
-
-class TestExtendBasis:
-    def test_picks_only_direction_outside_the_base(self):
-        base = [np.array([1.0, 0.0, 0.0])]
-        cands = [
-            np.array([2.0, 0.0, 0.0]),  # inside span(base)
-            np.array([0.0, 1.0, 0.0]),  # new
-            np.array([1.0, 1.0, 0.0]),  # inside the enlarged span
-            np.array([0.0, 0.0, 1.0]),  # new
-        ]
-        assert extend_basis(base, cands) == (1, 3)
-
-    def test_empty_inputs(self):
-        assert extend_basis([], []) == ()
-        assert extend_basis([np.array([1.0])], []) == ()
-        assert extend_basis([], [np.array([1.0])]) == (0,)
-
-    def test_greedy_choice_matches_rank_simulation(self):
-        rng = np.random.default_rng(29)
-        for _ in range(25):
-            n = int(rng.integers(2, 6))
-            base = _random_rank_family(rng, n, int(rng.integers(1, n)), 2)
-            cands = [rng.integers(-2, 3, size=n).astype(float) for _ in range(6)]
-            picked = extend_basis(base, cands)
-            running = list(base)
-            expect = []
-            for idx, v in enumerate(cands):
-                before = np.linalg.matrix_rank(np.stack(running)) if running else 0
-                after = np.linalg.matrix_rank(np.stack(running + [v]))
-                if after > before:
-                    expect.append(idx)
-                    running.append(v)
-            assert picked == tuple(expect)
-            full_rank = np.linalg.matrix_rank(np.stack(base + cands))
-            got_rank = np.linalg.matrix_rank(
-                np.stack(base + [cands[i] for i in picked])
-            )
-            assert got_rank == full_rank
 
 
 class TestNullCombination:

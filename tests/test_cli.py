@@ -139,6 +139,14 @@ class TestUsage:
         code, _, err = run(["classify", "--problem", str(bad), "--point", "1"], capsys)
         assert code == EXIT_USAGE
 
+    def test_block_named_like_an_equality(self, files, capsys):
+        bad = files["dir"] / "shared.txt"
+        bad.write_text("vars 2\nobjective x1\neq a x2\npsd a 1\nx1\npsd b 1\n-x1\nsoc s 2\nx1\nx2\n")
+        code, out, err = run(["check", "--problem", str(bad), "--point", "0,0", "--cq", "crsc"], capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "block name 'a' is an equality's name" in err
+
     def test_point_arity_mismatch(self, files, capsys):
         code, _, err = run(
             ["classify", "--problem", files["boundary"], "--point", "1, 2"], capsys

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from coneguard import cqchecks
-from coneguard.certificates import verify_dependence
+from coneguard.certificates import numerical_rank, verify_dependence
 from coneguard.classify import classify
 from coneguard.cqchecks import (
     SAMPLING_NOTE,
@@ -15,7 +15,7 @@ from coneguard.cqchecks import (
 )
 from coneguard.errors import DomainError
 from coneguard.model import embed_block_diagonal, evaluate, loads
-from coneguard.reduction import conic_base
+from coneguard.reduction import conic_base, reduced_view
 
 from conftest import random_feasible_program, random_irreducible_program
 
@@ -293,6 +293,71 @@ class TestVertexBlocks:
         socs, psds = conic_base(pt, cls)
         ok, residual, cone_gap, normalization = verify_dependence([], socs, psds, [], rep.certificate.witness)
         assert ok and residual == rep.detail["residual"]
+
+
+# g_b = -g_a + 1.7e-8 e2 is parallel to g_a at the default tol_rank
+NEAR3 = "vars 2\nobjective x1 + x2\npsd a 1\nx1\npsd b 1\n-x1 + 1.7e-8 * x2\npsd c 1\nx2\n"
+
+
+def _affine(coeffs):
+    return " ".join(["0"] + ["+ %d * x%d" % (c, i + 1) for i, c in enumerate(coeffs)])
+
+
+def _opposite_blocks(rng):
+    """Integer equalities, and 1x1 psd blocks in pairs g, -g in shuffled
+    order, at the origin: every block's negated gradient is its partner's,
+    so J- is every block."""
+    n = int(rng.integers(2, 6))
+    eqs = [rng.integers(-2, 3, size=n) for _ in range(int(rng.integers(0, 3)))]
+    grads = [rng.integers(-2, 3, size=n) for _ in range(int(rng.integers(1, 4)))]
+    grads = [grads[i // 2] * (-1) ** i for i in rng.permutation(2 * len(grads))]
+    lines = ["vars %d" % n, "objective x1"]
+    lines += ["eq h%d %s" % (i, _affine(g)) for i, g in enumerate(eqs)]
+    for i, g in enumerate(grads):
+        lines += ["psd b%d 1" % i, _affine(g)]
+    return loads("\n".join(lines) + "\n"), np.zeros(n)
+
+
+class TestGradientBasis:
+    """crsc's gradient basis is, in J- order, each gradient that raises the
+    numerical rank of the rows kept so far, starting from the equality basis."""
+
+    @staticmethod
+    def _rank_identity(pt, rep):
+        view = reduced_view(pt, classify(pt))
+        rows = list(pt.jac_h) + [view[pt.program.block_index(b)].gradient for b in rep.detail["j_minus"]]
+        kept = len(rep.detail["equality_basis"]) + len(rep.detail["gradient_basis"])
+        assert kept == numerical_rank(rows)[0]
+
+    def test_nearly_parallel_gradients_keep_one_and_hold(self):
+        prog = loads(NEAR3)
+        pt, cls = _point(prog, [0.0, 0.0])
+        rep = check_crsc(pt, cls)
+        assert rep.detail["j_minus"] == ("a", "b")
+        assert rep.detail["gradient_basis"] == ("a",)
+        assert rep.verdict == "Holds"
+        assert rep.detail["margin"] == 1.0
+        self._rank_identity(pt, rep)
+
+    def test_basis_is_the_in_order_rank_raising_subset(self):
+        rng = np.random.default_rng(29)
+        for _ in range(25):
+            prog, x = _opposite_blocks(rng)
+            pt, cls = _point(prog, x)
+            rep = check_crsc(pt, cls, samples=4)
+            blocks = tuple(blk.name for blk in prog.blocks)
+            assert rep.verdict == "Holds"
+            assert rep.detail["j_minus"] == blocks
+            running = [pt.jac_h[prog.eq_names.index(name)] for name in rep.detail["equality_basis"]]
+            expect = []
+            for j, name in enumerate(blocks):
+                g = prog.blocks[j].affine.jac[0]
+                before = np.linalg.matrix_rank(np.stack(running)) if running else 0
+                if np.linalg.matrix_rank(np.stack(running + [g])) > before:
+                    expect.append(name)
+                    running.append(g)
+            assert rep.detail["gradient_basis"] == tuple(expect)
+            self._rank_identity(pt, rep)
 
 
 # x2 >= 0 and x1^2 - x2 >= 0 with a free x3: at (0, 0, t) rcpld and crsc fail

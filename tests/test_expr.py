@@ -15,9 +15,9 @@ from coneguard.errors import (
     UnknownIdentifierError,
     VariableIndexError,
 )
-from coneguard.expr import ADD, BINARY, CALL, FUNCTIONS, LIT, NEG, POW, VAR, Tape, _Builder
+from coneguard.expr import ADD, BINARY, CALL, FUNCTIONS, LIT, NEG, POW, VAR, Tape, _Builder, affine_tape
 
-from coneguard.model import AffineFold, _tape
+from coneguard.model import AffineFold
 
 from conftest import fd_gradient, fd_tolerance
 
@@ -104,7 +104,7 @@ def test_fold_tapes_equal_compiled_trees():
         tree = Lit(c0)
         for c, i in zip(coef, var):
             tree = Bin("+", tree, Bin("*", Lit(c), Var(i)))
-        got, want = _tape(c0, coef, var), compile_tree(tree)
+        got, want = affine_tape(c0, coef, var), compile_tree(tree)
         for name in ("ops", "args", "spans", "lits"):
             assert getattr(got, name).dtype == getattr(want, name).dtype
             assert np.array_equal(getattr(got, name), getattr(want, name)), name

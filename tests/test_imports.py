@@ -6,6 +6,7 @@ from pathlib import Path
 import coneguard
 
 MODULES = sorted(p for p in Path(coneguard.__file__).parent.glob("*.py") if p.name != "__init__.py")
+STEMS = {p.stem for p in MODULES}
 
 
 def _imports(tree):
@@ -13,7 +14,7 @@ def _imports(tree):
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
-                yield alias.asname or alias.name.split(".")[0], alias.name, False
+                yield alias.asname or alias.name.split(".")[0], alias.name, alias.name.split(".")[0] == "coneguard"
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             ours = node.level > 0 or (node.module or "").split(".")[0] == "coneguard"
             for alias in node.names:
@@ -26,9 +27,14 @@ def test_modules_read_every_import_and_no_private_name_of_another_module():
     for path in MODULES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        attributes = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
         for bound, name, ours in _imports(tree):
             if bound not in read:
                 found.append("%s: %s is imported and never read" % (path.name, bound))
             if ours and name.startswith("_"):
                 found.append("%s: imports the private name %s" % (path.name, name))
+            if ours and name.split(".")[-1] in STEMS:  # a coneguard module, read as bound.attr
+                for node in attributes:
+                    if isinstance(node.value, ast.Name) and node.value.id == bound and node.attr.startswith("_"):
+                        found.append("%s: reads the private name %s.%s" % (path.name, bound, node.attr))
     assert found == []

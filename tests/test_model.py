@@ -101,6 +101,7 @@ BLOCK_LINE_ERRORS = {
         "vars 1\nobjective x1\neq h x1\neq h x1\n",        # duplicate eq name
         "vars 1\nobjective x1\neq h\n",                   # eq without expression
         "vars 1\nobjective x1\nsoc g 1\nx1\nsoc g 1\nx1\n",  # duplicate block
+        "vars 1\nobjective x1\neq g x1\nsoc g 1\nx1\n",      # block named like an equality
         "vars 1\nobjective x1\nsoc g 0\n",                 # nonpositive dim
         "vars 1\nobjective x1\nsoc g 2\nx1\n",             # missing entries
         "vars 1\nobjective x1\nsoc g 1\nx1\neq h x1\n",    # eq after block
@@ -438,6 +439,13 @@ def test_embedding_avoids_name_collision():
     text = "vars 1\nobjective x1\npsd diag 1\nx1\npsd other 1\nx1\n"
     merged = embed_block_diagonal(loads(text))
     assert merged.blocks[0].name == "diag_"
+
+
+def test_embedding_avoids_equality_names_and_loads_again():
+    text = "vars 1\nobjective x1\neq diag x1\neq diag_ x1\npsd a 1\nx1\npsd b 1\nx1\n"
+    merged = embed_block_diagonal(loads(text))
+    assert merged.blocks[0].name == "diag__"
+    assert loads(dumps(merged)).blocks[0].name == "diag__"
 
 
 def test_embedding_single_block_is_identity_shape():
