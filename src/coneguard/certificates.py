@@ -48,22 +48,22 @@ def factored(result):
     return result
 
 
-def numerical_rank(vectors, tol_rank=TOL_RANK):
+def numerical_rank(vectors, tol_rank=TOL_RANK, scale=None):
     """Rank of a vector family and a greedily pivoted basis index set.
 
-    Rank counts singular values above tol_rank times the largest one (zero
-    families have rank 0).  The basis is chosen by repeated pivoting on the
-    largest remaining residual norm, which is deterministic.
+    Rank counts singular values above tol_rank times scale, by default the
+    largest one (zero families have rank 0).  The basis is chosen by
+    repeated pivoting on the largest remaining residual norm (deterministic).
     """
     vecs = [np.asarray(v, dtype=float).reshape(-1) for v in vectors]
     if not vecs:
         return 0, ()
     a = np.vstack(vecs)
     svals = factored(np.linalg.svd(a, compute_uv=False))
-    smax = float(svals[0]) if svals.size else 0.0
-    if smax <= 0.0:
+    scale = (float(svals[0]) if svals.size else 0.0) if scale is None else scale
+    if scale <= 0.0:
         return 0, ()
-    rank = int(np.count_nonzero(svals > tol_rank * smax))
+    rank = int(np.count_nonzero(svals > tol_rank * scale))
     r = a.copy()
     chosen = []
     for _ in range(rank):

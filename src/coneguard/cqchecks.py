@@ -357,16 +357,20 @@ def check_crsc(
     detail["j_minus"] = tuple(names[j] for j in j_minus)
     detail["j_plus"] = tuple(names[j] for j in j_plus)
 
+    # in J- order, each gradient that raises the rank at the whole family's scale
+    family_star = eq_rows + [grads_star[j] for j in j_minus]
+    rank_star = numerical_rank(family_star, tol_rank)[0] if family_star else 0
+    scale = float(np.linalg.norm(np.vstack(family_star), 2)) if j_minus else 0.0
     rows, j_basis = [eq_rows[i] for i in basis_i], []
-    for j in j_minus:  # in order, each gradient that raises the rank
-        if numerical_rank(rows + [grads_star[j]], tol_rank)[0] > len(rows):
+    rank = numerical_rank(rows, tol_rank, scale)[0] if rows and j_minus else 0
+    for j in j_minus:
+        if numerical_rank(rows + [grads_star[j]], tol_rank, scale)[0] > rank:
             rows.append(grads_star[j])
             j_basis.append(j)
+            rank += 1  # one more row raises the rank by at most one
     detail["equality_basis"] = tuple(pt.program.eq_names[i] for i in basis_i)
     detail["gradient_basis"] = tuple(names[j] for j in j_basis)
 
-    family_star = eq_rows + [grads_star[j] for j in j_minus]
-    rank_star = numerical_rank(family_star, tol_rank)[0] if family_star else 0
     sampled, skipped = _neighbourhood(pt.program, pt.x.tobytes(), cls, delta, samples, seed)
     detail["samples_skipped"] = skipped
     if not sampled:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from coneguard import cqchecks
-from coneguard.certificates import numerical_rank, verify_dependence
+from coneguard.certificates import TOL_RANK, numerical_rank, verify_dependence
 from coneguard.classify import classify
 from coneguard.cqchecks import (
     SAMPLING_NOTE,
@@ -318,16 +318,38 @@ def _opposite_blocks(rng):
     return loads("\n".join(lines) + "\n"), np.zeros(n)
 
 
+# a 1e-9 equality row (or J- pair) ahead of x2, -x2: at the scale of the
+# whole family the tiny rows are rank 0, so the x2 gradient joins the basis;
+# with the SOC (x2, 0) the verdict depends on it
+TINY = "vars 2\nobjective x1\n%spsd a 1\nx2\npsd b 1\n-x2\nsoc s 2\nx2\n%s\n"
+TINY_PAIR = "psd p 1\n1e-9 * x1\npsd q 1\n-1e-9 * x1\n"
+
+
 class TestGradientBasis:
     """crsc's gradient basis is, in J- order, each gradient that raises the
-    numerical rank of the rows kept so far, starting from the equality basis."""
+    numerical rank of the rows kept so far, starting from the equality basis;
+    every rank is measured at the largest singular value of the equality
+    rows and J- gradients."""
 
     @staticmethod
-    def _rank_identity(pt, rep):
+    def _spans(pt, rep):
+        """The kept rows span the family of equality rows and J- gradients:
+        at the family's largest singular value they have the family's rank.
+        Returns the family and the kept rows."""
         view = reduced_view(pt, classify(pt))
-        rows = list(pt.jac_h) + [view[pt.program.block_index(b)].gradient for b in rep.detail["j_minus"]]
-        kept = len(rep.detail["equality_basis"]) + len(rep.detail["gradient_basis"])
-        assert kept == numerical_rank(rows)[0]
+        grad = lambda b: view[pt.program.block_index(b)].gradient
+        family = list(pt.jac_h) + [grad(b) for b in rep.detail["j_minus"]]
+        kept = [pt.jac_h[pt.program.eq_names.index(h)] for h in rep.detail["equality_basis"]]
+        kept += [grad(b) for b in rep.detail["gradient_basis"]]
+        svals = np.linalg.svd(np.stack(family), compute_uv=False)
+        cut = TOL_RANK * svals[0]
+        kept_svals = np.linalg.svd(np.stack(kept), compute_uv=False) if kept else np.zeros(0)
+        assert np.count_nonzero(kept_svals > cut) == np.count_nonzero(svals > cut)
+        return family, kept
+
+    def _rank_identity(self, pt, rep):
+        family, kept = self._spans(pt, rep)
+        assert len(kept) == numerical_rank(family)[0]
 
     def test_nearly_parallel_gradients_keep_one_and_hold(self):
         prog = loads(NEAR3)
@@ -338,6 +360,16 @@ class TestGradientBasis:
         assert rep.verdict == "Holds"
         assert rep.detail["margin"] == 1.0
         self._rank_identity(pt, rep)
+
+    @pytest.mark.parametrize("tiny", ["eq h 1e-9 * x1\n", TINY_PAIR], ids=["equality", "pair"])
+    @pytest.mark.parametrize("s1", ["x2", "0"], ids=["soc-x2-x2", "soc-x2-0"])
+    def test_tiny_rows_do_not_mask_a_gradient(self, tiny, s1):
+        prog = loads(TINY % (tiny, s1))
+        pt, cls = _point(prog, [0.0, 0.0])
+        rep = check_crsc(pt, cls)
+        assert rep.detail["gradient_basis"] == ("a",)
+        assert rep.verdict == "Fails"
+        self._spans(pt, rep)
 
     def test_basis_is_the_in_order_rank_raising_subset(self):
         rng = np.random.default_rng(29)
