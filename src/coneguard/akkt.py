@@ -39,8 +39,8 @@ from .certificates import (
     factored,
     verify_dependence,
 )
-from .classify import TOL_ACT, TOL_GAP, classify, eigen_gap
-from .cones import eig_sym, listed, psd_distance, soc_distance, svec_dim, sym_from_upper
+from .classify import TOL_ACT, TOL_GAP, classify, eigen_gap, kernel_basis
+from .cones import listed, psd_distance, soc_distance, svec_dim, sym_from_upper
 from .errors import (
     DimensionMismatchError,
     DomainError,
@@ -305,9 +305,10 @@ def certify_akkt(pt_star, trace, tol=TOL_KKT, tol_act=TOL_ACT, tol_gap=TOL_GAP) 
     Clauses, in order: the trace has a usable tail (length at least two);
     tail iterates stay within tol of x_star without drifting away; tail
     stationarity residuals stay within tol; and for every irreducible
-    semidefinite block, multiplier eigenvalues matched (greedily, by
-    absolute eigenvector inner product) to strictly positive eigenvalues of
-    the block at x_star stay within tol of zero.
+    semidefinite block, the multiplier's Rayleigh quotient g^T mu g along
+    each eigenvector g of the block at x_star outside its zero-eigenvalue
+    cluster (``classify.kernel_basis``) stays within tol of zero, so the
+    multiplier lives on the cluster's face.
 
     The tail is the final quarter of the records (at least one), so the
     verdict rests on where the sequence settles rather than how it starts.
@@ -346,31 +347,19 @@ def certify_akkt(pt_star, trace, tol=TOL_KKT, tol_act=TOL_ACT, tol_gap=TOL_GAP) 
 
     names = cls.block_names
     for j in cls.psd_multiple:
-        blk_star = pt_star.blocks[j]
-        scale = max(1.0, float(np.linalg.norm(blk_star.value)))
-        g_vals = blk_star.spectral.eigenvalues
-        g_vecs = blk_star.spectral.eigenvectors
-        positive = [i for i in range(g_vals.size) if g_vals[i] > tol_act * scale]
-        if not positive:
-            continue
+        spectral = pt_star.blocks[j].spectral
+        first = kernel_basis(pt_star, j, cls).shape[1]  # eigenvalues ascend: the rest are positive
+        positive = list(zip(spectral.eigenvectors.T[first:], spectral.eigenvalues[first:]))
         for rec in tail:
             mu = rec.mu.get(names[j])
             if mu is None:
                 continue
-            spec_mu = eig_sym(np.asarray(mu, dtype=float))
-            scores = np.abs(spec_mu.eigenvectors.T @ g_vecs)
-            match = {}
-            for _ in range(g_vals.size):
-                a, b = divmod(int(np.argmax(scores)), scores.shape[1])
-                scores[a, :] = -1.0
-                scores[:, b] = -1.0
-                match[b] = a
-            for b in positive:
-                sigma = float(spec_mu.eigenvalues[match[b]])
-                if abs(sigma) > tol:
+            for g, sigma in positive:
+                along = float(g @ mu @ g)
+                if abs(along) > tol:
                     detail["block"] = names[j]
-                    detail["matched_eigenvalue"] = sigma
-                    detail["reference_eigenvalue"] = float(g_vals[b])
+                    detail["matched_eigenvalue"] = along
+                    detail["reference_eigenvalue"] = float(sigma)
                     return CertifyOutcome(
                         False,
                         "multiplier keeps mass on a positive eigenvalue direction",

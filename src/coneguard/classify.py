@@ -61,6 +61,16 @@ def eigen_gap(pt, j):
     return gap, max(1.0, float(np.linalg.norm(bv.value)))
 
 
+def kernel_basis(pt, j, cls):
+    """Eigenvectors of active semidefinite block j in its zero-eigenvalue
+    cluster: those at most max(tol_act, sigma_0 + tol_gap) * max(1, ||G||_F)."""
+    blk = pt.blocks[j]
+    sigma = blk.spectral.eigenvalues
+    scale = max(1.0, float(np.linalg.norm(blk.value)))
+    cutoff = max(cls.tol_act * scale, float(sigma[0]) + cls.tol_gap * scale)
+    return blk.spectral.eigenvectors[:, : int(np.count_nonzero(sigma <= cutoff))]
+
+
 def _label(pt, j, tol_act, tol_gap):
     blk = pt.program.blocks[j]
     bv = pt.blocks[j]

@@ -201,6 +201,8 @@ def _parse_vector(text, n, what):
         raise _CliError(EXIT_USAGE, "%s must be a comma- or space-separated list of numbers" % what)
     if len(values) != n:
         raise _CliError(EXIT_USAGE, "%s has %d entries, the program expects %d" % (what, len(values), n))
+    if not np.isfinite(values).all():
+        raise _CliError(EXIT_USAGE, "%s has a non-finite entry" % what)
     return np.array(values, dtype=float)
 
 

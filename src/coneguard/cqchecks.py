@@ -27,7 +27,7 @@ from .certificates import (
     null_combination,
     numerical_rank,
 )
-from .classify import IndexClassification
+from .classify import IndexClassification, kernel_basis
 from .cones import svec
 from .errors import DomainError, NonSimpleEigenvalueError
 from .model import EvaluatedPoint, evaluate
@@ -61,12 +61,8 @@ class CqReport:
 def _kernel_partials(pt: EvaluatedPoint, j: int, cls: IndexClassification):
     """Partial derivatives of active psd block j compressed onto the
     eigenvectors of its zero-eigenvalue cluster: (n, r, r)."""
-    blk = pt.blocks[j]
-    sigma = blk.spectral.eigenvalues
-    scale = max(1.0, float(np.linalg.norm(blk.value)))
-    cutoff = max(cls.tol_act * scale, float(sigma[0]) + cls.tol_gap * scale)
-    basis = blk.spectral.eigenvectors[:, : int(np.count_nonzero(sigma <= cutoff))]
-    return np.einsum("ar,iab,bs->irs", basis, blk.partials, basis)
+    basis = kernel_basis(pt, j, cls)
+    return np.einsum("ar,iab,bs->irs", basis, pt.blocks[j].partials, basis)
 
 
 class _Sample(NamedTuple):

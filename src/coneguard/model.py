@@ -185,10 +185,10 @@ def loads(text):
         raise ProblemFormatError("variable count must be at most %d" % _MAX_VARS, line_no)
 
     line_no, body = take()
-    key, _, rest = body.partition(" ")
-    if key != "objective" or not rest.strip():
+    parts = body.split(None, 1)
+    if parts[0] != "objective" or len(parts) != 2:
         raise ProblemFormatError("expected 'objective <expr>'", line_no)
-    objective = _parse_expr(rest.strip(), n, line_no)
+    objective = _parse_expr(parts[1], n, line_no)
 
     eq_names, equalities, blocks = [], [], []
     seen_blocks = set()

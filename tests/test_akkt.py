@@ -19,7 +19,7 @@ from coneguard.akkt import (
     verify_kkt,
 )
 from coneguard.alm import solve
-from coneguard.classify import classify
+from coneguard.classify import classify, kernel_basis
 from coneguard.cqchecks import check_crsc, check_rcpld, check_robinson
 from coneguard.errors import (
     DimensionMismatchError,
@@ -27,6 +27,7 @@ from coneguard.errors import (
     ProblemFormatError,
 )
 from coneguard.model import evaluate, loads
+from conftest import affine_entry_text, build_program_text
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
@@ -343,6 +344,55 @@ class TestCertify:
         out = certify_akkt(evaluate(prog, np.zeros(2)), trace)
         assert out.certified
 
+    def test_mass_on_a_rotated_positive_direction_is_rejected(self):
+        # mu = u u^T for u = (cos 0.6, 0, sin 0.6) keeps a third of its mass on
+        # e3, the positive direction: e3^T mu e3 = sin(0.6)^2
+        prog = loads("vars 2\nobjective 0.68117887723833681 * x1\npsd q 3\nx1\n0\n0\nx2\n0\n1\n")
+        u = np.array([np.cos(0.6), 0.0, np.sin(0.6)])
+        trace = build_trace(prog, [record(prog, k, [0.0, 0.0], mu={"q": np.outer(u, u)}) for k in range(4)])
+        pt = evaluate(prog, np.zeros(2))
+        out = certify_akkt(pt, trace)
+        assert not out.certified
+        assert out.reason == "multiplier keeps mass on a positive eigenvalue direction"
+        assert out.detail["matched_eigenvalue"] == pytest.approx(np.sin(0.6) ** 2, abs=1e-12)
+        assert out.detail["reference_eigenvalue"] == pytest.approx(1.0, abs=1e-12)
+        assert not verify_kkt(pt, [], {"q": np.outer(u, u)}, 10 * akkt.TOL_KKT)[0]
+
+    def test_mass_inside_the_zero_cluster_is_accepted(self):
+        # 5e-7 lies within tol_gap of the zero eigenvalues: the whole cone is
+        # the face, as for the checks, and the multiplier is complementary
+        prog = loads("vars 2\nobjective 0\npsd q 3\nx1\n0\n0\nx2\n0\n5e-7\n")
+        mu = np.zeros((3, 3))
+        mu[2, 2] = 0.3
+        trace = build_trace(prog, [record(prog, k, [0.0, 0.0], mu={"q": mu}) for k in range(4)])
+        pt = evaluate(prog, np.zeros(2))
+        assert kernel_basis(pt, 0, classify(pt)).shape == (3, 3)
+        assert certify_akkt(pt, trace).certified
+        assert verify_kkt(pt, [], {"q": mu}, 10 * akkt.TOL_KKT)[0]
+
+    def test_certified_multipliers_pass_first_order_verification(self):
+        # G(x) = Q diag(x_1 .. x_k, c) Q^T for a random rotation Q, at x = 0; the
+        # objective makes a constant trace with multiplier mu exactly stationary
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            m = int(rng.integers(3, 6))
+            k = int(rng.integers(2, m))
+            q = np.linalg.qr(rng.standard_normal((m, m)))[0]
+            c = rng.uniform(0.5, 2.0, size=m - k)
+            block = ["psd q %d" % m]
+            block += [affine_entry_text(q[a, :k] * q[b, :k], q[a, k:] * q[b, k:] @ c) for a, b in zip(*np.triu_indices(m))]
+            w, v = rng.standard_normal((m, k)), rng.standard_normal((k, k))  # mu of rank k or less
+            kernel_mu = q[:, :k] @ v @ v.T @ q[:, :k].T
+            for mu in (w @ w.T, kernel_mu):
+                objective = affine_entry_text(np.einsum("ai,ab,bi->i", q[:, :k], mu, q[:, :k]), 0.0)
+                prog = loads(build_program_text(k, objective, blocks=[block]))
+                pt = evaluate(prog, np.zeros(k))
+                trace = build_trace(prog, [record(prog, t, np.zeros(k), mu={"q": mu}) for t in range(4)])
+                certified = certify_akkt(pt, trace).certified
+                if certified:
+                    assert verify_kkt(pt, [], {"q": mu}, 10 * akkt.TOL_KKT)[0], seed
+                assert certified or mu is not kernel_mu, seed
+
 
 class TestEvaluatedReference:
     """certify_akkt and recover_kkt take the reference point evaluated; they
@@ -382,6 +432,13 @@ class TestVerifyKkt:
         assert detail["stationarity"] <= 1e-14
         assert detail["cone_distance"] == 0.0
         assert detail["complementarity"] == 0.0
+
+    def test_block_without_a_multiplier_contributes_nothing(self):
+        prog = loads("vars 1\nobjective x1\npsd a 1\nx1\nsoc s 1\nx1 + 1\n")
+        pt = evaluate(prog, np.zeros(1))
+        given = verify_kkt(pt, [], {"a": [[1.0]]}, 1e-8)
+        assert given == verify_kkt(pt, [], {"a": [[1.0]], "s": [0.0]}, 1e-8)
+        assert given[0]
 
     def test_stationarity_violation_is_reported(self, scalar_pair_program):
         pt = evaluate(scalar_pair_program, np.zeros(2))

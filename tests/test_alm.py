@@ -157,6 +157,15 @@ class TestStatuses:
         # the partial step was still recorded
         assert trace.records[-1].x[0] != pytest.approx(1.9)
 
+    def test_line_search_exhaustion_is_reported_stalled(self):
+        # at 1e17 every step of length at most 1 rounds back to x, so no step
+        # decreases x1 - 1e17: the halvings run out, not the inner iterations
+        prog = loads("vars 1\nobjective x1 - 1e17\n")
+        pt = evaluate(prog, np.array([1e17]))
+        out = alm._inner_minimize(prog, pt, np.zeros(0), [], 1.0, inner_tolerance(0), 5000)
+        assert out[0] is pt
+        assert out[-1] == "stalled"
+
     def test_clamped_multiplier_cannot_close_the_gap(self):
         # the true multiplier is -1; a safeguard cap at 0.5 keeps the
         # equality residual bounded away from zero

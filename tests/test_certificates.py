@@ -16,7 +16,8 @@ from coneguard.certificates import (
     numerical_rank,
     verify_dependence,
 )
-from coneguard.errors import DimensionMismatchError, ReconstructionError
+from coneguard import certificates
+from coneguard.errors import BudgetExhaustedError, DimensionMismatchError, ReconstructionError
 
 from conftest import (
     brute_force_cone_membership,
@@ -115,6 +116,21 @@ class TestNnls:
         assert x == pytest.approx([0.0], abs=1e-14)
         assert res == pytest.approx(1.0, abs=1e-12)
 
+    def test_no_columns_fit_nothing(self):
+        x, res = nnls(np.zeros((2, 0)), np.array([3.0, 4.0]))
+        assert x.shape == (0,)
+        assert res == 5.0
+
+    def test_cycling_active_set_exhausts_the_budget(self, monkeypatch):
+        # the active-set loop ends in exact arithmetic; the budget guards
+        # against cycling under roundoff, which a least-squares step that is
+        # never positive stands in for: its column enters and leaves forever
+        real = certificates.factored
+        monkeypatch.setattr(certificates, "factored", lambda result: (-1.0 - np.abs(real(result)[0]),))
+        with pytest.raises(BudgetExhaustedError) as info:
+            nnls(np.eye(2), np.array([3.0, 4.0]))
+        assert info.value.best_residual == 5.0
+
     def test_matches_subset_enumeration_oracle(self):
         rng = np.random.default_rng(41)
         for _ in range(60):
@@ -174,6 +190,20 @@ class TestCaratheodory:
     def test_inconsistent_target_is_rejected(self):
         with pytest.raises(ReconstructionError):
             caratheodory_reduce([], [(np.array([1.0, 0.0]), 1.0)], np.array([0.0, 5.0]))
+
+    def test_target_off_the_span_by_more_than_the_final_tolerance_is_rejected(self):
+        # 1e-9 off span(fixed) passes the 1e-8 entry check, not the 1e-10 exit check
+        with pytest.raises(ReconstructionError) as info:
+            caratheodory_reduce([np.array([1.0, 0.0])], [], np.array([1.0, 1e-9]))
+        assert info.value.residual == pytest.approx(1e-9, rel=1e-12)
+
+    def test_non_positive_refit_keeps_the_positive_coefficients(self):
+        # the refit of target -1e-12 on the kept ray is negative; the given
+        # coefficient 1e-13 reproduces the target within 1e-10 and stays
+        out = caratheodory_reduce([], [(np.array([1.0, 0.0]), 1e-13)], np.array([-1e-12, 0.0]))
+        assert out.kept == (0,)
+        assert out.coeffs.tolist() == [1e-13]
+        assert out.residual == pytest.approx(1.1e-12, rel=1e-9)
 
     def test_lemma_clauses_hold_on_500_random_instances(self):
         rng = np.random.default_rng(20260814)
@@ -238,6 +268,14 @@ class TestConeMembership:
         out = cone_membership(np.zeros(3), [np.array([1.0, 0.0, 0.0])], [np.array([0.0, 1.0, 0.0])])
         assert out.member
         assert out.residual <= 1e-12
+
+    def test_without_cone_vectors_membership_is_the_free_span(self):
+        free = [np.array([1.0, 0.0])]
+        inside = cone_membership(np.array([2.0, 0.0]), free, [])
+        assert inside.member and inside.cone_coeffs.shape == (0,)
+        assert inside.free_coeffs == pytest.approx([2.0], abs=1e-12)
+        outside = cone_membership(np.array([2.0, 1.0]), free, [])
+        assert not outside.member and outside.residual == pytest.approx(1.0, abs=1e-12)
 
     def test_free_span_is_eliminated_exactly(self):
         # target = free part + cone part; the cone fit must ignore the span
@@ -489,6 +527,11 @@ class TestVerifyDependence:
         trivial = DependenceWitness(np.zeros(0), (), (), np.array([0.0, 0.0]))
         ok, _, _, normalization = verify_dependence([], [], [], rays, trivial)
         assert not ok and normalization == 0.0
+
+    def test_empty_system_combines_to_nothing_and_is_not_a_witness(self):
+        empty = DependenceWitness(np.zeros(0), (), (), np.zeros(0))
+        assert combination([], [], [], [], empty).shape == (0,)
+        assert verify_dependence([], [], [], [], empty) == (False, 0.0, 0.0, 0.0)
 
     def test_soc_witness_must_live_in_its_cone(self):
         jac = np.array([[0.0, 0.0], [1.0, 0.0]])

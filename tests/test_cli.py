@@ -187,6 +187,24 @@ class TestUsage:
         assert code == EXIT_USAGE
         assert message in err
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [(["classify", "--point", "1,nan"], "--point"),
+         (["check", "--cq", "all", "--point", "1,inf"], "--point"),
+         (["certify", "--point", "-inf 0", "--trace", "T"], "--point"),
+         (["solve", "--x0", "0.5,nan", "--trace", "T"], "--x0")],
+    )
+    def test_non_finite_vector_is_a_usage_error(self, capsys, tmp_path, argv, flag):
+        problem = tmp_path / "P"
+        problem.write_text("vars 2\nobjective (x1 - 1)^2\nsoc g 2\nx1\nx1\n")
+        (tmp_path / "T").write_text("k 0\nx 1 0\nk 1\nx 1 0\n")
+        argv = [str(tmp_path / a) if a == "T" else a for a in argv]
+        code, out, err = run(argv[:1] + ["--problem", str(problem)] + argv[1:], capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "%s has a non-finite entry" % flag in err
+        assert (tmp_path / "T").read_text() == "k 0\nx 1 0\nk 1\nx 1 0\n"  # solve wrote no trace
+
     def test_parser_is_built_once_per_process(self, files, capsys, monkeypatch, tmp_path):
         cli.build_parser.cache_clear()
         built = []
@@ -253,6 +271,15 @@ class TestClassify:
         rep = Report()
         rep.lines = parse_report(out)
         assert rep.render() in out
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "status ok\n", REPORT_BEGIN + "\nstatus ok\n", REPORT_END + "\n" + REPORT_BEGIN + "\n"],
+        ids=["empty", "no-fence", "no-end", "end-before-begin"],
+    )
+    def test_text_without_a_closed_fence_has_no_report(self, text):
+        with pytest.raises(ValueError, match="no machine-readable report section found"):
+            parse_report(text)
 
     def test_fenced_section_is_reproducible(self, files, capsys):
         args = ["classify", "--problem", files["kernel"], "--point", "0"]

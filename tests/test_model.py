@@ -71,6 +71,12 @@ def test_comments_and_blank_lines_are_ignored():
     assert prog.blocks[0].dim == 2
 
 
+def test_any_whitespace_follows_a_keyword():
+    spaced = "vars 2\nobjective x1 + x2\neq h1 x1 - x2\nsoc g 2\nx1\nx2\npsd q 1\nx1\n"
+    tabbed = "vars\t2\nobjective\tx1 + x2\neq\th1\tx1 - x2\nsoc\tg \t2\nx1\nx2\npsd\tq\t1\nx1\n"
+    assert dumps(loads(tabbed)) == dumps(loads(spaced)) == spaced
+
+
 def test_example_problem_files_parse(soc_line_program, psd_pair_program, scalar_pair_program):
     assert soc_line_program.n == 1
     assert soc_line_program.blocks[0].kind == "soc"
