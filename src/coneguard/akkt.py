@@ -48,7 +48,7 @@ from .errors import (
     ProblemFormatError,
     ReconstructionError,
 )
-from .model import ConicProgram, apply_jacobian_adjoint, evaluate
+from .model import ConicProgram, evaluate, lagrangian_gradient
 from .reduction import conic_base, dependence_system, equality_basis, reduced_view
 
 CONE_SLACK = 1e-9
@@ -262,13 +262,8 @@ def _stationarity(prog, cls, record):
     collapsed at the record's point (their gradient is still used).
     """
     ptk = _record_point(prog, cls, record)
-    vec = ptk.grad_f.copy()
-    if prog.p:
-        vec = vec + ptk.jac_h.T @ record.lam
     names = cls.block_names
-    for j in cls.conic():
-        if names[j] in record.mu:
-            vec = vec - apply_jacobian_adjoint(ptk, j, record.mu[names[j]])
+    vec = lagrangian_gradient(ptk, record.lam, [record.mu.get(name) for name in names])
     flags = []
     view = reduced_view(ptk, cls, strict=False)
     for entry in view.entries:
@@ -370,23 +365,20 @@ def certify_akkt(pt_star, trace, tol=TOL_KKT, tol_act=TOL_ACT, tol_gap=TOL_GAP) 
 
 
 def verify_kkt(pt, lam, mu_by_name, tol):
-    """Independent first-order optimality check at an evaluated point.
+    """First-order optimality check at an evaluated point.
 
-    Recomputes stationarity, cone membership, and per-block complementarity
-    directly from the supplied multipliers.
+    Computes stationarity (``model.lagrangian_gradient``), cone membership,
+    and per-block complementarity from the supplied multipliers.
     """
-    stat = pt.grad_f.copy()
-    if pt.program.p:
-        stat = stat + pt.jac_h.T @ np.asarray(lam, dtype=float)
+    blocks = pt.program.blocks
+    stat = lagrangian_gradient(pt, lam, [mu_by_name.get(blk.name) for blk in blocks])
     cone_worst = 0.0
     comp_worst = 0.0
-    for j, blk in enumerate(pt.program.blocks):
+    for blk, bv in zip(blocks, pt.blocks):
         mu = mu_by_name.get(blk.name)
         if mu is None:
             continue
         mu = np.asarray(mu, dtype=float)
-        bv = pt.blocks[j]
-        stat = stat - apply_jacobian_adjoint(pt, j, mu)
         if blk.kind == "soc":
             cone = soc_distance(mu)
             comp = abs(float(mu @ bv.value))

@@ -31,7 +31,7 @@ import numpy as np
 from .akkt import trace_from_iterates
 from .cones import project_psd, project_soc
 from .errors import DomainError
-from .model import ConicProgram, apply_jacobian_adjoint, evaluate
+from .model import ConicProgram, evaluate, lagrangian_gradient
 
 UNBOUNDED_OBJECTIVE = -1e12
 # inner tolerance of outer iteration k: max(EPS0 * EPS_DECAY**k, EPS_FLOOR)
@@ -62,10 +62,8 @@ def inner_tolerance(k):
 def _penalty_terms(pt, lam_hat, mu_hats, rho):
     """Value, gradient, and per-block projections of the augmented Lagrangian."""
     val = pt.f
-    grad = pt.grad_f.copy()
     if pt.program.p:
         val += float(lam_hat @ pt.h) + 0.5 * rho * float(pt.h @ pt.h)
-        grad = grad + pt.jac_h.T @ (lam_hat + rho * pt.h)
     projections = []
     for j, blk in enumerate(pt.program.blocks):
         bv = pt.blocks[j]
@@ -77,9 +75,8 @@ def _penalty_terms(pt, lam_hat, mu_hats, rho):
             val += (float(np.sum(proj * proj)) - float(np.sum(mu_hats[j] * mu_hats[j]))) / (
                 2.0 * rho
             )
-        grad = grad - apply_jacobian_adjoint(pt, j, proj)
         projections.append(proj)
-    return val, grad, projections
+    return val, lagrangian_gradient(pt, lam_hat + rho * pt.h, projections), projections
 
 
 def _cap_radially(mu, cap):

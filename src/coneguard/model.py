@@ -297,12 +297,14 @@ def _finite(vals, jac, where, limit=np.finfo(float).max):
 def evaluate(prog, x):
     """Evaluate objective, constraints, Jacobians, and cone residuals at x.
 
-    Raises DomainError outside a domain, on a non-finite value, or on a block
-    value or derivative above BLOCK_LIMIT in magnitude.
+    Raises DomainError on a non-finite x, outside a domain, on a non-finite
+    value, or on a block value or derivative above BLOCK_LIMIT in magnitude.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.size != prog.n:
         raise DimensionMismatchError("point has %d coordinates, program has %d" % (x.size, prog.n))
+    if not np.isfinite(x).all():
+        raise DomainError("point has a non-finite entry")
     f, grad_f = _rows((prog.objective,), x, lambda i: "objective")
     h, jac_h = _rows(prog.equalities, x, lambda i: "equality %r" % prog.eq_names[i])
     values = []
@@ -343,6 +345,17 @@ def apply_jacobian_adjoint(pt, j, multiplier):
     if blk.kind == "soc":
         return bv.jac.T @ np.asarray(multiplier)
     return np.tensordot(bv.partials, np.asarray(multiplier), axes=([1, 2], [0, 1]))
+
+
+def lagrangian_gradient(pt, lam, multipliers):
+    """grad f + J_h^T lam - sum_j J_{g_j}^T(mu_j), one mu (or None) per block in order."""
+    grad = pt.grad_f.copy()
+    if pt.program.p:
+        grad = grad + pt.jac_h.T @ np.asarray(lam, dtype=float)
+    for j, mu in enumerate(multipliers):
+        if mu is not None:
+            grad = grad - apply_jacobian_adjoint(pt, j, mu)
+    return grad
 
 
 def embed_block_diagonal(prog):

@@ -344,6 +344,17 @@ class TestCertify:
         out = certify_akkt(evaluate(prog, np.zeros(2)), trace)
         assert out.certified
 
+    def test_tail_records_without_a_multiplier_are_certified(self):
+        # a kernel-multiple block whose records carry no mu has no mass to
+        # place off the kernel: the Rayleigh-quotient clause skips them
+        prog = loads("vars 2\nobjective 0\npsd q 3\nx1\n0\n0\nx2\n0\n1\n")
+        pt = evaluate(prog, np.zeros(2))
+        assert classify(pt).psd_multiple == (0,)
+        trace = build_trace(prog, [record(prog, k, [0.0, 0.0]) for k in range(4)])
+        out = certify_akkt(pt, trace)
+        assert out.certified
+        assert out.detail["max_tail_residual"] == 0.0
+
     def test_mass_on_a_rotated_positive_direction_is_rejected(self):
         # mu = u u^T for u = (cos 0.6, 0, sin 0.6) keeps a third of its mass on
         # e3, the positive direction: e3^T mu e3 = sin(0.6)^2

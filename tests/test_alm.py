@@ -166,6 +166,14 @@ class TestStatuses:
         assert out[0] is pt
         assert out[-1] == "stalled"
 
+    def test_non_finite_start_is_rejected_before_the_first_outer_iteration(self):
+        # no expression reads x2, so only evaluate's point check can see it
+        prog = loads("vars 2\nobjective (x1 - 1)^2\nsoc g 2\nx1\nx1\n")
+        log = io.StringIO()
+        with pytest.raises(DomainError, match="point has a non-finite entry"):
+            solve(prog, np.array([0.5, np.nan]), log=log)
+        assert "outer" not in log.getvalue()
+
     def test_clamped_multiplier_cannot_close_the_gap(self):
         # the true multiplier is -1; a safeguard cap at 0.5 keeps the
         # equality residual bounded away from zero
@@ -284,6 +292,33 @@ class TestPenaltyGradient:
             t = 0.5 * (z0 + tail)
             expect = np.concatenate([[t], t * z[1:] / tail])
         assert projections[0] == pytest.approx(expect, abs=1e-14)
+
+
+def test_verifier_stationarity_equals_the_solver_stat(monkeypatch):
+    # the solver's stat is the norm of its penalty gradient; the verifier,
+    # given lam_hat + rho h and the iterate's projections, computes the same
+    # Lagrangian gradient and so the same float at every outer iterate
+    inner, outer = alm._inner_minimize, []
+
+    def spy(prog, pt, lam_hat, mu_hats, rho, eps, inner_max):
+        out = inner(prog, pt, lam_hat, mu_hats, rho, eps, inner_max)
+        outer.append((out, lam_hat, rho))
+        return out
+
+    monkeypatch.setattr(alm, "_inner_minimize", spy)
+    prog = loads(
+        "vars 3\nobjective x1 + x2 + x3 ^ 2\neq h x3 - 0.5 * x1\n"
+        "soc G 3\n1\nx1\nx2\npsd P 2\nx1 + 1\nx3\n1\n"
+    )
+    log = io.StringIO()
+    solve(prog, np.array([-3.0, 2.0, 1.0]), AlmConfig(outer_max=6, inner_max=30), log=log)
+    lines = log.getvalue().splitlines()
+    assert len(outer) == len(lines) >= 2
+    names = [blk.name for blk in prog.blocks]
+    for ((pt, _, grad, projections, _), lam_hat, rho), line in zip(outer, lines):
+        _, detail = verify_kkt(pt, lam_hat + rho * pt.h, dict(zip(names, projections)), 1e-8)
+        assert detail["stationarity"] == float(np.linalg.norm(grad))
+        assert " stat=%.3g " % detail["stationarity"] in line
 
 
 class TestSafeguard:

@@ -18,6 +18,7 @@ from coneguard.model import (
     dumps,
     embed_block_diagonal,
     evaluate,
+    lagrangian_gradient,
     loads,
 )
 
@@ -243,6 +244,14 @@ def test_point_dimension_check():
         evaluate(prog, [1.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_point_is_a_domain_error(bad):
+    # no expression reads x2, so only the point check can see it
+    prog = loads("vars 2\nobjective (x1 - 1)^2\nsoc g 2\nx1\nx1\n")
+    with pytest.raises(DomainError, match="point has a non-finite entry"):
+        evaluate(prog, [0.5, bad])
+
+
 def test_domain_error_names_block_and_entry():
     prog = loads("vars 1\nobjective x1\nsoc g 2\n1\nsqrt(x1)\n")
     with pytest.raises(DomainError) as err:
@@ -265,6 +274,42 @@ def test_apply_jacobian_adjoint_matches_direct_contraction():
             expect = np.tensordot(bv.partials, mu, axes=([1, 2], [0, 1]))
         got = apply_jacobian_adjoint(pt, j, mu)
         assert np.all(np.abs(got - expect) <= 1e-14)
+
+
+def test_lagrangian_gradient_matches_a_dense_contraction():
+    # grad f + J_h^T lam - sum_j Dg_j^* mu_j summed by einsum over the
+    # Jacobians and partials, some blocks without a multiplier
+    rng = np.random.default_rng(27)
+    seen = {"eq": 0, "soc": 0, "psd": 0, "none": 0}
+    nonlinear = loads(
+        "vars 3\nobjective x1 ^ 2 + x2 * x3\neq h x1 * x2 - 1\n"
+        "soc G 3\nx1 + 2\nx2 ^ 2\nx3\npsd P 2\nx1 * x3 + 1\nx2\nexp(x3)\n"
+    )
+    programs = [random_feasible_program(rng)[0] for _ in range(40)] + [nonlinear] * 10
+    for prog in programs:
+        pt = evaluate(prog, rng.uniform(-1.5, 1.5, size=prog.n))
+        lam = rng.standard_normal(prog.p)
+        expect = pt.grad_f + np.einsum("ki,k->i", pt.jac_h, lam)
+        seen["eq"] += prog.p > 0
+        multipliers = []
+        for blk, bv in zip(prog.blocks, pt.blocks):
+            if rng.random() < 0.3:
+                multipliers.append(None)
+                seen["none"] += 1
+                continue
+            if blk.kind == "soc":
+                mu = rng.standard_normal(blk.dim)
+                expect = expect - np.einsum("ei,e->i", bv.jac, mu)
+            else:
+                a = rng.standard_normal((blk.dim, blk.dim))
+                mu = a + a.T
+                expect = expect - np.einsum("iab,ab->i", bv.partials, mu)
+            seen[blk.kind] += 1
+            multipliers.append(mu)
+        got = lagrangian_gradient(pt, lam, multipliers)
+        assert got is not pt.grad_f
+        assert np.all(np.abs(got - expect) <= 1e-12 * max(1.0, float(np.max(np.abs(expect)))))
+    assert min(seen.values()) >= 10, seen
 
 
 # ---------------------------------------------------------------------------
