@@ -4,8 +4,10 @@
 
 Runs, in-process, each command that ``perfbench/run.py`` runs on the
 seeded corpora (classify, check, solve, certify, recover) once, plus
-``embed-diag`` and a ``dumps(loads(text))`` round trip per instance.  It
-prints one line per command:
+``embed-diag`` and a ``dumps(loads(text))`` round trip per instance.  The
+fixed, unseeded ``equalities`` set follows, because no corpus program has
+an equality: classify and ``check --cq all`` on each program, certify and
+recover on its trace, and the round trip.  It prints one line per command:
 
     <workload> <instance> <command> exit=<code> fence=<sha256> file=<sha256>
 
@@ -39,6 +41,22 @@ import checker  # noqa: E402
 import corpus  # noqa: E402
 from coneguard import cli  # noqa: E402
 from coneguard.model import dumps, loads  # noqa: E402
+
+
+# (name, program, point, trace or None).  redundant: two parallel equality
+# gradients, the paper's redundant linear constraints (robinson Fails, rcpld
+# and crsc Hold, recover re-expresses lambda on the basis k).  tiny-equality:
+# a 1e-9 equality gradient ahead of a larger one in crsc's gradient basis.
+EQUALITIES = (
+    ("redundant",
+     "vars 2\nobjective (x1 - 1)^2 + (x2 - 2)^2\neq h x1 + x2 - 1\neq k 2 * x1 + 2 * x2 - 2\npsd a 1\nx1\n",
+     "0,1",
+     "k 0\nx 0 1\nlambda 2 0\nk 1\nx 0 1\nlambda 0 1\nk 2\nx 0 1\nlambda 1 0.5\n"),
+    ("tiny-equality",
+     "vars 2\nobjective x1\neq h 1e-9 * x1\npsd a 1\nx2\npsd b 1\n-x2\nsoc s 2\nx2\n0\n",
+     "0,0",
+     None),
+)
 
 
 def _sha(text):
@@ -78,26 +96,47 @@ def _commands(wl, inst, work):
     yield ("embed-diag", *_call(["embed-diag", "--problem", problem, "--out", str(embedded)]), embedded)
 
 
+def _equality_commands(name, point, trace, work):
+    """Yield (command, exit code, stdout, None) for one program of EQUALITIES."""
+    problem = str(work / (name + ".txt"))
+    at = "--point=" + point
+    yield ("classify", *_call(["classify", "--problem", problem, at]), None)
+    yield ("check", *_call(["check", "--problem", problem, at, "--cq", "all"]), None)
+    if trace is not None:
+        path = work / (name + ".trace")
+        path.write_text(trace, encoding="utf-8")
+        for command in ("certify", "recover"):
+            yield (command, *_call([command, "--problem", problem, at, "--trace", str(path)]), None)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--workload", action="append", choices=corpus.WORKLOADS)
+    parser.add_argument("--workload", action="append", choices=(*corpus.WORKLOADS, "equalities"))
     args = parser.parse_args(argv)
+    names = args.workload or (*corpus.WORKLOADS, "equalities")
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
 
         def norm(text):
             return None if text is None else text.replace(str(work), "<work>")
 
-        for name in args.workload or corpus.WORKLOADS:
-            wl = corpus.workload(name, args.seed)
+        def emit(workload, name, program, commands):
+            (work / (name + ".txt")).write_text(program, encoding="utf-8")
+            for command, code, out, written in commands:
+                text = written.read_text(encoding="utf-8") if written and written.exists() else None
+                print("%s %s %s exit=%s fence=%s file=%s"
+                      % (workload, name, command, code, _sha(norm(checker.fenced(out))), _sha(norm(text))))
+            print("%s %s dumps exit=- fence=- file=%s" % (workload, name, _sha(dumps(loads(program)))))
+
+        for workload in names:
+            if workload == "equalities":
+                for name, program, point, trace in EQUALITIES:
+                    emit(workload, name, program, _equality_commands(name, point, trace, work))
+                continue
+            wl = corpus.workload(workload, args.seed)
             for inst in wl.instances:
-                (work / (inst.name + ".txt")).write_text(inst.text, encoding="utf-8")
-                for command, code, out, written in _commands(wl, inst, work):
-                    text = written.read_text(encoding="utf-8") if written and written.exists() else None
-                    print("%s %s %s exit=%s fence=%s file=%s"
-                          % (name, inst.name, command, code, _sha(norm(checker.fenced(out))), _sha(norm(text))))
-                print("%s %s dumps exit=- fence=- file=%s" % (name, inst.name, _sha(dumps(loads(inst.text)))))
+                emit(workload, inst.name, inst.text, _commands(wl, inst, work))
     return 0
 
 

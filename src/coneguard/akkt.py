@@ -36,7 +36,6 @@ from .certificates import (
     Certificate,
     DependenceWitness,
     caratheodory_reduce,
-    factored,
     verify_dependence,
 )
 from .classify import TOL_ACT, TOL_GAP, classify, eigen_gap, kernel_basis
@@ -469,12 +468,6 @@ def recover_kkt(
         ptk = _record_point(prog, cls, rec)
         fixed = [ptk.jac_h[i] for i in basis_i]
         bvec = ptk.jac_h.T @ rec.lam if basis_i else np.zeros(prog.n)
-        if basis_i:
-            amat = np.column_stack(fixed)
-            lam_hat, *_ = factored(np.linalg.lstsq(amat, bvec, rcond=None))
-            reexpress_worst = max(
-                reexpress_worst, float(np.linalg.norm(amat @ lam_hat - bvec))
-            )
         view = reduced_view(ptk, cls, strict=False)
         coned = [
             (entry.gradient, max(0.0, float(rec.alpha.get(names[entry.block], 0.0))))
@@ -501,6 +494,7 @@ def recover_kkt(
                 equality_basis=basis_names,
                 detail={"reason": "equality basis is dependent at a tail record", "k": rec.k},
             )
+        reexpress_worst = max(reexpress_worst, result.reexpression)
         alpha_hat = {reduced[i]: float(c) for i, c in zip(result.kept, result.coeffs)}
         mvals = [float(np.max(np.abs(result.fixed_coeffs), initial=0.0))]
         mvals.append(float(np.max(np.abs(result.coeffs), initial=0.0)))

@@ -132,6 +132,7 @@ class CaratheodoryResult(NamedTuple):
     coeffs: np.ndarray  # positive coefficients for kept, aligned with kept
     fixed_coeffs: np.ndarray
     residual: float
+    reexpression: float  # residual of the fixed vectors' fit to the target minus the coned terms
 
 
 def caratheodory_reduce(fixed, coned, target, tol_rank=TOL_RANK):
@@ -142,6 +143,9 @@ def caratheodory_reduce(fixed, coned, target, tol_rank=TOL_RANK):
     target must equal the supplied combination.  Returns a subset of coned
     indices together with refreshed coefficients that reproduce the target
     exactly, keep the family independent, and preserve strict positivity.
+    The fixed vectors' least-squares fit to the target minus the coned terms
+    must leave a residual (``reexpression``) of at most 1e-8 * scale, where
+    scale = max(1, ||target||, max beta_j ||v_j||).
     """
     fixed = [np.asarray(v, dtype=float).reshape(-1) for v in fixed]
     vecs = [np.asarray(v, dtype=float).reshape(-1) for (v, _) in coned]
@@ -208,7 +212,7 @@ def caratheodory_reduce(fixed, coned, target, tol_rank=TOL_RANK):
         coeffs = np.zeros(0)
     if residual > 1e-10 * scale:
         raise ReconstructionError(residual, 1e-10 * scale)
-    return CaratheodoryResult(tuple(kept), coeffs, lam_out, residual)
+    return CaratheodoryResult(tuple(kept), coeffs, lam_out, residual, recon)
 
 
 def _span_projector(rows):
@@ -393,9 +397,7 @@ def _margin_terms(system, d):
         z = jmat @ d
         out.append((float(z[0] - np.linalg.norm(z[1:])), functools.partial(_soc_supergradient, jmat, z)))
     for pt in system.psds:
-        mmat = np.tensordot(d, pt, axes=(0, 0))
-        mmat = 0.5 * (mmat + mmat.T)
-        sd = eig_sym(mmat)
+        sd = eig_sym(np.tensordot(d, pt, axes=(0, 0)))
         vmin = sd.eigenvectors[:, 0]
         out.append((float(sd.eigenvalues[0]), functools.partial(np.einsum, "iab,a,b->i", pt, vmin, vmin)))
     for r in system.rays:

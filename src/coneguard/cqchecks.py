@@ -60,9 +60,11 @@ class CqReport:
 
 def _kernel_partials(pt: EvaluatedPoint, j: int, cls: IndexClassification):
     """Partial derivatives of active psd block j compressed onto the
-    eigenvectors of its zero-eigenvalue cluster: (n, r, r)."""
+    eigenvectors of its zero-eigenvalue cluster: (n, r, r), each slice
+    exactly symmetric (the compression alone is only symmetric to roundoff)."""
     basis = kernel_basis(pt, j, cls)
-    return np.einsum("ar,iab,bs->irs", basis, pt.blocks[j].partials, basis)
+    compressed = np.einsum("ar,iab,bs->irs", basis, pt.blocks[j].partials, basis)
+    return 0.5 * (compressed + compressed.transpose(0, 2, 1))
 
 
 class _Sample(NamedTuple):

@@ -30,6 +30,12 @@ from coneguard.model import evaluate, loads
 from conftest import affine_entry_text, build_program_text
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
+# two parallel equality gradients (the paper's redundant linear constraints)
+REDUNDANT = (
+    "vars 2\nobjective (x1 - 1)^2 + (x2 - 2)^2\n"
+    "eq h x1 + x2 - 1\neq k 2 * x1 + 2 * x2 - 2\n"
+    "psd a 1\nx1\n"
+)
 
 
 def record(prog, k, x, lam=None, mu=None, alpha=None):
@@ -517,6 +523,24 @@ class TestRecover:
         assert out.verdict == "kkt"
         assert out.equality_basis == ("h",)
         assert out.multipliers["lambda"] == pytest.approx([-1.0], abs=1e-5)
+
+    def test_redundant_equalities_report_the_fit_that_the_gate_tested(self):
+        # h and k have parallel gradients: recover re-expresses lambda on the
+        # pivoted basis (k) and prints the worst residual of that fit
+        prog = loads(REDUNDANT)
+        lams = [[2.0, 0.0], [0.0, 1.0], [1.0, 0.5]]
+        records = [record(prog, k, [0.0, 1.0], lam=lam) for k, lam in enumerate(lams)]
+        out = recover_kkt(evaluate(prog, np.array([0.0, 1.0])), build_trace(prog, records))
+        worst = 0.0
+        for rec in records[len(records) // 2 :]:
+            jac_h = evaluate(prog, rec.x).jac_h
+            basis = jac_h[[1]].T
+            fit, *_ = np.linalg.lstsq(basis, jac_h.T @ rec.lam, rcond=None)
+            worst = max(worst, float(np.linalg.norm(basis @ fit - jac_h.T @ rec.lam)))
+        assert out.verdict == "kkt"
+        assert out.equality_basis == ("k",)
+        assert abs(out.detail["reexpression_residual"] - worst) <= 1e-15
+        assert out.multipliers["lambda"] == pytest.approx([0.0, 1.0], abs=1e-12)
 
     def test_geometric_multiplier_growth_yields_a_divergence_witness(self):
         prog = loads("vars 1\nobjective x1\nsoc G 2\nx1\nx1\n")

@@ -197,6 +197,30 @@ class TestCaratheodory:
             caratheodory_reduce([np.array([1.0, 0.0])], [], np.array([1.0, 1e-9]))
         assert info.value.residual == pytest.approx(1e-9, rel=1e-12)
 
+    @staticmethod
+    def _reexpression_case(off):
+        # target = 3 f + the coned terms + off * w, with w orthogonal to f
+        fixed = [np.array([1.0, 1.0, 0.0])]
+        coned = [(np.array([0.0, 1.0, 1.0]), 0.5), (np.array([1.0, 0.0, 2.0]), 2.0)]
+        coned_sum = sum(b * v for v, b in coned)
+        target = 3.0 * fixed[0] + off * np.array([1.0, -1.0, 1.0]) / np.sqrt(3.0) + coned_sum
+        fmat, rest = np.column_stack(fixed), target - coned_sum
+        fit, *_ = np.linalg.lstsq(fmat, rest, rcond=None)
+        return fixed, coned, target, float(np.linalg.norm(fmat @ fit - rest))
+
+    def test_reexpression_is_the_residual_of_the_fixed_fit(self):
+        fixed, coned, target, expected = self._reexpression_case(1e-9)
+        out = caratheodory_reduce(fixed, coned, target)
+        assert expected == pytest.approx(1e-9, rel=1e-6)
+        assert out.reexpression == pytest.approx(expected, rel=1e-9)
+
+    def test_reexpression_above_the_gate_is_the_error_residual(self):
+        fixed, coned, target, expected = self._reexpression_case(1e-7)
+        with pytest.raises(ReconstructionError) as info:
+            caratheodory_reduce(fixed, coned, target)
+        assert info.value.residual == pytest.approx(expected, rel=1e-9)
+        assert info.value.tol == pytest.approx(1e-8 * np.linalg.norm(target), rel=1e-12)
+
     def test_non_positive_refit_keeps_the_positive_coefficients(self):
         # the refit of target -1e-12 on the kept ray is negative; the given
         # coefficient 1e-13 reproduces the target within 1e-10 and stays

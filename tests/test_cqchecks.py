@@ -526,6 +526,23 @@ class TestFurtherExamples:
         assert rep.verdict == "Holds"
         assert rep.detail["equality_basis"] == ("h",)
 
+    def test_kernel_partials_at_scale_reach_the_margin_search_symmetric(self):
+        # the partials are about 1e11 and the direction that certifies Holds
+        # cancels them down to 1e5 * I on the kernel face; the compression's
+        # roundoff asymmetry must not make the margin matrix fail eig_sym
+        prog = loads(
+            "vars 2\nobjective x1 + x2\npsd g 3\n"
+            "1 + 1e11 * (x1 - x2) + 1e5 * x2\n1 + 2e11 * (x1 - x2)\n1 - 3e11 * (x1 - x2)\n"
+            "1 + 2e11 * (x1 - x2) + 1e5 * x2\n1\n1 + 1e5 * x2\n"
+        )
+        pt, cls = _point(prog, [0.0, 0.0])
+        assert cls.psd_multiple == (0,)
+        partials = cqchecks._kernel_partials(pt, 0, cls)
+        assert np.array_equal(partials, partials.transpose(0, 2, 1))
+        rep = check_robinson(pt, cls)
+        assert rep.verdict == "Holds"
+        assert rep.detail["margin"] > 0.1
+
 
 class TestCorpusProperties:
     def test_hierarchy_on_random_programs(self):

@@ -37,7 +37,7 @@ RECORDS = [
     (AkktRecord, dict(k=3, x=V, lam=V, mu={"c": V}, alpha={"d": 0.5})),
     (AkktTrace, dict(records=())),
     (AlmConfig, dict(rho0=2.0, gamma=3.0, cap=10.0, outer_max=5, inner_max=7, tol_stat=1e-7, tol_feas=1e-9)),
-    (CaratheodoryResult, dict(kept=(0,), coeffs=V, fixed_coeffs=V, residual=0.0)),
+    (CaratheodoryResult, dict(kept=(0,), coeffs=V, fixed_coeffs=V, residual=0.0, reexpression=0.0)),
     (Certificate, dict(verdict="dependent", margin=0.5, witness=None, residual=1e-9, normalization=1.0,
                        iterations=4, detail={"a": 1})),
     (CertifyOutcome, dict(certified=False, reason="r", offending_k=2, detail={"a": 1})),
