@@ -4,10 +4,12 @@
 
 Runs, in-process, each command that ``perfbench/run.py`` runs on the
 seeded corpora (classify, check, solve, certify, recover) once, plus
-``embed-diag`` and a ``dumps(loads(text))`` round trip per instance.  The
-fixed, unseeded ``equalities`` set follows, because no corpus program has
-an equality: classify and ``check --cq all`` on each program, certify and
-recover on its trace, and the round trip.  It prints one line per command:
+``embed-diag`` and a ``dumps(loads(text))`` round trip per instance.  Two
+fixed, unseeded sets follow: ``equalities``, because no corpus program has
+an equality, and ``near-parallel``, because no corpus query sits near the
+independence threshold.  Each of their programs gets classify, ``check --cq
+all``, certify and recover on its trace when it has one, and the round
+trip.  It prints one line per command:
 
     <workload> <instance> <command> exit=<code> fence=<sha256> file=<sha256>
 
@@ -58,6 +60,14 @@ EQUALITIES = (
      None),
 )
 
+# (name, program, point, trace or None): two linear constraints x1 >= 0 and
+# -x1 + e * x2 >= 0 at the origin, nearly opposite; every check Holds.
+NEAR_PARALLEL = tuple(
+    ("e-%s" % e, "vars 2\nobjective x1 + x2\npsd a 1\nx1\npsd b 1\n-x1 + %s * x2\n" % e, "0,0", None)
+    for e in ("1e-7", "1e-6", "1e-5")
+)
+FIXED = {"equalities": EQUALITIES, "near-parallel": NEAR_PARALLEL}
+
 
 def _sha(text):
     return "-" if text is None else hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -96,8 +106,8 @@ def _commands(wl, inst, work):
     yield ("embed-diag", *_call(["embed-diag", "--problem", problem, "--out", str(embedded)]), embedded)
 
 
-def _equality_commands(name, point, trace, work):
-    """Yield (command, exit code, stdout, None) for one program of EQUALITIES."""
+def _fixed_commands(name, point, trace, work):
+    """Yield (command, exit code, stdout, None) for one program of a FIXED set."""
     problem = str(work / (name + ".txt"))
     at = "--point=" + point
     yield ("classify", *_call(["classify", "--problem", problem, at]), None)
@@ -112,9 +122,9 @@ def _equality_commands(name, point, trace, work):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--workload", action="append", choices=(*corpus.WORKLOADS, "equalities"))
+    parser.add_argument("--workload", action="append", choices=(*corpus.WORKLOADS, *FIXED))
     args = parser.parse_args(argv)
-    names = args.workload or (*corpus.WORKLOADS, "equalities")
+    names = args.workload or (*corpus.WORKLOADS, *FIXED)
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
 
@@ -130,9 +140,9 @@ def main(argv=None):
             print("%s %s dumps exit=- fence=- file=%s" % (workload, name, _sha(dumps(loads(program)))))
 
         for workload in names:
-            if workload == "equalities":
-                for name, program, point, trace in EQUALITIES:
-                    emit(workload, name, program, _equality_commands(name, point, trace, work))
+            if workload in FIXED:
+                for name, program, point, trace in FIXED[workload]:
+                    emit(workload, name, program, _fixed_commands(name, point, trace, work))
                 continue
             wl = corpus.workload(workload, args.seed)
             for inst in wl.instances:

@@ -11,10 +11,10 @@ not all zero?  A positive answer is a Dependent certificate carrying the
 witness; a negative one is certified by a strictly feasible primal
 direction whose smallest slack bounds every normalized combination away
 from zero.  One loop decides: each iteration takes one supergradient step
-on the margin and, unless that step certifies independence, one
-alternating-projection sweep toward a witness.  When neither side
-certifies within budget the answer is Undecided, reported honestly with
-both residuals.
+on the margin, from the least-squares solution of the normalized system,
+and, unless that step certifies independence, one alternating-projection
+sweep toward a witness.  When neither side certifies within budget the
+answer is Undecided, reported with both residuals and its threshold.
 """
 
 from __future__ import annotations
@@ -408,19 +408,12 @@ def _margin_terms(system, d):
 def _margin_steps(system, proj_eq):
     """Projected supergradient ascent on the minimum cone slack.
 
-    Starts from the projected sum of the cone axes (when it nearly vanishes,
-    so does every slack sum, and no step certifies).  Yields (slack,
+    Starts from one least-squares solve of J d = e0, G(d) = I, r.d = 1 and
+    E d = 0 together, projected onto null(E): rays linearly independent of
+    each other and of E have slack 1 there before normalization.  Yields (slack,
     direction) once per step; stops when the supergradient vanishes.
     """
-    n = system.n
-    d = np.zeros(n)
-    for jmat in system.socs:
-        d = d + jmat[0]
-    for pt in system.psds:
-        d = d + np.array([np.trace(pt[i]) for i in range(n)]) / pt.shape[1]
-    for r in system.rays:
-        d = d + r
-    d = proj_eq(d)
+    d = proj_eq(factored(np.linalg.lstsq(system.smat_cols.T, system.norm_row, rcond=None))[0])
     for t in itertools.count():
         nd = float(np.linalg.norm(d))
         if nd > 1.0:
@@ -456,6 +449,7 @@ def conic_dependence(
     rays,
     budget=DEFAULT_BUDGET,
     tol_cert=TOL_CERT,
+    tol_rank=TOL_RANK,
 ):
     """Decide whether the homogeneous cone-coefficient system is degenerate.
 
@@ -472,14 +466,17 @@ def conic_dependence(
     every normalized solution candidate has combination norm at least the
     margin, because pairing with d bounds it below.
 
-    Each of at most budget iterations takes one margin step, which returns
-    Independent once the slack exceeds tol_cert, and otherwise one sweep
-    (a least-squares step onto the normalized linear system, then a
-    projection onto the cones), which returns Dependent once its point
-    passes verify_dependence.  A query that the first margin step certifies
-    computes no sweep.  An Undecided answer costs at most budget margin steps
-    and budget sweeps, and carries the best combination residual and margin
-    that the two searches reached.
+    Each of at most budget iterations takes one margin step, the first from
+    the least-squares solution of the normalized system, which returns
+    Independent once the slack exceeds min(tol_cert, tol_rank * sigma_max(C)
+    / sqrt(k)) for the cone and ray columns C of k blocks and rays
+    (numerical_rank's relative rule), and otherwise one sweep (a
+    least-squares step onto the normalized linear system, then a projection
+    onto the cones), which returns Dependent once its point passes
+    verify_dependence.  A query that the first margin step certifies, as it
+    does linearly independent rays, computes no sweep.  An Undecided answer
+    costs at most budget margin steps and budget sweeps, and carries the
+    best residual and margin that the two searches reached, and the threshold.
     """
     sizes = (
         [np.asarray(j).shape[1] for j in soc_blocks]
@@ -489,6 +486,8 @@ def conic_dependence(
     if not sizes:
         return Certificate("independent", margin=float("inf"), detail={"note": "no cone blocks or rays"})
     system = _System(sizes[0], eq_basis, soc_blocks, psd_blocks, rays)
+    sigma = factored(np.linalg.svd(system.smat_cols[:, system.eq_slice.stop :], compute_uv=False))[0]
+    threshold = min(tol_cert, tol_rank * float(sigma) / len(sizes) ** 0.5)
     steps = _margin_steps(system, _span_projector(system.eq))
     sweeps = _sweeps(system)
     best_margin = -np.inf
@@ -497,7 +496,7 @@ def conic_dependence(
         step = next(steps, None)
         if step is not None:
             margin, d = step
-            if margin > tol_cert:
+            if margin > threshold:
                 return Certificate(
                     "independent",
                     margin=float(margin),
@@ -528,5 +527,6 @@ def conic_dependence(
         detail={
             "best_combination_residual": float(best_sres),
             "best_margin": float(best_margin),
+            "margin_threshold": threshold,
         },
     )

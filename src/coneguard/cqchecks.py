@@ -200,7 +200,7 @@ def check_robinson(
     socs, _, psds, _, rays, ray_idx = _face_system(pt, cls)
     eq = zip(pt.program.eq_names, eq_rows)
     system, names = dependence_system(cls, eq, (socs, psds), zip(cls.names(ray_idx), rays))
-    cert = conic_dependence(*system, budget=budget, tol_cert=tol_cert)
+    cert = conic_dependence(*system, budget=budget, tol_cert=tol_cert, tol_rank=tol_rank)
     detail = {"soc_blocks": names[1], "psd_blocks": names[2], "rays": names[3]}
     verdict = _decide(cert, detail)
     if verdict == "Fails":
@@ -264,7 +264,7 @@ def check_rcpld(
     note = SAMPLING_NOTE % (len(sampled), delta)
     eq_vectors, socs, psds, ground_rays = ground_system
     if not socs and not psds and numerical_rank(eq_vectors + ground_rays, tol_rank)[0] == rank_star + len(ground):
-        cert = conic_dependence(*ground_system, budget=budget, tol_cert=tol_cert)
+        cert = conic_dependence(*ground_system, budget=budget, tol_cert=tol_cert, tol_rank=tol_rank)
         if cert.verdict == "independent":
             detail.update(subset_log=({"subset": detail["ground_set"], "system": "independent"},), note=note)
             return CqReport("rcpld", "Holds", detail)
@@ -289,7 +289,7 @@ def check_rcpld(
                 continue
             subset = [ground[i] for i in range(len(ground)) if code >> i & 1]
             system, witness_names = query([rays_star[j] for j in subset])
-            cert = conic_dependence(*system, budget=budget, tol_cert=tol_cert)
+            cert = conic_dependence(*system, budget=budget, tol_cert=tol_cert, tol_rank=tol_rank)
             entry = {"subset": witness_names[3], "system": cert.verdict}
             subset_log.append(entry)
             if cert.verdict == "undecided":
@@ -387,7 +387,7 @@ def check_crsc(
     eq = [(pt.program.eq_names[i], eq_rows[i]) for i in basis_i] + [(names[j], grads_star[j]) for j in j_basis]
     rays = [(names[j], grads_star[j]) for j in j_plus]
     system, witness_names = dependence_system(cls, eq, conic_base(pt, cls), rays)
-    cert = conic_dependence(*system, budget=budget, tol_cert=tol_cert)
+    cert = conic_dependence(*system, budget=budget, tol_cert=tol_cert, tol_rank=tol_rank)
     detail["system"] = cert.verdict
     verdict = _decide(cert, detail)
     if verdict == "Holds":

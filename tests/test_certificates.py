@@ -506,15 +506,36 @@ class TestOneLoop:
             assert cert.iterations <= 5, (shape, n, cert.iterations)
 
     def test_small_budget_bounds_an_undecided_query(self):
-        # a thin wedge: independent, but the margin search needs many steps
-        rays = [np.array([1.0, 0.0]), np.array([-1.0, 0.1])]
+        # four rays in R^2, three nearly opposite the fourth: independent, but
+        # the least-squares start has a negative slack and the search needs 13 steps
+        pairs = ((-0.9896, -0.1453), (-0.9919, -0.1273), (0.9926, 0.1213), (-0.9828, -0.1987))
+        rays = [np.array(r) for r in pairs]
+        # the threshold is numerical_rank's rule: tol_rank * sigma_max / sqrt(k), at most tol_cert
+        threshold = min(1e-7, 1e-8 * np.linalg.norm(np.column_stack(rays), 2) / 2.0)
         for budget in (1, 3, 5):
             cert = conic_dependence([], [], [], rays, budget=budget)
             assert cert.verdict == "undecided"
             assert cert.iterations <= budget
             assert np.isfinite(cert.detail["best_combination_residual"])
             assert cert.detail["best_margin"] <= 1e-7
+            assert cert.detail["margin_threshold"] == pytest.approx(threshold, rel=1e-12)
+            assert cert.detail["best_margin"] <= cert.detail["margin_threshold"]
+        loose = conic_dependence([], [], [], rays, budget=1, tol_rank=1e-3, tol_cert=1e-2)
+        assert loose.detail["margin_threshold"] == pytest.approx(threshold * 1e5, rel=1e-12)
         assert conic_dependence([], [], [], rays).verdict == "independent"
+
+    def test_linearly_independent_rays_certify_at_the_first_step(self):
+        # the least-squares start solves r.d = 1 and E d = 0 at once, and the
+        # threshold scales with the rays, so no unit of the data matters
+        rng = np.random.default_rng(29)
+        for _ in range(30):
+            n = int(rng.integers(2, 5))
+            family = rng.standard_normal((int(rng.integers(1, n + 1)), n))
+            split = int(rng.integers(0, family.shape[0]))
+            eq, rays = list(family[:split]), list(family[split:])
+            for scale in (1e-6, 1.0, 1e6):
+                cert = conic_dependence(eq, [], [], [scale * r for r in rays])
+                assert (cert.verdict, cert.iterations) == ("independent", 1), (family, split, scale)
 
     def test_first_margin_step_certificate_makes_no_sweep(self, monkeypatch):
         from coneguard import certificates

@@ -52,9 +52,14 @@ LOG = "vars 1\nobjective log(x1)\n"
 # two equality gradients, (1, 0) and (1, 1e-10): independent at --tol-rank
 # 1e-12, dependent at the default
 NEAR_PARALLEL = "vars 2\nobjective x1\neq h1 x1\neq h2 x1 + 1e-10 * x2\npsd a 1\nx2\n"
-# reduced gradients (1, 0) and (-1, 1): a pair that one margin step or one
-# sweep cannot decide
-SKEWED = "vars 2\nobjective x1\nsoc a 1\nx1\nsoc b 1\nx2 - x1\n"
+# four linear 1x1 blocks, a and b nearly opposite c and d: every subset is
+# independent, and one margin step decides each proper subset but not the
+# full set
+FOUR_LINES = (
+    "vars 2\nobjective x1\n"
+    "psd a 1\n-0.539 * x1 + 0.842 * x2\npsd b 1\n-0.53 * x1 + 0.848 * x2\n"
+    "psd c 1\n0.591 * x1 + -0.809 * x2\npsd d 1\n0.551 * x1 + -0.835 * x2\n"
+)
 CIRCLE = "vars 1\nobjective x1\neq h x1^2 - 1\n"
 LOG_SOC = "vars 1\nobjective log(x1)\nsoc g 2\nx1\nx1\n"
 # x1 >= 0, -x1 >= 0 and a redundant x1 >= 0 as 1x1 semidefinite blocks: at
@@ -77,7 +82,7 @@ def files(tmp_path_factory):
         ("cpld", CPLD),
         ("log", LOG),
         ("near_parallel", NEAR_PARALLEL),
-        ("skewed", SKEWED),
+        ("four_lines", FOUR_LINES),
         ("circle", CIRCLE),
         ("log_soc", LOG_SOC),
         ("opposite", OPPOSITE),
@@ -365,14 +370,25 @@ class TestCheck:
             assert [r[3] for r in rows(out, "witness", cq, "lambda")] == ["h1", "h2"]
 
     def test_undecided_subset_query_is_undecided(self, files, capsys):
-        argv = ["check", "--problem", files["skewed"], "--point", "0,0", "--cq", "rcpld"]
+        argv = ["check", "--problem", files["four_lines"], "--point", "0,0", "--cq", "rcpld"]
         code, out, _ = run(argv + ["--budget", "1"], capsys)
         assert code == EXIT_UNDECIDED
         assert row(out, "verdict") == ("verdict", "rcpld", "Undecided")
-        assert row(out, "detail", "rcpld", "undecided-subset") == ("detail", "rcpld", "undecided-subset", "a", "b")
+        undecided = ("detail", "rcpld", "undecided-subset", "a", "b", "c", "d")
+        assert row(out, "detail", "rcpld", "undecided-subset") == undecided
         code, out, _ = run(argv, capsys)
         assert code == EXIT_OK
         assert row(out, "verdict") == ("verdict", "rcpld", "Holds")
+
+    def test_undecided_reports_print_their_margin_threshold(self, files, capsys):
+        for cq in ("robinson", "crsc"):
+            argv = ["check", "--problem", files["four_lines"], "--point", "0,0", "--cq", cq, "--budget", "1"]
+            code, out, _ = run(argv, capsys)
+            assert code == EXIT_UNDECIDED
+            assert row(out, "verdict", cq) == ("verdict", cq, "Undecided")
+            threshold = float(row(out, "detail", cq, "margin-threshold")[3])
+            assert 0.0 < threshold <= 1e-7
+            assert float(row(out, "detail", cq, "best-margin")[3]) <= threshold
 
     def test_environment_seed_override(self, files, capsys, monkeypatch):
         monkeypatch.setenv("CONEGUARD_SEED", "7")

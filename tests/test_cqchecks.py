@@ -592,3 +592,42 @@ class TestCorpusProperties:
         assert _same(a.detail, b.detail)
         assert a.detail["seed"] == 1 and c.detail["seed"] == 2
         assert a.verdict == c.verdict == "Holds"
+
+
+def _linear_blocks(rows):
+    """1x1 psd blocks g_i(x) = rows[i] . x at the origin, one per row."""
+    n = len(rows[0])
+    lines = ["vars %d" % n, "objective x1"]
+    for i, r in enumerate(rows):
+        lines += ["psd b%d 1" % i, " + ".join("%r * x%d" % (float(c), j + 1) for j, c in enumerate(r))]
+    return _point(loads("\n".join(lines) + "\n"), np.zeros(n))
+
+
+def _near_opposite_families():
+    """The pair x1, -x1 + e * x2 at 25 values of e from 1e-9 to 1e-3, then 40
+    seeded families of up to n - 1 random rays in R^n (n = 2..4) and the
+    planted ray -r0 + e * w, with log10 e uniform in [-9, -4]."""
+    for e in np.logspace(-9, -3, 25):
+        yield [np.array([1.0, 0.0]), np.array([-1.0, e])]
+    rng = np.random.default_rng(20261020)
+    for _ in range(40):
+        n = int(rng.integers(2, 5))
+        rays = list(rng.standard_normal((int(rng.integers(1, n)), n)))
+        e = 10.0 ** rng.uniform(-9.0, -4.0)
+        yield rays + [-rays[0] + e * rng.standard_normal(n)]
+
+
+class TestLinearFamilies:
+    """Linear constraints have constant gradients, so rcpld and crsc hold for
+    every family of them, however nearly parallel, and every check decides
+    one with numerical_rank's rule: a family that nondegeneracy calls
+    independent passes robinson too."""
+
+    def test_near_opposite_linear_rays_are_decided_consistently(self):
+        for rays in _near_opposite_families():
+            pt, cls = _linear_blocks(rays)
+            checks = (check_nondegeneracy, check_robinson, check_rcpld, check_crsc)
+            verdicts = [check(pt, cls).verdict for check in checks]
+            assert "Undecided" not in verdicts, (rays, verdicts)
+            assert verdicts[2:] == ["Holds", "Holds"], (rays, verdicts)
+            assert verdicts[0] == "Fails" or verdicts[1] == "Holds", (rays, verdicts)
