@@ -2,42 +2,39 @@
 
     python3 scripts/answers.py --seed N [--workload NAME ...]
 
-Runs, in-process, each command that ``perfbench/run.py`` runs on the
-seeded corpora (classify, check, solve, certify, recover) once, plus
-``embed-diag`` and a ``dumps(loads(text))`` round trip per instance.  Two
-fixed, unseeded sets follow: ``equalities``, because no corpus program has
-an equality, and ``near-parallel``, because no corpus query sits near the
-independence threshold.  Each of their programs gets classify, ``check --cq
-all``, certify and recover on its trace when it has one, and the round
-trip.  It prints one line per command:
+Runs, in-process, each seeded instance's command sequence as
+``perfbench/run.py`` runs it (``run.Runner.sequence``), plus ``embed-diag``
+and a ``dumps(loads(text))`` round trip per instance.  Fixed, unseeded
+sets follow, for what no corpus program has: ``equalities`` (an
+equality), ``near-parallel`` (a query near the independence threshold)
+and ``many-blocks`` (a ground set beyond rcpld's subset cap).  Each of
+their programs gets classify, ``check --cq all``, certify and recover on
+its trace when it has one, and the round trip.  One line per command:
 
     <workload> <instance> <command> exit=<code> fence=<sha256> file=<sha256>
 
 ``fence`` hashes the fenced report, ``file`` the trace written by solve,
 the program written by embed-diag, or the dumps text ("-" when there is
 none).  The temporary directory's path is replaced by ``<work>`` before
-hashing.  Two checkouts give the same answers when the outputs are equal,
-e.g. ``diff <(python3 a/scripts/answers.py --seed 11) <(python3
-b/scripts/answers.py --seed 11)``.  The corpus and the report reader come
-from ``perfbench/corpus.py`` and ``perfbench/checker.py``, which are only
-imported.
+hashing.  A command that raises prints ``exit=None`` and makes the script
+exit 1 once every line is out.  Two checkouts give the same answers when
+the outputs are equal, e.g. ``diff <(python3 a/scripts/answers.py --seed
+11) <(python3 b/scripts/answers.py --seed 11)``.  The corpus, the command
+sequence, the in-process call, the BLAS thread pinning and the report
+reader come from ``perfbench/``, which is only imported.
 """
 
-import os
-
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"):
-    os.environ[_var] = "1"  # before numpy is imported, so BLAS sums repeat
-
-import argparse  # noqa: E402
-import contextlib  # noqa: E402
-import hashlib  # noqa: E402
-import io  # noqa: E402
-import sys  # noqa: E402
-import tempfile  # noqa: E402
-from pathlib import Path  # noqa: E402
+import sys
+from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import run  # noqa: E402  first: it pins BLAS to one thread before numpy is imported
+
+import argparse  # noqa: E402
+import hashlib  # noqa: E402
+import tempfile  # noqa: E402
 
 import checker  # noqa: E402
 import corpus  # noqa: E402
@@ -66,57 +63,43 @@ NEAR_PARALLEL = tuple(
     ("e-%s" % e, "vars 2\nobjective x1 + x2\npsd a 1\nx1\npsd b 1\n-x1 + %s * x2\n" % e, "0,0", None)
     for e in ("1e-7", "1e-6", "1e-5")
 )
-FIXED = {"equalities": EQUALITIES, "near-parallel": NEAR_PARALLEL}
+
+# (name, program, point, trace or None): 17 scalar blocks x_i >= 0 and a
+# vertex SOC block (x1, x2) at the origin.  2**17 subsets exceed rcpld's
+# cap; its one ground-set query decides (Holds), nondegeneracy Fails.
+MANY_BLOCKS = (
+    ("seventeen-soc",
+     "vars 17\nobjective x1\n" + "".join("psd a%d 1\nx%d\n" % (i, i) for i in range(1, 18)) + "soc s 2\nx1\nx2\n",
+     ",".join(["0"] * 17),
+     None),
+)
+FIXED = {"equalities": EQUALITIES, "near-parallel": NEAR_PARALLEL, "many-blocks": MANY_BLOCKS}
 
 
 def _sha(text):
     return "-" if text is None else hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _call(argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    return code, out.getvalue()
-
-
-def _commands(wl, inst, work):
-    """Yield (command, exit code, stdout, written file or None) for one instance."""
-    problem = str(work / (inst.name + ".txt"))
-    point = ",".join(repr(v) for v in inst.point)
-    if wl.sequence == "solve+certify+recover":
-        trace = work / (inst.name + ".trace")
-        argv = ["solve", "--problem", problem, "--x0=" + point, "--trace", str(trace),
-                "--outer-max", str(corpus.OUTER_MAX), "--inner-max", str(corpus.INNER_MAX)]
-        code, out = _call(argv)
-        yield "solve", code, out, trace
-        final = checker.first(checker.rows(out), "final-x")
-        if final:
-            at = "--point=" + ",".join(final)
-            for command in ("certify", "recover"):
-                yield (command, *_call([command, "--problem", problem, at, "--trace", str(trace)]), None)
-    else:
-        if wl.sequence == "classify+check":
-            yield ("classify", *_call(["classify", "--problem", problem, "--point=" + point]), None)
-        yield ("check", *_call(["check", "--problem", problem, "--point=" + point, "--cq", "all"]), None)
-    embedded = work / (inst.name + ".embedded")
-    yield ("embed-diag", *_call(["embed-diag", "--problem", problem, "--out", str(embedded)]), embedded)
+def _commands(runner, inst):
+    """Yield (command, (exit code, stdout, error), written file or None) for one instance."""
+    for command, result in runner.sequence(inst)[1]:
+        yield command, result, runner.work / (inst.name + ".trace") if command == "solve" else None
+    embedded = runner.work / (inst.name + ".embedded")
+    argv = ["embed-diag", "--problem", str(runner.work / (inst.name + ".txt")), "--out", str(embedded)]
+    yield "embed-diag", run._call(cli, argv), embedded
 
 
 def _fixed_commands(name, point, trace, work):
-    """Yield (command, exit code, stdout, None) for one program of a FIXED set."""
+    """Yield (command, (exit code, stdout, error), None) for one program of a FIXED set."""
     problem = str(work / (name + ".txt"))
     at = "--point=" + point
-    yield ("classify", *_call(["classify", "--problem", problem, at]), None)
-    yield ("check", *_call(["check", "--problem", problem, at, "--cq", "all"]), None)
+    yield "classify", run._call(cli, ["classify", "--problem", problem, at]), None
+    yield "check", run._call(cli, ["check", "--problem", problem, at, "--cq", "all"]), None
     if trace is not None:
         path = work / (name + ".trace")
         path.write_text(trace, encoding="utf-8")
         for command in ("certify", "recover"):
-            yield (command, *_call([command, "--problem", problem, at, "--trace", str(path)]), None)
+            yield command, run._call(cli, [command, "--problem", problem, at, "--trace", str(path)]), None
 
 
 def main(argv=None):
@@ -125,6 +108,7 @@ def main(argv=None):
     parser.add_argument("--workload", action="append", choices=(*corpus.WORKLOADS, *FIXED))
     args = parser.parse_args(argv)
     names = args.workload or (*corpus.WORKLOADS, *FIXED)
+    raised = []
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
 
@@ -133,10 +117,12 @@ def main(argv=None):
 
         def emit(workload, name, program, commands):
             (work / (name + ".txt")).write_text(program, encoding="utf-8")
-            for command, code, out, written in commands:
+            for command, (code, out, error), written in commands:
                 text = written.read_text(encoding="utf-8") if written and written.exists() else None
                 print("%s %s %s exit=%s fence=%s file=%s"
                       % (workload, name, command, code, _sha(norm(checker.fenced(out))), _sha(norm(text))))
+                if error:
+                    raised.append("%s %s %s: %s" % (workload, name, command, error))
             print("%s %s dumps exit=- fence=- file=%s" % (workload, name, _sha(dumps(loads(program)))))
 
         for workload in names:
@@ -144,10 +130,12 @@ def main(argv=None):
                 for name, program, point, trace in FIXED[workload]:
                     emit(workload, name, program, _fixed_commands(name, point, trace, work))
                 continue
-            wl = corpus.workload(workload, args.seed)
-            for inst in wl.instances:
-                emit(workload, inst.name, inst.text, _commands(wl, inst, work))
-    return 0
+            runner = run.Runner(corpus.workload(workload, args.seed), work)
+            for inst in runner.wl.instances:
+                emit(workload, inst.name, inst.text, _commands(runner, inst))
+    for line in raised:
+        print(line, file=sys.stderr)
+    return 1 if raised else 0
 
 
 if __name__ == "__main__":

@@ -505,11 +505,7 @@ def recover_kkt(
     modal = min(chains, key=lambda sub: (-len(chains[sub]), sub))
     chain = chains[modal]
     m_values = tuple(m for *_, m in chain)
-    base_detail = {
-        "tail_length": len(tail),
-        "reexpression_residual": reexpress_worst,
-        "subset_counts": tuple((cls.names(sub), len(chains[sub])) for sub in sorted(chains)),
-    }
+    base_detail = {"tail_length": len(tail), "reexpression_residual": reexpress_worst}
     outcome = functools.partial(
         RecoveryOutcome,
         equality_basis=basis_names,

@@ -259,17 +259,22 @@ def check_rcpld(
             detail.update(reason=_NON_SIMPLE, gap=sp.gap)
             return CqReport("rcpld", "Undecided", detail)
 
-    # Rays only and an independent family: one query on the ground set decides
-    # every subset, whose dependence padded with zeros is one of the ground set.
+    # One query on the ground set decides every subset when it is independent:
+    # a subset's dependence, padded with zeros, is one of the ground set.  It
+    # is asked for a rays-only, linearly independent family, and in place of
+    # an enumeration beyond the cap.
     note = SAMPLING_NOTE % (len(sampled), delta)
     eq_vectors, socs, psds, ground_rays = ground_system
-    if not socs and not psds and numerical_rank(eq_vectors + ground_rays, tol_rank)[0] == rank_star + len(ground):
+    capped = len(ground) > 0 and 2 ** len(ground) > subset_cap
+    if capped or (
+        not socs and not psds and numerical_rank(eq_vectors + ground_rays, tol_rank)[0] == rank_star + len(ground)
+    ):
         cert = conic_dependence(*ground_system, budget=budget, tol_cert=tol_cert, tol_rank=tol_rank)
         if cert.verdict == "independent":
             detail.update(subset_log=({"subset": detail["ground_set"], "system": "independent"},), note=note)
             return CqReport("rcpld", "Holds", detail)
 
-    if len(ground) > 0 and 2 ** len(ground) > subset_cap:
+    if capped:
         detail["reason"] = "subset enumeration exceeds cap"
         detail["subset_count"] = 2 ** len(ground)
         detail["subset_cap"] = subset_cap
@@ -294,7 +299,7 @@ def check_rcpld(
             subset_log.append(entry)
             if cert.verdict == "undecided":
                 entry.update(cert.detail)
-                undecided = undecided or entry
+                undecided = undecided or dict(cert.detail, undecided_subset=entry["subset"])
             if cert.verdict != "dependent":
                 continue
             for t, sp in enumerate(sampled):
@@ -312,8 +317,7 @@ def check_rcpld(
             dependent.append(code)
     detail["subset_log"] = tuple(subset_log)
     if undecided is not None:
-        detail["reason"] = "a dependence query was undecided"
-        detail["undecided_subset"] = undecided["subset"]
+        detail.update(undecided, reason="a dependence query was undecided")
         return CqReport("rcpld", "Undecided", detail)
     detail["note"] = note
     return CqReport("rcpld", "Holds", detail)

@@ -381,7 +381,7 @@ class TestCheck:
         assert row(out, "verdict") == ("verdict", "rcpld", "Holds")
 
     def test_undecided_reports_print_their_margin_threshold(self, files, capsys):
-        for cq in ("robinson", "crsc"):
+        for cq in ("robinson", "rcpld", "crsc"):
             argv = ["check", "--problem", files["four_lines"], "--point", "0,0", "--cq", cq, "--budget", "1"]
             code, out, _ = run(argv, capsys)
             assert code == EXIT_UNDECIDED

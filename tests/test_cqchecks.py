@@ -17,7 +17,7 @@ from coneguard.errors import DomainError
 from coneguard.model import embed_block_diagonal, evaluate, loads
 from coneguard.reduction import conic_base, reduced_view
 
-from conftest import random_feasible_program, random_irreducible_program
+from conftest import PSD_PAIR, random_feasible_program, random_irreducible_program
 
 
 def _point(prog, x):
@@ -136,7 +136,7 @@ class TestKernelPairExample:
 
 class TestMinimalSubsets:
     @staticmethod
-    def _rcpld_queries(monkeypatch, lines, x):
+    def _rcpld_queries(monkeypatch, lines, x, **options):
         """check_rcpld's report, and the ray count of each dependence query it asks."""
         pt, cls = _point(loads("\n".join(lines) + "\n"), x)
         queries = []
@@ -147,7 +147,7 @@ class TestMinimalSubsets:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(cqchecks, "conic_dependence", counting)
-        return check_rcpld(pt, cls), queries
+        return check_rcpld(pt, cls, **options), queries
 
     def test_kernel_chain_queries_only_minimal_dependent_subsets(self, monkeypatch):
         # six 2x2 blocks whose smallest eigenvalues alternate between x1 and
@@ -204,6 +204,20 @@ class TestMinimalSubsets:
         assert rep.detail["ground_set"] == ("s", "p", "c")
         assert queries == [0, 1, 1, 1, 2, 2, 2, 3]
         assert queries == [len(entry["subset"]) for entry in rep.detail["subset_log"]]
+
+    def test_subset_cap_asks_the_ground_query_before_giving_up(self, monkeypatch):
+        # 2**3 subsets exceed a cap of 4; the vertex block rules out the
+        # rays-only shortcut, but the ground query is independent and decides
+        vertex = ["soc v 3", "x1", "x2", "x3"]
+        rep, queries = self._rcpld_queries(monkeypatch, self.RAYS_ONLY + vertex, [0.0, 0.0, 0.0], subset_cap=4)
+        assert rep.verdict == "Holds"
+        assert queries == [3]
+        assert rep.detail["subset_log"] == ({"subset": ("s", "p", "c"), "system": "independent"},)
+        # psd_pair's ground query is dependent, so the cap still leaves it Undecided
+        rep, queries = self._rcpld_queries(monkeypatch, PSD_PAIR.read_text().splitlines(), [0.0], subset_cap=2)
+        assert rep.verdict == "Undecided"
+        assert rep.detail["reason"] == "subset enumeration exceeds cap"
+        assert queries == [2]
 
 
 class TestNoUsableSample:
