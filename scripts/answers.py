@@ -64,13 +64,20 @@ NEAR_PARALLEL = tuple(
     for e in ("1e-7", "1e-6", "1e-5")
 )
 
-# (name, program, point, trace or None): 17 scalar blocks x_i >= 0 and a
-# vertex SOC block (x1, x2) at the origin.  2**17 subsets exceed rcpld's
-# cap; its one ground-set query decides (Holds), nondegeneracy Fails.
+# (name, program, point, trace or None): ground sets beyond rcpld's cap,
+# where its one ground-set query decides.  seventeen-soc: 17 scalar blocks
+# x_i >= 0 and a vertex SOC block (x1, x2) at the origin; the query is
+# independent (Holds), nondegeneracy Fails.  eighteen-opposite: 17 scalar
+# blocks x_i >= 0 and -x1 + x18^2 >= 0 at the origin of R^18; the query is
+# dependent, and its gradients are independent at a sample (Fails).
 MANY_BLOCKS = (
     ("seventeen-soc",
      "vars 17\nobjective x1\n" + "".join("psd a%d 1\nx%d\n" % (i, i) for i in range(1, 18)) + "soc s 2\nx1\nx2\n",
      ",".join(["0"] * 17),
+     None),
+    ("eighteen-opposite",
+     "vars 18\nobjective x1\n" + "".join("psd a%d 1\nx%d\n" % (i, i) for i in range(1, 18)) + "psd b 1\n-x1 + x18^2\n",
+     ",".join(["0"] * 18),
      None),
 )
 FIXED = {"equalities": EQUALITIES, "near-parallel": NEAR_PARALLEL, "many-blocks": MANY_BLOCKS}

@@ -13,7 +13,6 @@ that no counterexample was found among the samples.
 from __future__ import annotations
 
 import functools
-from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -227,7 +226,8 @@ def check_rcpld(
     the system (basis equality gradients free, irreducible blocks conic,
     reduced gradients over J as rays) has a nonzero solution, the family
     {equality basis, reduced gradients over J} must be linearly dependent
-    at every sample.  Holds is a sampled claim, recorded as such.
+    at every sample.  Holds is a sampled claim, recorded as such.  Beyond
+    subset_cap subsets only J = every reduced index is asked.
     """
     names = cls.block_names
     ground = cls.reduced()
@@ -259,67 +259,63 @@ def check_rcpld(
             detail.update(reason=_NON_SIMPLE, gap=sp.gap)
             return CqReport("rcpld", "Undecided", detail)
 
-    # One query on the ground set decides every subset when it is independent:
-    # a subset's dependence, padded with zeros, is one of the ground set.  It
-    # is asked for a rays-only, linearly independent family, and in place of
-    # an enumeration beyond the cap.
-    note = SAMPLING_NOTE % (len(sampled), delta)
-    eq_vectors, socs, psds, ground_rays = ground_system
-    capped = len(ground) > 0 and 2 ** len(ground) > subset_cap
-    if capped or (
-        not socs and not psds and numerical_rank(eq_vectors + ground_rays, tol_rank)[0] == rank_star + len(ground)
-    ):
-        cert = conic_dependence(*ground_system, budget=budget, tol_cert=tol_cert, tol_rank=tol_rank)
-        if cert.verdict == "independent":
-            detail.update(subset_log=({"subset": detail["ground_set"], "system": "independent"},), note=note)
-            return CqReport("rcpld", "Holds", detail)
-
-    if capped:
-        detail["reason"] = "subset enumeration exceeds cap"
-        detail["subset_count"] = 2 ** len(ground)
-        detail["subset_cap"] = subset_cap
-        return CqReport("rcpld", "Undecided", detail)
-
+    # Subsets go by size, and within a size in the order of their bit codes.
     # Only minimal dependent subsets need a query: a superset of a dependent
     # subset is dependent (zero coefficients on the added rays), and its
     # family stays linearly dependent at a sample wherever the subset's does.
-    # Subsets go by size, and within a size in the order of their bit codes.
+    # An independent full set decides every subset (a subset's dependence,
+    # padded with zeros, is one of the full set), so it is asked first for a
+    # rays-only, linearly independent family, and alone beyond the cap.
+    full = (1 << len(ground)) - 1
+    capped = len(ground) > 0 and 2 ** len(ground) > subset_cap
+    if capped:
+        codes = [full]
+    else:
+        codes = sorted(range(full + 1), key=lambda c: (c.bit_count(), c))
+        eq_vectors, socs, psds, ground_rays = ground_system
+        if not socs and not psds and numerical_rank(eq_vectors + ground_rays, tol_rank)[0] == rank_star + len(ground):
+            codes.insert(0, codes.pop())
     subset_log = []
     undecided = None
     dependent = []  # bit codes of subsets found dependent (and persisting)
-    for size in range(len(ground) + 1):
-        codes = sorted(sum(1 << i for i in c) for c in combinations(range(len(ground)), size))
-        for code in codes:
-            if any(code & d == d for d in dependent):
+    for code in codes:
+        if any(code & d == d for d in dependent):
+            continue
+        subset = [ground[i] for i in range(len(ground)) if code >> i & 1]
+        system, witness_names = query([rays_star[j] for j in subset])
+        cert = conic_dependence(*system, budget=budget, tol_cert=tol_cert, tol_rank=tol_rank)
+        entry = {"subset": witness_names[3], "system": cert.verdict}
+        subset_log.append(entry)
+        if cert.verdict == "independent" and code == full:
+            break
+        if cert.verdict == "undecided":
+            entry.update(cert.detail)
+            undecided = undecided or dict(cert.detail, undecided_subset=entry["subset"])
+        if cert.verdict != "dependent":
+            continue
+        for t, sp in enumerate(sampled):
+            family = [sp.eq_rows[i] for i in basis_i] + [sp.grads[j] for j in subset]
+            if not family:
+                detail["reason"] = "nonzero solution with an empty comparison family"
+            elif numerical_rank(family, tol_rank)[0] == len(family):
+                detail["reason"] = "dependent system but gradients independent at a sample"
+                detail["sample_point"] = sp.x
+            else:
                 continue
-            subset = [ground[i] for i in range(len(ground)) if code >> i & 1]
-            system, witness_names = query([rays_star[j] for j in subset])
-            cert = conic_dependence(*system, budget=budget, tol_cert=tol_cert, tol_rank=tol_rank)
-            entry = {"subset": witness_names[3], "system": cert.verdict}
-            subset_log.append(entry)
-            if cert.verdict == "undecided":
-                entry.update(cert.detail)
-                undecided = undecided or dict(cert.detail, undecided_subset=entry["subset"])
-            if cert.verdict != "dependent":
-                continue
-            for t, sp in enumerate(sampled):
-                family = [sp.eq_rows[i] for i in basis_i] + [sp.grads[j] for j in subset]
-                if not family:
-                    detail["reason"] = "nonzero solution with an empty comparison family"
-                elif numerical_rank(family, tol_rank)[0] == len(family):
-                    detail["reason"] = "dependent system but gradients independent at a sample"
-                    detail["sample_point"] = sp.x
-                else:
-                    continue
-                detail.update(subset=entry["subset"], sample_index=t, subset_log=tuple(subset_log))
-                return CqReport("rcpld", "Fails", detail, cert, witness_names)
-            entry["persisted"] = True
-            dependent.append(code)
+            detail.update(subset=entry["subset"], sample_index=t, subset_log=tuple(subset_log))
+            return CqReport("rcpld", "Fails", detail, cert, witness_names)
+        entry["persisted"] = True
+        dependent.append(code)
     detail["subset_log"] = tuple(subset_log)
+    if capped and cert.verdict != "independent":
+        detail.update(reason="subset enumeration exceeds cap", subset_count=2 ** len(ground), subset_cap=subset_cap)
+        detail["system"] = cert.verdict
+        _decide(cert, detail)  # the query's residual or best margin, as robinson reports them
+        return CqReport("rcpld", "Undecided", detail, cert, witness_names)
     if undecided is not None:
         detail.update(undecided, reason="a dependence query was undecided")
         return CqReport("rcpld", "Undecided", detail)
-    detail["note"] = note
+    detail["note"] = SAMPLING_NOTE % (len(sampled), delta)
     return CqReport("rcpld", "Holds", detail)
 
 

@@ -14,7 +14,7 @@ from coneguard.cqchecks import (
     check_robinson,
 )
 from coneguard.errors import DomainError
-from coneguard.model import embed_block_diagonal, evaluate, loads
+from coneguard.model import dumps, embed_block_diagonal, evaluate, loads
 from coneguard.reduction import conic_base, reduced_view
 
 from conftest import PSD_PAIR, random_feasible_program, random_irreducible_program
@@ -213,11 +213,34 @@ class TestMinimalSubsets:
         assert rep.verdict == "Holds"
         assert queries == [3]
         assert rep.detail["subset_log"] == ({"subset": ("s", "p", "c"), "system": "independent"},)
-        # psd_pair's ground query is dependent, so the cap still leaves it Undecided
+        # psd_pair's ground query is dependent and persists, so the cap leaves
+        # it Undecided, with the query's verdict and witness in the report
         rep, queries = self._rcpld_queries(monkeypatch, PSD_PAIR.read_text().splitlines(), [0.0], subset_cap=2)
         assert rep.verdict == "Undecided"
         assert rep.detail["reason"] == "subset enumeration exceeds cap"
         assert queries == [2]
+        assert rep.detail["system"] == "dependent"
+        assert rep.witness_names == ((), (), (), ("g1", "g2"))
+        pt, cls = _point(loads(PSD_PAIR.read_text()), [0.0])
+        grads = {cls.block_names[e.block]: e.gradient for e in reduced_view(pt, cls).entries}
+        rays = [grads[name] for name in rep.witness_names[3]]
+        ok, residual, _, _ = verify_dependence([], [], [], rays, rep.certificate.witness)
+        assert ok and residual == rep.detail["residual"]
+
+    # x1 >= 0 and -x1 + x2^2 >= 0 at the origin: the pair is dependent there,
+    # and its gradients e1 and -e1 + 2 x2 e2 are independent wherever x2 != 0
+    OPPOSITE = ["vars 2", "objective x1", "psd a 1", "x1", "psd b 1", "-x1 + x2^2"]
+
+    def test_subset_cap_keeps_the_ground_query_persistence_test(self, monkeypatch):
+        uncapped, _ = self._rcpld_queries(monkeypatch, self.OPPOSITE, [0.0, 0.0])
+        rep, queries = self._rcpld_queries(monkeypatch, self.OPPOSITE, [0.0, 0.0], subset_cap=2)
+        assert rep.verdict == uncapped.verdict == "Fails"
+        assert queries == [2]
+        assert rep.detail["subset"] == uncapped.detail["subset"] == ("a", "b")
+        assert rep.detail["reason"] == "dependent system but gradients independent at a sample"
+        assert rep.detail["sample_index"] == uncapped.detail["sample_index"]
+        assert rep.witness_names == uncapped.witness_names
+        assert _same(rep.certificate.witness.alpha, uncapped.certificate.witness.alpha)
 
 
 class TestNoUsableSample:
@@ -631,6 +654,40 @@ def _near_opposite_families():
         yield rays + [-rays[0] + e * rng.standard_normal(n)]
 
 
+def _redundant_linear_program(rng):
+    """Affine equalities and 1x1 psd blocks active at an integer point x*,
+    with redundant rows: an equality e next to 2e, and beside the active
+    rows g an opposite row -g, a positive multiple c g and a sum of two
+    active rows; one block is inactive.  Returns the program and x*."""
+    n = int(rng.integers(2, 5))
+
+    def row():
+        while True:
+            r = rng.integers(-2, 3, size=n)
+            if r.any():
+                return r.astype(float)
+
+    x_star = rng.integers(-2, 3, size=n).astype(float)
+    eqs = [row() for _ in range(int(rng.integers(0, 3)))]
+    eqs += [2.0 * eqs[0]] if eqs else []
+    active = [row() for _ in range(int(rng.integers(1, 4)))]
+    pick = lambda: active[int(rng.integers(len(active)))]
+    active += [-pick(), float(rng.choice([0.5, 2.0, 3.0])) * pick()]
+    total = pick() + pick()
+    active += [total] if total.any() else []
+    rows = [(r, 0.0) for r in active] + [(row(), 1.0)]
+
+    def affine(r, offset):
+        terms = ["%r * x%d" % (float(c), j + 1) for j, c in enumerate(r)]
+        return " + ".join(["%r" % (offset - float(r @ x_star))] + terms)
+
+    lines = ["vars %d" % n, "objective x1"]
+    lines += ["eq h%d %s" % (i, affine(e, 0.0)) for i, e in enumerate(eqs)]
+    for i in rng.permutation(len(rows)):
+        lines += ["psd b%d 1" % i, affine(*rows[i])]
+    return loads("\n".join(lines) + "\n"), x_star
+
+
 class TestLinearFamilies:
     """Linear constraints have constant gradients, so rcpld and crsc hold for
     every family of them, however nearly parallel, and every check decides
@@ -645,3 +702,15 @@ class TestLinearFamilies:
             assert "Undecided" not in verdicts, (rays, verdicts)
             assert verdicts[2:] == ["Holds", "Holds"], (rays, verdicts)
             assert verdicts[0] == "Fails" or verdicts[1] == "Holds", (rays, verdicts)
+
+    def test_redundant_linear_constraints_keep_the_constant_rank_conditions(self):
+        # the paper's point: the constant-rank conditions cover linear and
+        # redundant constraints, which robinson fails on every opposite pair
+        rng = np.random.default_rng(2008_07894)
+        for _ in range(40):
+            prog, x_star = _redundant_linear_program(rng)
+            pt, cls = _point(prog, x_star)
+            assert len(cls.reduced()) == len(prog.blocks) - 1
+            assert check_robinson(pt, cls).verdict == "Fails"
+            for check in (check_rcpld, check_crsc):
+                assert check(pt, cls, samples=4).verdict == "Holds", (check.__name__, dumps(prog))
