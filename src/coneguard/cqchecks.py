@@ -1,8 +1,8 @@
 """Constraint-qualification verdicts at a feasible point.
 
-Four checks are provided: nondegeneracy (a rank test on the active
-gradient rows), a dual-form regularity check with cone-constrained
-multipliers restricted to the complementary face of each block, and two
+Four checks are provided: a dual-form regularity check (robinson) with
+cone-constrained multipliers restricted to the complementary face of each
+block, nondegeneracy (a rank test on the rows of that system), and two
 constant-rank conditions (rcpld, crsc) whose neighborhood clauses are
 verified by seeded sampling; both read one cached neighbourhood, whose
 samples are drawn and evaluated once.  Every Fails verdict carries a
@@ -106,36 +106,31 @@ def _neighbourhood(prog, x_bytes, cls, delta, count, seed):
     return tuple(out), count - len(out)
 
 
-def check_nondegeneracy(pt: EvaluatedPoint, cls: IndexClassification, *, tol_rank=TOL_RANK) -> CqReport:
-    """Full row rank of all equality and active-block gradient rows.
+_RAY_SUFFIX = {"boundary": ":boundary", "vertex-scalar": "[0]", "kernel-simple": ":kernel[0]"}
 
-    Rows collected: every equality gradient; every Jacobian row of a soc
-    block active at the vertex; the boundary-reduction gradient of each soc
-    block on the cone boundary; and, for each active psd block, one row per
-    coordinate of its kernel-compressed derivative (the adjoint of
-    d -> E^T Jg(d) E, which must be surjective onto the small symmetric space).
+
+def check_nondegeneracy(pt: EvaluatedPoint, cls: IndexClassification, *, tol_rank=TOL_RANK) -> CqReport:
+    """Full row rank of the rows of robinson's system, in ``_face_system``'s
+    order: equality gradients; Jacobian rows of vertex soc blocks of
+    dimension >= 2; reduced gradients, in cls.reduced() order; the svec
+    coordinates of each kernel-multiple psd block's compressed derivative
+    (the adjoint of d -> E^T Jg(d) E, onto the small symmetric space).  Rows
+    of full rank admit no nonzero annihilating multiplier, so a Holds here
+    is a Holds of robinson.
     """
-    rows = []
-    labels = []
-    for i, name in enumerate(pt.program.eq_names):
-        rows.append(pt.jac_h[i])
-        labels.append("eq:" + name)
+    socs, soc_idx, psds, psd_idx, rays, ray_idx = _face_system(pt, cls)
     names = cls.block_names
-    for j in cls.soc_vertex:
-        jac = pt.blocks[j].jac
-        for r in range(jac.shape[0]):
-            rows.append(jac[r])
-            labels.append("%s[%d]" % (names[j], r))
-    view = reduced_view(pt, cls)
-    for entry in view.entries:
-        if entry.label == "boundary":
-            rows.append(entry.gradient)
-            labels.append(names[entry.block] + ":boundary")
-    for j in sorted(cls.psd_simple + cls.psd_multiple):
-        coords = svec(_kernel_partials(pt, j, cls))
-        for t in range(coords.shape[1]):
-            rows.append(coords[:, t])
-            labels.append("%s:kernel[%d]" % (names[j], t))
+    rows = list(pt.jac_h)
+    labels = ["eq:" + name for name in pt.program.eq_names]
+    for j, jac in zip(soc_idx, socs):
+        rows += list(jac)
+        labels += ["%s[%d]" % (names[j], r) for r in range(len(jac))]
+    rows += rays
+    labels += [names[j] + _RAY_SUFFIX[cls.labels[j]] for j in ray_idx]
+    for j, partials in zip(psd_idx, psds):
+        coords = svec(partials)
+        rows += list(coords.T)
+        labels += ["%s:kernel[%d]" % (names[j], t) for t in range(coords.shape[1])]
     if not rows:
         return CqReport("nondegeneracy", "Holds", {"rows": 0, "rank": 0, "note": "no active rows"})
     rank, basis_idx = numerical_rank(rows, tol_rank)
@@ -155,6 +150,8 @@ def _face_system(pt: EvaluatedPoint, cls: IndexClassification):
     Multipliers are restricted to the complementary face of each active
     block: full cones for vertex soc blocks and fully-degenerate psd
     kernels, single rays for boundary / scalar / simple-eigenvalue blocks.
+    Robinson asks whether a nonzero multiplier annihilates these rows, and
+    nondegeneracy whether they have full row rank.
     """
     socs = conic_base(pt, cls)[0]
     psds = [_kernel_partials(pt, j, cls) for j in cls.psd_multiple]

@@ -187,6 +187,14 @@ class TestCaratheodory:
         with pytest.raises(DimensionMismatchError):
             caratheodory_reduce(fixed, [], np.array([1.0, 0.0]))
 
+    def test_fixed_vectors_dependent_only_beside_a_coned_vector_are_rejected(self):
+        # e1 and e1 + 1e-11 e2 pass the entry rank test at tol_rank 1e-12; with
+        # e2 beside them the null combination lies on the fixed vectors alone
+        fixed = [np.array([1.0, 0.0]), np.array([1.0, 1e-11])]
+        coned = [(np.array([0.0, 1.0]), 1.0)]
+        with pytest.raises(DimensionMismatchError):
+            caratheodory_reduce(fixed, coned, np.array([0.0, 1.0]), tol_rank=1e-12)
+
     def test_inconsistent_target_is_rejected(self):
         with pytest.raises(ReconstructionError):
             caratheodory_reduce([], [(np.array([1.0, 0.0]), 1.0)], np.array([0.0, 5.0]))

@@ -6,6 +6,7 @@ import pytest
 from coneguard import cqchecks
 from coneguard.certificates import TOL_RANK, numerical_rank, verify_dependence
 from coneguard.classify import classify
+from coneguard.cones import svec
 from coneguard.cqchecks import (
     SAMPLING_NOTE,
     check_crsc,
@@ -330,6 +331,34 @@ class TestVertexBlocks:
         socs, psds = conic_base(pt, cls)
         ok, residual, cone_gap, normalization = verify_dependence([], socs, psds, [], rep.certificate.witness)
         assert ok and residual == rep.detail["residual"]
+
+
+# one block of each kind at the origin, in an order that robinson's system
+# changes: vertex v, kernel-multiple M, boundary g, kernel-simple S and
+# vertex-scalar a, after an equality h
+EVERY_ROW = (
+    "vars 3\nobjective x1\neq h x1\nsoc v 2\nx2\nx3\npsd M 2\nx1\n0\nx2\n"
+    "soc g 2\n1 + x1\n1 + x2\npsd S 2\nx3\n0\n1\nsoc a 1\nx1 + x2\n"
+)
+
+
+class TestNondegeneracyRows:
+    """nondegeneracy ranks the rows of robinson's face system, in its order."""
+
+    def test_rows_are_the_face_system_in_its_order(self):
+        pt, cls = _point(loads(EVERY_ROW), [0.0, 0.0, 0.0])
+        assert cls.labels == ("vertex", "kernel-multiple", "boundary", "kernel-simple", "vertex-scalar")
+        rep = check_nondegeneracy(pt, cls)
+        kernel = ("M:kernel[0]", "M:kernel[1]", "M:kernel[2]")
+        assert rep.detail["row_labels"] == ("eq:h", "v[0]", "v[1]", "g:boundary", "S:kernel[0]", "a[0]", *kernel)
+        socs, _, psds, _, rays, _ = cqchecks._face_system(pt, cls)
+        rows = [*pt.jac_h, *(r for jac in socs for r in jac), *rays, *(c for p in psds for c in svec(p).T)]
+        assert rep.detail["rows"] == len(rows) == 9
+        assert rep.verdict == "Fails"
+        assert rep.detail["rank"] == 3
+        combination = rep.detail["witness_combination"]
+        assert np.linalg.norm(combination) == pytest.approx(1.0)
+        assert np.linalg.norm(combination @ np.vstack(rows)) <= rep.detail["witness_residual"] + 1e-15
 
 
 # g_b = -g_a + 1.7e-8 e2 is parallel to g_a at the default tol_rank
