@@ -116,18 +116,15 @@ def _inner_minimize(prog, pt, lam_hat, mu_hats, rho, eps, inner_max):
     return pt, val, grad, projections, "stalled"
 
 
-def solve(prog: ConicProgram, x0, cfg: AlmConfig | None = None, log=None):
+def solve(prog: ConicProgram, x0, cfg: AlmConfig | None = None):
     """Run the safeguarded augmented Lagrangian method from x0.
 
     Returns (trace, status) with status one of "converged", "stalled",
     "unbounded", or "iteration-limit".  The trace records the starting
-    point and every outer iterate.  Progress goes to the log stream
-    (standard error by default).
+    point and every outer iterate.  Progress goes to standard error.
     """
     if cfg is None:
         cfg = AlmConfig()
-    if log is None:
-        log = sys.stderr
     x = np.asarray(x0, dtype=float).reshape(-1)
     if x.size != prog.n:
         raise ValueError("starting point has %d entries, expected %d" % (x.size, prog.n))
@@ -149,7 +146,7 @@ def solve(prog: ConicProgram, x0, cfg: AlmConfig | None = None, log=None):
         print(
             "outer %d: f=%.6g feas=%.3g stat=%.3g rho=%.3g inner=%s"
             % (k, pt.f, feas, stat, rho, inner_status),
-            file=log,
+            file=sys.stderr,
         )
         if inner_status == "unbounded" or pt.f <= UNBOUNDED_OBJECTIVE:
             status = "unbounded"

@@ -316,7 +316,6 @@ class _System:
         # C order: BLAS rounds products with the F-ordered stack differently
         self.smat_cols = np.ascontiguousarray(np.hstack(col_blocks))
         self.norm_row = np.concatenate(norm_blocks)
-        self.dim = self.norm_row.size
 
     def project_cones(self, v):
         w = v.copy()
@@ -330,13 +329,9 @@ class _System:
         return w
 
     def center(self):
-        v = np.zeros(self.dim)
-        mass = 1.0 / (len(self.soc_slices) + len(self.psd_slices) + len(self.rays))
-        for sl in self.soc_slices:
-            v[sl.start] = mass
+        v = self.norm_row / (len(self.soc_slices) + len(self.psd_slices) + len(self.rays))
         for sl, m in self.psd_slices:
-            v[sl] = svec((mass / m) * np.eye(m))
-        v[self.ray_slice] = mass
+            v[sl] /= m
         return v
 
     def split(self, v):

@@ -87,15 +87,16 @@ def affine_tape(c0, coef, var):
     return Tape(out)
 
 
-_NUMBER = r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
+# ASCII digits, as counts; not re.ASCII, which would narrow \s below _scan's isspace
+_NUMBER = r"[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?|\.[0-9]+(?:[eE][+-]?[0-9]+)?"
 _TOKEN_RE = re.compile(r"(?P<num>%s)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()])" % _NUMBER)
 # a literal of c0 + c1 * xi + ..., maybe under '-' and '(' as in -(-2), with a
 # term's '+' and variable; only tokens take blanks after them: no backtracking
 _AFFINE_RE = re.compile(
-    r"\s*(\+\s*)?((?:(?:-\s*)?\(\s*)*(?:-\s*)?)(%s)\s*((?:\)\s*)*)(?:\*\s*x(\d+)\s*)?" % _NUMBER
+    r"\s*(\+\s*)?((?:(?:-\s*)?\(\s*)*(?:-\s*)?)(%s)\s*((?:\)\s*)*)(?:\*\s*x([0-9]+)\s*)?" % _NUMBER
 )
 
-_VAR_RE = re.compile(r"^x(\d+)$")
+_VAR_RE = re.compile(r"^x([0-9]+)$")
 
 
 def bounded(digits):

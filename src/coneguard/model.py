@@ -147,14 +147,11 @@ def _parse_expr(source, n, line_no):
 
 
 def _count(text, what, line_no):
-    """A count; all-digit text is read like variable indices, so leading
-    zeros of any length are fine and more than 10 digits reads as 2**31."""
-    if text.isascii() and text.isdigit():
-        return ex.bounded(text)
-    try:
-        return int(text)
-    except ValueError:
-        raise ProblemFormatError("%s must be an integer" % what, line_no) from None
+    """A count, ASCII digits read like variable indices: leading zeros of any
+    length are fine and more than 10 significant digits reads as 2**31."""
+    if not (text.isascii() and text.isdigit()):
+        raise ProblemFormatError("%s must be an integer" % what, line_no)
+    return ex.bounded(text)
 
 
 def loads(text):
@@ -192,13 +189,12 @@ def loads(text):
 
     eq_names, equalities, blocks = [], [], []
     seen_blocks = set()
-    stage = "eq"
     while pos < len(lines):
         line_no, body = take()
         parts = body.split(None, 2)
         key = parts[0]
         if key == "eq":
-            if stage != "eq":
+            if blocks:
                 raise ProblemFormatError("equalities must precede blocks", line_no)
             if len(parts) != 3:
                 raise ProblemFormatError("expected 'eq <name> <expr>'", line_no)
@@ -208,7 +204,6 @@ def loads(text):
             eq_names.append(name)
             equalities.append(_parse_expr(parts[2], n, line_no))
         elif key in ("soc", "psd"):
-            stage = "block"
             if len(parts) != 3:
                 raise ProblemFormatError("expected '%s <name> <m>'" % key, line_no)
             name = parts[1]

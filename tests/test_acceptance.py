@@ -1,6 +1,5 @@
 """Acceptance suite: one test and one printed pass/fail line per criterion."""
 
-import io
 import time
 from pathlib import Path
 
@@ -359,7 +358,7 @@ def test_criterion_7_end_to_end_pipeline():
             ("kernel pair", PSD_PAIR, np.array([0.75])),
         ]:
             prog = loads(Path(path).read_text(encoding="utf-8"))
-            trace, status = solve(prog, x0, log=io.StringIO())
+            trace, status = solve(prog, x0)
             _expect(errors, status == "converged", "%s solver %s" % (label, status))
             x_star = trace.records[-1].x
             outcome = certify_akkt(evaluate(prog, x_star), trace)

@@ -1,6 +1,5 @@
 """Tests for trace handling, stationarity residuals, certification, recovery."""
 
-import io
 from pathlib import Path
 
 import numpy as np
@@ -639,7 +638,7 @@ def test_constant_rank_cq_and_a_certified_trace_give_bounded_multipliers(name, x
     # limit of a certified AKKT trace, the thinned multipliers stay bounded,
     # so recover must not answer with a divergence witness
     prog = loads((PROBLEMS / (name + ".txt")).read_text())
-    trace, status = solve(prog, np.array(x0), log=io.StringIO())
+    trace, status = solve(prog, np.array(x0))
     assert status == "converged"
     pt = evaluate(prog, trace.records[-1].x)
     cls = classify(pt)

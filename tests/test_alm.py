@@ -1,5 +1,6 @@
 """Tests for the safeguarded augmented Lagrangian solver."""
 
+import contextlib
 import io
 
 import numpy as np
@@ -16,7 +17,7 @@ from coneguard.model import evaluate, loads
 def run(text, x0, **kw):
     prog = loads(text)
     cfg = AlmConfig(**kw) if kw else None
-    trace, status = solve(prog, np.asarray(x0, dtype=float), cfg, log=io.StringIO())
+    trace, status = solve(prog, np.asarray(x0, dtype=float), cfg)
     return prog, trace, status
 
 
@@ -57,7 +58,7 @@ class TestConfig:
     def test_wrong_start_dimension_is_rejected(self):
         prog = loads("vars 2\nobjective x1 + x2\n")
         with pytest.raises(ValueError):
-            solve(prog, np.zeros(3), log=io.StringIO())
+            solve(prog, np.zeros(3))
 
 
 class TestLineSearch:
@@ -166,13 +167,12 @@ class TestStatuses:
         assert out[0] is pt
         assert out[-1] == "stalled"
 
-    def test_non_finite_start_is_rejected_before_the_first_outer_iteration(self):
+    def test_non_finite_start_is_rejected_before_the_first_outer_iteration(self, capsys):
         # no expression reads x2, so only evaluate's point check can see it
         prog = loads("vars 2\nobjective (x1 - 1)^2\nsoc g 2\nx1\nx1\n")
-        log = io.StringIO()
         with pytest.raises(DomainError, match="point has a non-finite entry"):
-            solve(prog, np.array([0.5, np.nan]), log=log)
-        assert "outer" not in log.getvalue()
+            solve(prog, np.array([0.5, np.nan]))
+        assert "outer" not in capsys.readouterr().err
 
     def test_clamped_multiplier_cannot_close_the_gap(self):
         # the true multiplier is -1; a safeguard cap at 0.5 keeps the
@@ -208,11 +208,10 @@ class TestTraceForm:
         assert s1 == s2
         assert dumps_trace(t1) == dumps_trace(t2)
 
-    def test_log_reports_outer_progress(self):
+    def test_log_reports_outer_progress(self, capsys):
         prog = loads("vars 1\nobjective x1\neq h x1 - 1\n")
-        log = io.StringIO()
-        solve(prog, np.zeros(1), log=log)
-        lines = [ln for ln in log.getvalue().splitlines() if ln]
+        solve(prog, np.zeros(1))
+        lines = [ln for ln in capsys.readouterr().err.splitlines() if ln]
         assert lines[0].startswith("outer 0:")
         assert all("rho=" in ln and "feas=" in ln for ln in lines)
 
@@ -311,7 +310,8 @@ def test_verifier_stationarity_equals_the_solver_stat(monkeypatch):
         "soc G 3\n1\nx1\nx2\npsd P 2\nx1 + 1\nx3\n1\n"
     )
     log = io.StringIO()
-    solve(prog, np.array([-3.0, 2.0, 1.0]), AlmConfig(outer_max=6, inner_max=30), log=log)
+    with contextlib.redirect_stderr(log):
+        solve(prog, np.array([-3.0, 2.0, 1.0]), AlmConfig(outer_max=6, inner_max=30))
     lines = log.getvalue().splitlines()
     assert len(outer) == len(lines) >= 2
     names = [blk.name for blk in prog.blocks]

@@ -345,6 +345,7 @@ def test_text_recognizer_agrees_with_the_tape_on_affine_trees():
         ("1 + 2 * x0", None),
         ("1 + 2 * x3", None),
         ("1 + 2 * x1x", None),
+        ("2 + 3 * x\u0661", None),
         ("1 - 2 * x1", None),
         ("2 * x1", None),
         ("1e400 + 1 * x1", (math.inf, [1.0], [0])),
@@ -463,7 +464,10 @@ def test_seventeen_digit_literals_round_trip():
 
 @pytest.mark.parametrize(
     "source",
-    ["x1 +", "", "(x1", "x1 ) ", "x1 ^ x1", "x1 ^ 2.5", "1 $ 2", "x1 x2", "sin x1", "x1 ^ 9999999999"],
+    [
+        "x1 +", "", "(x1", "x1 ) ", "x1 ^ x1", "x1 ^ 2.5", "1 $ 2", "x1 x2", "sin x1", "x1 ^ 9999999999",
+        "\u0663", "x1^\u0662",  # literals and exponents are ASCII digits
+    ],
 )
 def test_syntax_errors(source):
     with pytest.raises(ExprSyntaxError):

@@ -116,6 +116,11 @@ BLOCK_LINE_ERRORS = {
         "vars 1\nobjective x1\nsoc g\n",                   # missing dimension
         "vars " + "0" * 5000 + "12345678901\nobjective x1\n",  # n past 10 digits
         "vars 1\nobjective x1\nsoc g " + "0" * 5000 + "12345678901\nx1\n",  # dim past 10 digits
+        "vars 1_0\nobjective x1\n",                       # counts are ASCII digits only:
+        "vars +2\nobjective x1\n",                        # no underscore, sign
+        "vars \u0663\nobjective x1\n",                     # or other script's digit
+        "vars 2\nobjective x1\nsoc g 0_2\nx1\nx2\n",
+        "vars 1\nobjective x1\npsd g \u0661\nx1\n",
     ] + list(BLOCK_LINE_ERRORS),
 )
 def test_format_errors(text):
@@ -131,6 +136,10 @@ def test_format_errors_carry_line_numbers():
         with pytest.raises(ProblemFormatError) as err:
             loads(text)
         assert str(err.value) == "line 3: " + message
+    # the affine fast path reads ASCII digits only, as parse does
+    with pytest.raises(ProblemFormatError) as err:
+        loads("vars 1\nobjective x1\nsoc g 1\n\u0662 + \u0663 * x\u0661\n")
+    assert err.value.line == 4
 
 
 def test_variable_count_is_capped_at_the_int32_index_range():
@@ -352,6 +361,8 @@ def test_only_all_affine_blocks_are_folded():
     assert prog.blocks[0].tapes is None
     assert prog.blocks[1].affine is None
     assert len(prog.blocks[1].tapes) == 2
+    # blanks are whatever str.isspace takes, as in parse, a no-break space too
+    assert loads("vars 1\nobjective x1\nsoc g 1\n2\u00a0+ 3 * x1\n").blocks[0].affine is not None
 
 
 def test_folded_entries_print_as_their_parsed_lines():
