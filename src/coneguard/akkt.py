@@ -19,8 +19,9 @@ starts a comment, 17 significant digits; the module opens no file):
 
 Records start at their `k` line; a record has one `x` line, at most one
 `lambda` line, and at most one `mu` or `alpha` line per block.  Missing
-multipliers default to zero.  ``trace_from_iterates`` builds a trace from
-a solver's iterates.
+multipliers default to zero.  `k` and every value are signed ASCII literals
+(``expr.integer``, ``expr.real``): `1_0` or `٣` is an error at its line.
+``trace_from_iterates`` builds a trace from a solver's iterates.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .errors import (
     ProblemFormatError,
     ReconstructionError,
 )
+from .expr import integer, real
 from .model import ConicProgram, evaluate, lagrangian_gradient
 from .reduction import conic_base, dependence_system, equality_basis, reduced_view
 
@@ -170,7 +172,7 @@ def dumps_trace(trace: AkktTrace) -> str:
 
 def _values(tokens, size, what, line_no):
     """The floats of a trace line, which must number size."""
-    vals = np.array([float(t) for t in tokens])
+    vals = np.array([real(t) for t in tokens])
     if vals.size != size:
         raise ProblemFormatError("%s has %d values, expected %d" % (what, vals.size, size), line=line_no)
     return vals
@@ -190,7 +192,7 @@ def loads_trace(prog: ConicProgram, text: str) -> AkktTrace:
                     raise ProblemFormatError("k line needs one integer", line=line_no)
                 if records and records[-1].x is None:
                     raise ProblemFormatError("record without an x line", line=line_no)
-                records.append(AkktRecord(int(tokens[1]), None, np.zeros(prog.p), {}, {}))
+                records.append(AkktRecord(integer(tokens[1]), None, np.zeros(prog.p), {}, {}))
                 seen = set()  # the x and lambda lines of this record
             elif not records:
                 raise ProblemFormatError("line before the first record", line=line_no)
@@ -222,7 +224,7 @@ def loads_trace(prog: ConicProgram, text: str) -> AkktTrace:
                 prog.block_index(name)
                 if name in alpha:
                     raise ProblemFormatError("duplicate coefficient for %r" % name, line=line_no)
-                alpha[name] = float(tokens[2])
+                alpha[name] = real(tokens[2])
             else:
                 raise ProblemFormatError("unknown line tag %r" % tag, line=line_no)
         except ValueError as exc:

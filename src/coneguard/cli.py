@@ -20,9 +20,10 @@ outside an expression domain, or input too large for the memory
 available).
 
 The environment variable CONEGUARD_SEED, when set, overrides check --seed.
-Numeric flags are range-checked as they are parsed: tolerances, radii and
-caps must be finite and positive, --gamma finite and above 1, counts at
-least 1, and seeds at least 0; anything else exits 64.
+It, the numeric flags and the --point/--x0 entries are signed ASCII literals
+(``expr.integer``, ``expr.real``), range-checked as they are parsed:
+tolerances, radii and caps finite and positive, --gamma finite and above 1,
+counts at least 1, seeds at least 0, vector entries finite; else exit 64.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ from .errors import (
     ProblemFormatError,
     SymmetryError,
 )
+from .expr import integer, real
 from .model import dumps, embed_block_diagonal, evaluate, loads
 
 _F = "%.17g"
@@ -196,7 +198,7 @@ def _write(path, text, what):
 def _parse_vector(text, n, what):
     tokens = [t for t in re.split(r"[\s,]+", text.strip()) if t]
     try:
-        values = [float(t) for t in tokens]
+        values = [real(t) for t in tokens]
     except ValueError:
         raise _CliError(EXIT_USAGE, "%s must be a comma- or space-separated list of numbers" % what)
     if len(values) != n:
@@ -411,10 +413,7 @@ def _cmd_recover(args, rep):
 
 def _cmd_embed_diag(args, rep):
     prog = _read(args.problem, "problem", loads)
-    try:
-        embedded = embed_block_diagonal(prog)
-    except DimensionMismatchError as exc:
-        raise _CliError(EXIT_USAGE, str(exc))
+    embedded = embed_block_diagonal(prog)
     try:
         text = dumps(embedded)
     except ValueError as exc:  # a literal that overflowed when it was read
@@ -433,7 +432,7 @@ class _Parser(argparse.ArgumentParser):
         # argparse takes "-1e-3" or "-0.5,1" for an option unless it is a plain
         # negative decimal; no flag starts with '-' and a digit, so read such
         # a word as a value
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        self._negative_number_matcher = re.compile(r"-\.?[0-9]")
 
     def error(self, message):
         self.exit(EXIT_USAGE, "%s: error: %s\n" % (self.prog, message))
@@ -448,14 +447,14 @@ def _ranged(kind, what, ok):
             raise argparse.ArgumentTypeError("%r is not %s" % (text, what))
         return value
 
-    convert.__name__ = kind.__name__  # keeps argparse's "invalid float value" wording
+    convert.__name__ = kind.__name__  # argparse's wording names the reader: "invalid real value"
     return convert
 
 
-_POSITIVE = _ranged(float, "a finite number > 0", lambda v: 0 < v < math.inf)
-_ABOVE_ONE = _ranged(float, "a finite number > 1", lambda v: 1 < v < math.inf)
-_COUNT = _ranged(int, "an integer >= 1", lambda v: v >= 1)
-_SEED = _ranged(int, "an integer >= 0", lambda v: v >= 0)
+_POSITIVE = _ranged(real, "a finite number > 0", lambda v: 0 < v < math.inf)
+_ABOVE_ONE = _ranged(real, "a finite number > 1", lambda v: 1 < v < math.inf)
+_COUNT = _ranged(integer, "an integer >= 1", lambda v: v >= 1)
+_SEED = _ranged(integer, "an integer >= 0", lambda v: v >= 0)
 # AlmConfig's options in its __slots__ order, each with its argparse type
 _ALM_OPTIONS = dict(rho0=_POSITIVE, gamma=_ABOVE_ONE, cap=_POSITIVE, outer_max=_COUNT, inner_max=_COUNT,
                     tol_stat=_POSITIVE, tol_feas=_POSITIVE)

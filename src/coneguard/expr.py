@@ -105,6 +105,23 @@ def bounded(digits):
     return int(digits or "0") if len(digits) <= 10 else 2**31
 
 
+_REAL_RE = re.compile(r"[+-]?(?:%s|inf|nan)" % _NUMBER)
+
+
+def real(text):
+    """float(text) of a signed literal or the inf/nan of %.17g; else float()'s ValueError."""
+    if not _REAL_RE.fullmatch(text):
+        raise ValueError("could not convert string to float: %r" % text)
+    return float(text)
+
+
+def integer(text):
+    """int(text) of a signed run of ASCII digits; else int()'s ValueError."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise ValueError("invalid literal for int() with base 10: %r" % text)
+    return int(text)
+
+
 def _scan(src):
     tokens, i = [], 0
     while i < len(src):

@@ -42,6 +42,21 @@ def scalar_pair_program():
 
 
 # ---------------------------------------------------------------------------
+# doubles of every magnitude
+
+
+def seeded_doubles(seed, size):
+    """-0.0, the least subnormal and the largest double, then the finite
+    doubles among size seeded random bit patterns."""
+    bits = np.frombuffer(np.random.default_rng(seed).bytes(8 * size), dtype=np.float64)
+    return [-0.0, 5e-324, 1.7976931348623157e308] + [float(v) for v in bits[np.isfinite(bits)]]
+
+
+def same_bits(a, b):
+    return np.asarray(a, dtype=np.float64).tobytes() == np.asarray(b, dtype=np.float64).tobytes()
+
+
+# ---------------------------------------------------------------------------
 # finite differences
 
 

@@ -26,7 +26,7 @@ from coneguard.errors import (
     ProblemFormatError,
 )
 from coneguard.model import evaluate, loads
-from conftest import affine_entry_text, build_program_text
+from conftest import affine_entry_text, build_program_text, same_bits, seeded_doubles
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 # two parallel equality gradients (the paper's redundant linear constraints)
@@ -89,6 +89,21 @@ class TestTraceValidation:
             for name in a.mu:
                 assert np.array_equal(a.mu[name], b.mu[name])
             assert a.alpha == b.alpha
+        assert dumps_trace(back) == text
+
+    def test_doubles_of_every_magnitude_round_trip_through_text(self):
+        prog = loads("vars 3\nobjective x1\neq e x1\neq f x2\nsoc s 1\nx3 + 1\n")
+        values = seeded_doubles(35, 600)
+        records = [
+            record(prog, 2**40 * k - 2**45, values[i:i + 3], lam=values[i + 3:i + 5], alpha={"s": abs(values[i + 5])})
+            for k, i in enumerate(range(0, len(values) - 5, 6))
+        ]
+        trace = build_trace(prog, records)
+        text = dumps_trace(trace)
+        back = loads_trace(prog, text)
+        assert [r.k for r in back.records] == [r.k for r in records]
+        for a, b in zip(records, back.records):
+            assert same_bits(a.x, b.x) and same_bits(a.lam, b.lam) and same_bits(a.alpha["s"], b.alpha["s"])
         assert dumps_trace(back) == text
 
     def test_records_without_multipliers_round_trip_through_text(self, mixed_program):
@@ -183,6 +198,13 @@ class TestTraceValidation:
         "k 1\nx zero\n": (2, "could not convert string to float: 'zero'"),
         "k 1 2\nx 0.0\n": (1, "k line needs one integer"),
         "k one\nx 0.0\n": (1, "invalid literal for int() with base 10: 'one'"),
+        # k and the values are ASCII literals, as in problem files
+        "k 1_0\nx 0.0\n": (1, "invalid literal for int() with base 10: '1_0'"),
+        "k \u0663\nx 0.0\n": (1, "invalid literal for int() with base 10: '\u0663'"),
+        "k 1\nx 1_0\n": (2, "could not convert string to float: '1_0'"),
+        "k 1\nx \u0663\n": (2, "could not convert string to float: '\u0663'"),
+        "k 1\nx Infinity\n": (2, "could not convert string to float: 'Infinity'"),
+        "k 1\nx 0.0\nalpha s \u0660.\u0661\n": (3, "could not convert string to float: '\u0660.\u0661'"),
         "q 1\n": (1, "line before the first record"),
         "k 1\nx 0.0\nq 1\n": (3, "unknown line tag 'q'"),
     }

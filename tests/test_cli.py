@@ -210,6 +210,33 @@ class TestUsage:
         assert "%s has a non-finite entry" % flag in err
         assert (tmp_path / "T").read_text() == "k 0\nx 1 0\nk 1\nx 1 0\n"  # solve wrote no trace
 
+    @pytest.mark.parametrize(
+        "problem, argv, env",
+        [("soc_line", ["classify", "--point", "1_0"], None),
+         ("soc_line", ["classify", "--point", "\u0663"], None),
+         ("scalar_pair", ["solve", "--x0", "1_0,0", "--trace", "T"], None),
+         ("soc_line", ["check", "--cq", "rcpld", "--point", "1", "--radius", "1_0"], None),
+         ("soc_line", ["check", "--cq", "rcpld", "--point", "1", "--samples", "\u0663"], None),
+         ("soc_line", ["check", "--cq", "rcpld", "--point", "1"], "1_0")],
+    )
+    def test_numbers_are_ascii_literals_as_in_problem_files(
+        self, files, capsys, monkeypatch, tmp_path, problem, argv, env
+    ):
+        if env is not None:
+            monkeypatch.setenv("CONEGUARD_SEED", env)
+        argv = [str(tmp_path / a) if a == "T" else a for a in argv]
+        code, out, err = run(argv[:1] + ["--problem", files[problem]] + argv[1:], capsys)
+        assert code == EXIT_USAGE, err
+        assert REPORT_BEGIN not in out
+        assert not (tmp_path / "T").exists()
+
+    @pytest.mark.parametrize("value", ["+1", "-5e-1", "1e0", ".5", "5."])
+    def test_signed_and_shortened_literals_are_numbers(self, capsys, value):
+        problem = str(PROBLEMS / "soc_boundary_line.txt")
+        code, out, err = run(["classify", "--problem", problem, "--point=" + value], capsys)
+        assert code != EXIT_USAGE, err
+        assert row(out, "point") == ("point", "%.17g" % float(value))
+
     def test_parser_is_built_once_per_process(self, files, capsys, monkeypatch, tmp_path):
         cli.build_parser.cache_clear()
         built = []
@@ -757,7 +784,7 @@ class TestEmbedDiag:
         assert REPORT_BEGIN not in out
 
     def test_soc_blocks_cannot_be_merged(self, files, capsys, tmp_path):
-        code, _, err = run(
+        code, out, err = run(
             [
                 "embed-diag", "--problem", files["boundary"],
                 "--out", str(tmp_path / "x.txt"),
@@ -765,7 +792,8 @@ class TestEmbedDiag:
             capsys,
         )
         assert code == EXIT_USAGE
-        assert "soc" in err
+        assert err == "error: diagonal embedding needs an all-psd program; block 'g' is soc\n"
+        assert out == ""
 
 
 class TestHostileInput:

@@ -19,7 +19,7 @@ from coneguard.expr import ADD, BINARY, CALL, FUNCTIONS, LIT, NEG, POW, VAR, Tap
 
 from coneguard.model import AffineFold
 
-from conftest import fd_gradient, fd_tolerance
+from conftest import fd_gradient, fd_tolerance, same_bits, seeded_doubles
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +460,49 @@ def test_seventeen_digit_literals_round_trip():
     val = 0.1 + 0.2  # not exactly representable in decimal shorthand
     text = ex.to_source(compile_tree(Lit(val)))
     assert ex.eval_grad(ex.parse(text, 1), [0.0]).value == val
+
+
+def test_real_reads_every_double_that_17_digits_print():
+    # one number grammar: %.17g of a finite double reads back bitwise, and a
+    # nonnegative one is also the literal that parse reads from the same token
+    for v in seeded_doubles(34, 4000):
+        text = "%.17g" % v
+        assert same_bits(ex.real(text), v), text
+        if not math.copysign(1.0, v) < 0:
+            assert same_bits(ex.parse(text, 1).lits, [v]), text
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("+1", 1.0), ("-5e-1", -0.5), ("1e0", 1.0), (".5", 0.5), ("5.", 5.0), ("1E+2", 100.0), ("1e999", math.inf),
+     ("-inf", -math.inf), ("nan", math.nan), ("0", 0), ("+3", 3), ("-7", -7), ("007", 7), ("9" * 20, 10**20 - 1)],
+)
+def test_signed_ascii_literals_are_numbers(text, value):
+    if isinstance(value, int):
+        assert ex.integer(text) == value
+    else:
+        assert same_bits(ex.real(text), value)
+
+
+PYTHON_WORDS = {"real": (float, "could not convert string to float: %r"),
+                "integer": (int, "invalid literal for int() with base 10: %r")}
+
+
+@pytest.mark.parametrize(
+    "reader, text",
+    [("real", t) for t in ["1_0", "\u0663", "\u0660.\u0661", "Infinity", "INF", "NaN", " 1", "1 ", "", "+", "1e",
+                           "0x1", "--1", "zero"]]
+    + [("integer", t) for t in ["1_0", "\u0663", "1.0", "1e3", " 1", "", "+", "one", "0x1"]],
+)
+def test_readers_refuse_what_problem_files_refuse_in_pythons_words(reader, text):
+    python, words = PYTHON_WORDS[reader]
+    with pytest.raises(ValueError) as err:
+        getattr(ex, reader)(text)
+    assert str(err.value) == words % text
+    try:
+        python(text)
+    except ValueError as exc:
+        assert str(exc) == str(err.value)
 
 
 @pytest.mark.parametrize(
