@@ -48,22 +48,26 @@ def factored(result):
     return result
 
 
-def numerical_rank(vectors, tol_rank=TOL_RANK, scale=None):
-    """Rank of a vector family and a greedily pivoted basis index set.
+def numerical_ranks(stack, tol_rank=TOL_RANK, scale=None):
+    """Ranks of a stack of matrices (..., m, n), from one SVD call.
 
-    Rank counts singular values above tol_rank times scale, by default the
-    largest one (zero families have rank 0).  The basis is chosen by
-    repeated pivoting on the largest remaining residual norm (deterministic).
+    A rank counts the singular values above tol_rank times scale, by default
+    the matrix's largest one; a zero matrix, or a scale <= 0, has rank 0.
     """
+    svals = factored(np.linalg.svd(stack, compute_uv=False))
+    scale = svals[..., :1] if scale is None else scale
+    return np.count_nonzero((svals > tol_rank * scale) & (scale > 0.0), axis=-1)
+
+
+def numerical_rank(vectors, tol_rank=TOL_RANK):
+    """Rank of a vector family, by numerical_ranks' rule, and a greedily
+    pivoted basis index set: repeated pivoting on the largest remaining
+    residual norm (deterministic)."""
     vecs = [np.asarray(v, dtype=float).reshape(-1) for v in vectors]
     if not vecs:
         return 0, ()
     a = np.vstack(vecs)
-    svals = factored(np.linalg.svd(a, compute_uv=False))
-    scale = (float(svals[0]) if svals.size else 0.0) if scale is None else scale
-    if scale <= 0.0:
-        return 0, ()
-    rank = int(np.count_nonzero(svals > tol_rank * scale))
+    rank = int(numerical_ranks(a, tol_rank))
     r = a.copy()
     chosen = []
     for _ in range(rank):

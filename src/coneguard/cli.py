@@ -23,7 +23,8 @@ The environment variable CONEGUARD_SEED, when set, overrides check --seed.
 It, the numeric flags and the --point/--x0 entries are signed ASCII literals
 (``expr.integer``, ``expr.real``), range-checked as they are parsed:
 tolerances, radii and caps finite and positive, --gamma finite and above 1,
-counts at least 1, seeds at least 0, vector entries finite; else exit 64.
+counts at least 1 (--samples at most 4096), seeds at least 0, vector
+entries finite; else exit 64.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .classify import TOL_ACT, TOL_GAP, classify
 from .cones import listed
 from .cqchecks import (
     DELTA,
+    SAMPLE_CAP,
     SAMPLES,
     SEED,
     SUBSET_CAP,
@@ -454,6 +456,7 @@ def _ranged(kind, what, ok):
 _POSITIVE = _ranged(real, "a finite number > 0", lambda v: 0 < v < math.inf)
 _ABOVE_ONE = _ranged(real, "a finite number > 1", lambda v: 1 < v < math.inf)
 _COUNT = _ranged(integer, "an integer >= 1", lambda v: v >= 1)
+_SAMPLES = _ranged(integer, "an integer from 1 to %d" % SAMPLE_CAP, lambda v: 1 <= v <= SAMPLE_CAP)
 _SEED = _ranged(integer, "an integer >= 0", lambda v: v >= 0)
 # AlmConfig's options in its __slots__ order, each with its argparse type
 _ALM_OPTIONS = dict(rho0=_POSITIVE, gamma=_ABOVE_ONE, cap=_POSITIVE, outer_max=_COUNT, inner_max=_COUNT,
@@ -490,7 +493,7 @@ def build_parser():
     p.add_argument("--tol-rank", type=_POSITIVE, default=TOL_RANK)
     p.add_argument("--tol-cert", type=_POSITIVE, default=TOL_CERT)
     p.add_argument("--radius", type=_POSITIVE, default=DELTA, help="sampling radius for neighborhood clauses")
-    p.add_argument("--samples", type=_COUNT, default=SAMPLES)
+    p.add_argument("--samples", type=_SAMPLES, default=SAMPLES)
     p.add_argument("--seed", type=_SEED, default=SEED)
     p.add_argument("--budget", type=_COUNT, default=DEFAULT_BUDGET)
     p.add_argument("--subset-cap", type=_COUNT, default=SUBSET_CAP)

@@ -5,7 +5,8 @@ cone-constrained multipliers restricted to the complementary face of each
 block, nondegeneracy (a rank test on the rows of that system), and two
 constant-rank conditions (rcpld, crsc) whose neighborhood clauses are
 verified by seeded sampling; both read one cached neighbourhood, whose
-samples are drawn and evaluated once.  Every Fails verdict carries a
+samples are drawn and evaluated once and kept as stacked arrays, so each
+rank clause ranks every sample in one SVD call.  Every Fails verdict carries a
 concrete witness; Holds verdicts for the sampled checks state explicitly
 that no counterexample was found among the samples.
 """
@@ -13,7 +14,6 @@ that no counterexample was found among the samples.
 from __future__ import annotations
 
 import functools
-from typing import NamedTuple
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .certificates import (
     conic_dependence,
     null_combination,
     numerical_rank,
+    numerical_ranks,
 )
 from .classify import IndexClassification, kernel_basis
 from .cones import svec
@@ -34,6 +35,7 @@ from .reduction import conic_base, dependence_system, equality_basis, reduced_vi
 
 DELTA = 1e-3
 SAMPLES = 20
+SAMPLE_CAP = 2 ** 12  # --samples' bound: the neighbourhood keeps every sample's gradients
 SEED = 42
 SUBSET_CAP = 2 ** 16
 
@@ -66,24 +68,20 @@ def _kernel_partials(pt: EvaluatedPoint, j: int, cls: IndexClassification):
     return 0.5 * (compressed + compressed.transpose(0, 2, 1))
 
 
-class _Sample(NamedTuple):
-    x: np.ndarray
-    eq_rows: np.ndarray  # (p, n) equality gradients
-    grads: dict  # reduced block -> gradient; None where a smallest eigenvalue is no longer simple
-    gap: float  # that eigenvalue gap, when grads is None
-
-
 @functools.lru_cache(maxsize=1)
 def _neighbourhood(prog, x_bytes, cls, delta, count, seed):
-    """Seeded samples of the delta-ball around x, and how many were skipped.
+    """Seeded samples of the delta-ball around x, as read-only stacks.
 
-    A point outside an expression domain is retried at half the radius a
-    few times, then skipped.  Each sample is evaluated once, and keeps only
-    what rcpld and crsc read of it.
+    Returns the sample points (S, n), their equality gradients (S, p, n),
+    the reduced gradients in cls.reduced() order (S0, k, n) of the S0
+    samples before the first whose smallest eigenvalue is not simple, that
+    sample's eigenvalue gap (None when there is none), and how many samples
+    were skipped: a point outside an expression domain is retried at half
+    the radius a few times, then skipped.  Each sample is evaluated once.
     """
     x = np.frombuffer(x_bytes)
     rng = np.random.default_rng(seed)
-    out = []
+    points, jacs, grads, gap = [], [], [], None
     for _ in range(count):
         z = rng.standard_normal(x.size)
         nz = float(np.linalg.norm(z))
@@ -97,13 +95,18 @@ def _neighbourhood(prog, x_bytes, cls, delta, count, seed):
                 radius *= 0.5
         else:  # every radius left a domain: the point is skipped
             continue
-        sp.x.flags.writeable = False  # reports print it, and the cache shares it
-        try:
-            grads = {entry.block: entry.gradient for entry in reduced_view(sp, cls).entries}
-            out.append(_Sample(sp.x, sp.jac_h, grads, None))
-        except NonSimpleEigenvalueError as exc:
-            out.append(_Sample(sp.x, sp.jac_h, None, exc.gap))
-    return tuple(out), count - len(out)
+        points.append(sp.x)
+        jacs.append(sp.jac_h)
+        if gap is None:
+            try:
+                grads.append([entry.gradient for entry in reduced_view(sp, cls).entries])
+            except NonSimpleEigenvalueError as exc:
+                gap = exc.gap
+    shapes = ((), (prog.p,), (len(cls.reduced()),))
+    stacks = [np.reshape(a, (len(a), *shape, x.size)) for a, shape in zip((points, jacs, grads), shapes)]
+    for a in stacks:
+        a.flags.writeable = False  # reports print the points, and the cache shares them
+    return (*stacks, gap, count - len(points))
 
 
 _RAY_SUFFIX = {"boundary": ":boundary", "vertex-scalar": "[0]", "kernel-simple": ":kernel[0]"}
@@ -234,27 +237,27 @@ def check_rcpld(
         "seed": seed,
         "ground_set": tuple(names[j] for j in ground),
     }
-    sampled, skipped = _neighbourhood(pt.program, pt.x.tobytes(), cls, delta, samples, seed)
+    points, jacs, grads, gap, skipped = _neighbourhood(pt.program, pt.x.tobytes(), cls, delta, samples, seed)
     detail["samples_skipped"] = skipped
-    if not sampled:
+    if not len(points):
         return CqReport("rcpld", "Undecided", dict(detail, reason=_NO_SAMPLE))
     eq_rows, rank_star, basis_i = equality_basis(pt, tol_rank)
-    for t, sp in enumerate(sampled):
-        rank_s = numerical_rank(sp.eq_rows, tol_rank)[0] if eq_rows else 0
-        if rank_s != rank_star:
-            detail.update(reason="equality gradient rank is not locally constant")
-            detail.update(rank_at_point=rank_star, rank_at_sample=rank_s, sample_index=t, sample_point=sp.x)
-            return CqReport("rcpld", "Fails", detail)
+    ranks = numerical_ranks(jacs, tol_rank)
+    changed = np.flatnonzero(ranks != rank_star)
+    if changed.size:
+        t = int(changed[0])
+        detail.update(reason="equality gradient rank is not locally constant")
+        detail.update(rank_at_point=rank_star, rank_at_sample=int(ranks[t]), sample_index=t, sample_point=points[t])
+        return CqReport("rcpld", "Fails", detail)
 
     eq = [(pt.program.eq_names[i], eq_rows[i]) for i in basis_i]
     query = functools.partial(dependence_system, cls, eq, conic_base(pt, cls))
     rays_star = {entry.block: (names[entry.block], entry.gradient) for entry in reduced_view(pt, cls).entries}
     ground_system, ground_names = query([rays_star[j] for j in ground])
     detail["equality_basis"] = ground_names[0]
-    for sp in sampled:
-        if sp.grads is None:
-            detail.update(reason=_NON_SIMPLE, gap=sp.gap)
-            return CqReport("rcpld", "Undecided", detail)
+    if gap is not None:
+        detail.update(reason=_NON_SIMPLE, gap=gap)
+        return CqReport("rcpld", "Undecided", detail)
 
     # Subsets go by size, and within a size in the order of their bit codes.
     # Only minimal dependent subsets need a query: a superset of a dependent
@@ -278,8 +281,8 @@ def check_rcpld(
     for code in codes:
         if any(code & d == d for d in dependent):
             continue
-        subset = [ground[i] for i in range(len(ground)) if code >> i & 1]
-        system, witness_names = query([rays_star[j] for j in subset])
+        subset = [i for i in range(len(ground)) if code >> i & 1]  # positions in ground
+        system, witness_names = query([rays_star[ground[i]] for i in subset])
         cert = conic_dependence(*system, budget=budget, tol_cert=tol_cert, tol_rank=tol_rank)
         entry = {"subset": witness_names[3], "system": cert.verdict}
         subset_log.append(entry)
@@ -290,19 +293,19 @@ def check_rcpld(
             undecided = undecided or dict(cert.detail, undecided_subset=entry["subset"])
         if cert.verdict != "dependent":
             continue
-        for t, sp in enumerate(sampled):
-            family = [sp.eq_rows[i] for i in basis_i] + [sp.grads[j] for j in subset]
-            if not family:
-                detail["reason"] = "nonzero solution with an empty comparison family"
-            elif numerical_rank(family, tol_rank)[0] == len(family):
-                detail["reason"] = "dependent system but gradients independent at a sample"
-                detail["sample_point"] = sp.x
-            else:
-                continue
-            detail.update(subset=entry["subset"], sample_index=t, subset_log=tuple(subset_log))
-            return CqReport("rcpld", "Fails", detail, cert, witness_names)
-        entry["persisted"] = True
-        dependent.append(code)
+        family = np.concatenate([jacs[:, list(basis_i)], grads[:, subset]], axis=1)
+        independent = np.flatnonzero(numerical_ranks(family, tol_rank) == family.shape[1])
+        if not independent.size:
+            entry["persisted"] = True
+            dependent.append(code)
+            continue
+        t = int(independent[0])  # 0 for an empty family, which every sample calls independent
+        if family.shape[1]:
+            detail.update(reason="dependent system but gradients independent at a sample", sample_point=points[t])
+        else:
+            detail["reason"] = "nonzero solution with an empty comparison family"
+        detail.update(subset=entry["subset"], sample_index=t, subset_log=tuple(subset_log))
+        return CqReport("rcpld", "Fails", detail, cert, witness_names)
     detail["subset_log"] = tuple(subset_log)
     if capped and cert.verdict != "independent":
         detail.update(reason="subset enumeration exceeds cap", subset_count=2 ** len(ground), subset_cap=subset_cap)
@@ -312,7 +315,7 @@ def check_rcpld(
     if undecided is not None:
         detail.update(undecided, reason="a dependence query was undecided")
         return CqReport("rcpld", "Undecided", detail)
-    detail["note"] = SAMPLING_NOTE % (len(sampled), delta)
+    detail["note"] = SAMPLING_NOTE % (len(points), delta)
     return CqReport("rcpld", "Holds", detail)
 
 
@@ -343,11 +346,8 @@ def check_crsc(
     grads_star = {entry.block: entry.gradient for entry in reduced_view(pt, cls).entries}
     all_grads = [grads_star[j] for j in ground]
 
-    j_minus = []
-    for j0 in ground:
-        member = cone_membership(-grads_star[j0], eq_rows, all_grads, tol=tol_cert)
-        if member.member:
-            j_minus.append(j0)
+    minus = [i for i, j in enumerate(ground) if cone_membership(-all_grads[i], eq_rows, all_grads, tol=tol_cert).member]
+    j_minus = [ground[i] for i in minus]
     j_plus = [j for j in ground if j not in j_minus]
     detail["j_minus"] = tuple(names[j] for j in j_minus)
     detail["j_plus"] = tuple(names[j] for j in j_plus)
@@ -357,29 +357,30 @@ def check_crsc(
     rank_star = numerical_rank(family_star, tol_rank)[0] if family_star else 0
     scale = float(np.linalg.norm(np.vstack(family_star), 2)) if j_minus else 0.0
     rows, j_basis = [eq_rows[i] for i in basis_i], []
-    rank = numerical_rank(rows, tol_rank, scale)[0] if rows and j_minus else 0
+    rank = numerical_ranks(np.array(rows), tol_rank, scale) if rows and j_minus else 0
     for j in j_minus:
-        if numerical_rank(rows + [grads_star[j]], tol_rank, scale)[0] > rank:
+        if numerical_ranks(np.array(rows + [grads_star[j]]), tol_rank, scale) > rank:
             rows.append(grads_star[j])
             j_basis.append(j)
             rank += 1  # one more row raises the rank by at most one
     detail["equality_basis"] = tuple(pt.program.eq_names[i] for i in basis_i)
     detail["gradient_basis"] = tuple(names[j] for j in j_basis)
 
-    sampled, skipped = _neighbourhood(pt.program, pt.x.tobytes(), cls, delta, samples, seed)
+    points, jacs, grads, gap, skipped = _neighbourhood(pt.program, pt.x.tobytes(), cls, delta, samples, seed)
     detail["samples_skipped"] = skipped
-    if not sampled:
+    if not len(points):
         return CqReport("crsc", "Undecided", dict(detail, reason=_NO_SAMPLE))
-    for t, sp in enumerate(sampled):
-        if sp.grads is None:
-            detail.update(reason=_NON_SIMPLE, gap=sp.gap)
-            return CqReport("crsc", "Undecided", detail)
-        family = list(sp.eq_rows) + [sp.grads[j] for j in j_minus]
-        rank_s = numerical_rank(family, tol_rank)[0] if family else 0
-        if rank_s != rank_star:
-            detail.update(reason="subspace-component rank is not locally constant")
-            detail.update(rank_at_point=rank_star, rank_at_sample=rank_s, sample_index=t, sample_point=sp.x)
-            return CqReport("crsc", "Fails", detail)
+    # the samples before the first non-simple one; a rank change among them comes first
+    ranks = numerical_ranks(np.concatenate([jacs[: len(grads)], grads[:, minus]], axis=1), tol_rank)
+    changed = np.flatnonzero(ranks != rank_star)
+    if changed.size:
+        t = int(changed[0])
+        detail.update(reason="subspace-component rank is not locally constant")
+        detail.update(rank_at_point=rank_star, rank_at_sample=int(ranks[t]), sample_index=t, sample_point=points[t])
+        return CqReport("crsc", "Fails", detail)
+    if gap is not None:
+        detail.update(reason=_NON_SIMPLE, gap=gap)
+        return CqReport("crsc", "Undecided", detail)
 
     eq = [(pt.program.eq_names[i], eq_rows[i]) for i in basis_i] + [(names[j], grads_star[j]) for j in j_basis]
     rays = [(names[j], grads_star[j]) for j in j_plus]
@@ -388,7 +389,7 @@ def check_crsc(
     detail["system"] = cert.verdict
     verdict = _decide(cert, detail)
     if verdict == "Holds":
-        detail["note"] = SAMPLING_NOTE % (len(sampled), delta)
+        detail["note"] = SAMPLING_NOTE % (len(points), delta)
     elif verdict == "Fails":
         detail["reason"] = "nonzero solution of the subspace-complement system"
     return CqReport("crsc", verdict, detail, cert, witness_names)

@@ -116,10 +116,12 @@ def real(text):
 
 
 def integer(text):
-    """int(text) of a signed run of ASCII digits; else int()'s ValueError."""
+    """int(text) of a signed run of ASCII digits, its leading zeros dropped as
+    bounded drops them (int() refuses over 4300 digits); else int()'s ValueError."""
     if not re.fullmatch(r"[+-]?[0-9]+", text):
         raise ValueError("invalid literal for int() with base 10: %r" % text)
-    return int(text)
+    value = int(text.lstrip("+-").lstrip("0") or "0")
+    return -value if text[0] == "-" else value
 
 
 def _scan(src):

@@ -217,6 +217,13 @@ class TestTraceValidation:
         assert err.value.line == line
         assert str(err.value) == "line %d: %s" % (line, message)
 
+    def test_leading_zeros_of_a_record_index_are_dropped(self, mixed_program):
+        zeros = "0" * 5000
+        trace = loads_trace(mixed_program, "k %s\nx 0.5\nk %s1\nx 0.5\n" % (zeros, zeros))
+        assert [r.k for r in trace.records] == [0, 1]
+        with pytest.raises(ProblemFormatError, match="4300"):
+            loads_trace(mixed_program, "k %s\nx 0.5\n" % ("1" * 4301))
+
     def test_last_record_without_x_has_no_line(self, mixed_program):
         with pytest.raises(ProblemFormatError) as err:
             loads_trace(mixed_program, "k 1\nx 0.0\nk 2\nalpha s 0.1\n")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from coneguard.certificates import (
+    TOL_RANK,
     DependenceWitness,
     caratheodory_reduce,
     combination,
@@ -14,6 +15,7 @@ from coneguard.certificates import (
     nnls,
     null_combination,
     numerical_rank,
+    numerical_ranks,
     verify_dependence,
 )
 from coneguard import certificates
@@ -24,6 +26,7 @@ from conftest import (
     grid_dependence_oracle,
     make_planted_dependent,
     make_planted_independent,
+    same_bits,
 )
 
 
@@ -87,6 +90,53 @@ class TestNumericalRank:
         rng = np.random.default_rng(8)
         vecs = [rng.standard_normal(4) for _ in range(9)]
         assert numerical_rank(vecs) == numerical_rank(vecs)
+
+
+class TestNumericalRanks:
+    """One SVD call ranks a stack by numerical_rank's rule, matrix by matrix."""
+
+    @staticmethod
+    def _stack(seed, count=12, m=4, n=5):
+        # rank i % 5 for matrix i, the last one with a singular value below tol_rank
+        rng = np.random.default_rng(seed)
+        stack = np.zeros((count, m, n))
+        for i in range(count):
+            r = i % 5
+            stack[i] = rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
+        u, _, vt = np.linalg.svd(rng.standard_normal((m, n)), full_matrices=False)
+        stack[-1] = u @ np.diag([1.0, 0.5, 1e-9, 1e-12]) @ vt
+        return stack
+
+    @pytest.mark.parametrize("seed", [35, 36, 37])
+    def test_each_rank_is_the_rank_of_its_matrix(self, seed):
+        stack = self._stack(seed)
+        ranks = numerical_ranks(stack)
+        assert ranks.shape == (len(stack),)
+        assert list(ranks) == [numerical_rank(a)[0] for a in stack]
+        assert ranks[-1] == 2 and ranks[0] == 0
+        assert {int(r) for r in ranks[:-1]} == {0, 1, 2, 3, 4}
+
+    @pytest.mark.parametrize("seed", [35, 36, 37])
+    def test_stacked_singular_values_are_the_per_matrix_ones_bit_for_bit(self, seed):
+        stack = self._stack(seed)
+        stacked = np.linalg.svd(stack, compute_uv=False)
+        for a, svals in zip(stack, stacked):
+            assert same_bits(svals, np.linalg.svd(a, compute_uv=False))
+
+    def test_zero_matrices_and_zero_rows_have_rank_zero(self):
+        assert list(numerical_ranks(np.zeros((3, 2, 4)))) == [0, 0, 0]
+        assert list(numerical_ranks(np.zeros((3, 0, 4)))) == [0, 0, 0]
+        assert numerical_ranks(np.zeros((0, 2, 4))).shape == (0,)
+
+    @pytest.mark.parametrize("scale", [0.0, 1e-3, 1.0, 1e3])
+    def test_an_explicit_scale_counts_at_that_scale(self, scale):
+        stack = self._stack(38)
+        at_scale = [
+            int(np.count_nonzero(np.linalg.svd(a, compute_uv=False) > TOL_RANK * scale)) if scale > 0 else 0
+            for a in stack
+        ]
+        assert list(numerical_ranks(stack, TOL_RANK, scale)) == at_scale
+        assert [int(numerical_ranks(a, TOL_RANK, scale)) for a in stack] == at_scale
 
 
 class TestNullCombination:

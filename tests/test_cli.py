@@ -844,6 +844,16 @@ class TestHostileInput:
         assert code == EXIT_OK
         assert row(out, "objective") == ("objective", "132")
 
+    def test_leading_zeros_of_a_count_and_the_seed_are_dropped(self, tmp_path, capsys, monkeypatch):
+        zeros = "0" * 5000
+        monkeypatch.setenv("CONEGUARD_SEED", zeros + "7")
+        problem = self._write(tmp_path, BOUNDARY)
+        argv = ["check", "--problem", problem, "--point", "1", "--cq", "rcpld", "--samples", zeros + "3"]
+        code, out, err = run(argv, capsys)
+        assert code == EXIT_OK, err
+        assert (row(out, "samples"), row(out, "seed")) == (("samples", "3"), ("seed", "7"))
+        assert " in 3 samples " in " ".join(row(out, "detail", "rcpld", "note"))
+
     @pytest.mark.parametrize(
         "command, flag, value",
         [
@@ -858,6 +868,8 @@ class TestHostileInput:
             ("check", "--radius", "-1"),
             ("check", "--samples", "0"),
             ("check", "--samples", "-3"),
+            ("check", "--samples", "4097"),  # the neighbourhood keeps every sample's gradients
+            ("check", "--samples", "1" + "0" * 20),
             ("check", "--tol-act", "nan"),
             ("check", "--tol-rank", "nan"),
             ("check", "--budget", "0"),

@@ -14,7 +14,7 @@ from coneguard.cqchecks import (
     check_rcpld,
     check_robinson,
 )
-from coneguard.errors import DomainError
+from coneguard.errors import DomainError, NonSimpleEigenvalueError
 from coneguard.model import dumps, embed_block_diagonal, evaluate, loads
 from coneguard.reduction import conic_base, reduced_view
 
@@ -304,6 +304,57 @@ class TestSampleEdges:
         assert rep.verdict == "Undecided"
         assert rep.detail["reason"] == "smallest eigenvalue not simple at a sample point"
         assert 0.0 <= rep.detail["gap"] <= cls.tol_gap
+
+
+class TestSampleOrder:
+    """Which sample decides when a rank changes and a sample is not simple.
+
+    The gradient of x1 * x2 vanishes at the origin and nowhere near it, so
+    every sample changes the equality rank; P is kernel-simple there."""
+
+    PROGRAM = "vars 2\nobjective x1\neq h x1 * x2\npsd P 2\nx1\n0\n1\n"
+    GAP = 3e-9
+
+    def _checks(self, monkeypatch, non_simple):
+        pt, cls = _point(loads(self.PROGRAM), [0.0, 0.0])
+        assert cls.psd_simple == (0,)
+        samples = []
+
+        def view(sp, cls):  # the smallest eigenvalue is not simple at sample non_simple
+            if sp is not pt:
+                samples.append(sp)
+                if len(samples) == non_simple + 1:
+                    raise NonSimpleEigenvalueError(self.GAP, cls.tol_gap)
+            return reduced_view(sp, cls)
+
+        monkeypatch.setattr(cqchecks, "reduced_view", view)
+        reports = []
+        for check in (check_rcpld, check_crsc):
+            cqchecks._neighbourhood.cache_clear()
+            samples.clear()
+            reports.append(check(pt, cls))
+        cqchecks._neighbourhood.cache_clear()
+        return reports
+
+    def test_a_rank_change_before_the_non_simple_sample_fails_both(self, monkeypatch):
+        rcpld, crsc = self._checks(monkeypatch, non_simple=1)
+        assert rcpld.verdict == crsc.verdict == "Fails"
+        assert rcpld.detail["reason"] == "equality gradient rank is not locally constant"
+        assert crsc.detail["reason"] == "subspace-component rank is not locally constant"
+        for rep in (rcpld, crsc):
+            assert rep.detail["sample_index"] == 0
+            assert (rep.detail["rank_at_point"], rep.detail["rank_at_sample"]) == (0, 1)
+
+    def test_a_non_simple_first_sample_leaves_crsc_undecided_and_rcpld_failing(self, monkeypatch):
+        rcpld, crsc = self._checks(monkeypatch, non_simple=0)
+        assert crsc.verdict == "Undecided"
+        assert crsc.detail["reason"] == "smallest eigenvalue not simple at a sample point"
+        assert crsc.detail["gap"] == self.GAP
+        assert "sample_index" not in crsc.detail
+        # rcpld ranks the equalities at every sample before it looks at eigenvalues
+        assert rcpld.verdict == "Fails"
+        assert rcpld.detail["reason"] == "equality gradient rank is not locally constant"
+        assert rcpld.detail["sample_index"] == 0
 
 
 class TestVertexBlocks:

@@ -484,6 +484,16 @@ def test_signed_ascii_literals_are_numbers(text, value):
         assert same_bits(ex.real(text), value)
 
 
+def test_integer_drops_leading_zeros_as_bounded_does():
+    # past int()'s 4300-digit limit in zeros alone, as problem files read x0001
+    zeros = "0" * 5000
+    assert [ex.integer(sign + zeros + "7") for sign in ("", "+", "-")] == [7, 7, -7]
+    assert ex.integer(zeros) == ex.integer("-" + zeros) == 0
+    assert ex.integer(zeros + "1" * 4300) == int("1" * 4300)
+    with pytest.raises(ValueError, match="4300"):
+        ex.integer(zeros + "1" * 4301)
+
+
 PYTHON_WORDS = {"real": (float, "could not convert string to float: %r"),
                 "integer": (int, "invalid literal for int() with base 10: %r")}
 
