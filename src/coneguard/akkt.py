@@ -48,7 +48,7 @@ from .errors import (
     ProblemFormatError,
     ReconstructionError,
 )
-from .expr import integer, real
+from .expr import integer, literal, real
 from .model import ConicProgram, evaluate, lagrangian_gradient
 from .reduction import conic_base, dependence_system, equality_basis, reduced_view
 
@@ -57,8 +57,6 @@ ALPHA_SLACK = -1e-12
 M_CAP = 1e8
 TOL_KKT = 1e-6
 GROWTH_FACTOR = 10.0
-
-_F = "%.17g"
 
 
 class AkktRecord(NamedTuple):
@@ -160,13 +158,13 @@ def dumps_trace(trace: AkktTrace) -> str:
     lines = []
     for rec in trace.records:
         lines.append("k %d" % rec.k)
-        lines.append("x " + " ".join(_F % v for v in rec.x))
+        lines.append("x " + " ".join(map(literal, rec.x)))
         if rec.lam.size:
-            lines.append("lambda " + " ".join(_F % v for v in rec.lam))
+            lines.append("lambda " + " ".join(map(literal, rec.lam)))
         for name in sorted(rec.mu):
-            lines.append("mu %s " % name + " ".join(_F % v for v in listed(rec.mu[name])))
+            lines.append("mu %s " % name + " ".join(map(literal, listed(rec.mu[name]))))
         for name in sorted(rec.alpha):
-            lines.append("alpha %s " % name + _F % rec.alpha[name])
+            lines.append("alpha %s " % name + literal(rec.alpha[name]))
     return "\n".join(lines) + "\n"
 
 

@@ -26,6 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cones import (
+    adjoint,
     eig_sym,
     project_psd,
     project_soc,
@@ -351,12 +352,8 @@ def combination(eq_basis, soc_blocks, psd_blocks, rays, witness):
     terms = []
     for lam_i, v in zip(witness.lam, eq_basis):
         terms.append(lam_i * np.asarray(v, dtype=float))
-    for mu, jmat in zip(witness.soc, soc_blocks):
-        terms.append(np.asarray(jmat, dtype=float).T @ np.asarray(mu, dtype=float))
-    for mat, partials in zip(witness.psd, psd_blocks):
-        terms.append(
-            np.tensordot(np.asarray(partials, dtype=float), np.asarray(mat, dtype=float), axes=([1, 2], [0, 1]))
-        )
+    for mu, derivative in itertools.chain(zip(witness.soc, soc_blocks), zip(witness.psd, psd_blocks)):
+        terms.append(adjoint(np.asarray(derivative, dtype=float), np.asarray(mu, dtype=float)))
     for a_k, r in zip(witness.alpha, rays):
         terms.append(a_k * np.asarray(r, dtype=float))
     if not terms:

@@ -14,11 +14,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cones import classify_soc
+from .cones import TOL_ACT, classify_soc
 from .errors import InfeasiblePointError
 from .model import block_distances
 
-TOL_ACT = 1e-8
 TOL_GAP = 1e-6
 
 

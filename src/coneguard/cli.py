@@ -4,9 +4,9 @@ Subcommands: classify, check, solve, certify, recover, embed-diag.  Every
 command prints a short human-readable summary followed by a fenced
 machine-readable section between ``---REPORT-BEGIN---`` and
 ``---REPORT-END---`` whose lines follow the problem-file grammar (first
-token is a key, the rest are values, floats rendered with %.17g).  The
-fenced section is byte-identical across identical invocations; timing
-lines are printed outside the fence.
+token is a key, the rest are values, floats written by ``expr.literal``
+with negative zero as 0).  The fenced section is byte-identical across
+identical invocations; timing lines are printed outside the fence.
 
 Exit codes: 0 for positive outcomes (feasible, Holds, converged,
 certified, recovered KKT point), 1 for negative ones (Fails, rejected
@@ -64,10 +64,8 @@ from .errors import (
     ProblemFormatError,
     SymmetryError,
 )
-from .expr import integer, real
+from .expr import integer, literal, real
 from .model import dumps, embed_block_diagonal, evaluate, loads
-
-_F = "%.17g"
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -97,7 +95,7 @@ def _fmt(value):
     value = float(value)
     if value == 0.0:
         value = 0.0  # normalize negative zero
-    return _F % value
+    return literal(value)
 
 
 def _fmt_vec(values):

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import DimensionMismatchError, SymmetryError
 
 SYMMETRY_TOL = 1e-12
+TOL_ACT = 1e-8
 
 
 def _split(z):
@@ -24,7 +25,7 @@ def _split(z):
     return z, float(z[0]), z[1:]
 
 
-def classify_soc(z, tol_act=1e-8):
+def classify_soc(z, tol_act=TOL_ACT):
     """The classification label of z relative to K_m: "interior", "boundary"
     (nonzero, on the boundary or within tol_act of K_m), "vertex-scalar" or
     "vertex" (at the apex, for m = 1 or m > 1), or "infeasible"."""
@@ -137,6 +138,13 @@ def listed(value):
     cone vector as it is, a symmetric matrix's upper triangle, row-major."""
     value = np.asarray(value, dtype=float)
     return value if value.ndim == 1 else value[upper_triangle(value.shape[0])]
+
+
+def adjoint(derivative, mu):
+    """A block multiplier's gradient-space image: J^T mu of an (m, n) Jacobian, sum_ab mu_ab dG_ab/dx of partials."""
+    if derivative.ndim == 2:
+        return derivative.T @ mu
+    return np.tensordot(derivative, mu, axes=([1, 2], [0, 1]))
 
 
 _SQRT2 = float(np.sqrt(2.0))

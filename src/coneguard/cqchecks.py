@@ -333,7 +333,7 @@ def check_crsc(
     """Constant rank of the subspace component of the reduced gradients.
 
     The subspace component collects reduced indices whose negated gradient
-    already lies in span(equality gradients) + cone(reduced gradients);
+    already lies in span(equality basis) + cone(reduced gradients);
     those behave like equalities locally.  The check verifies constant rank
     of that family over samples, then requires the remaining system (basis
     coefficients free, irreducible blocks conic, the other reduced
@@ -343,10 +343,11 @@ def check_crsc(
     ground = cls.reduced()
     detail = {"delta": delta, "samples": samples, "seed": seed}
     eq_rows, _, basis_i = equality_basis(pt, tol_rank)
+    eq_basis = [eq_rows[i] for i in basis_i]  # the one equality span: J- and the gradient basis read it
     grads_star = {entry.block: entry.gradient for entry in reduced_view(pt, cls).entries}
     all_grads = [grads_star[j] for j in ground]
 
-    minus = [i for i, j in enumerate(ground) if cone_membership(-all_grads[i], eq_rows, all_grads, tol=tol_cert).member]
+    minus = [i for i, g in enumerate(all_grads) if cone_membership(-g, eq_basis, all_grads, tol=tol_cert).member]
     j_minus = [ground[i] for i in minus]
     j_plus = [j for j in ground if j not in j_minus]
     detail["j_minus"] = tuple(names[j] for j in j_minus)
@@ -356,7 +357,7 @@ def check_crsc(
     family_star = eq_rows + [grads_star[j] for j in j_minus]
     rank_star = numerical_rank(family_star, tol_rank)[0] if family_star else 0
     scale = float(np.linalg.norm(np.vstack(family_star), 2)) if j_minus else 0.0
-    rows, j_basis = [eq_rows[i] for i in basis_i], []
+    rows, j_basis = list(eq_basis), []
     rank = numerical_ranks(np.array(rows), tol_rank, scale) if rows and j_minus else 0
     for j in j_minus:
         if numerical_ranks(np.array(rows + [grads_star[j]]), tol_rank, scale) > rank:

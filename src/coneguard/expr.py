@@ -108,8 +108,13 @@ def bounded(digits):
 _REAL_RE = re.compile(r"[+-]?(?:%s|inf|nan)" % _NUMBER)
 
 
+def literal(value):
+    """The one written form of a number: %.17g, which ``real`` reads back bitwise."""
+    return "%.17g" % value
+
+
 def real(text):
-    """float(text) of a signed literal or the inf/nan of %.17g; else float()'s ValueError."""
+    """float(text) of a signed literal or the inf/nan of ``literal``; else float()'s ValueError."""
     if not _REAL_RE.fullmatch(text):
         raise ValueError("could not convert string to float: %r" % text)
     return float(text)
@@ -376,7 +381,7 @@ def to_source(tape):
             value = lits[arg]
             if not math.isfinite(value):
                 raise ValueError("cannot print non-finite literal %r" % value)
-            stack.append((format(value, ".17g"), 3 if value < 0 else 5))
+            stack.append((literal(value), 3 if value < 0 else 5))
         elif op == VAR:
             stack.append(("x%d" % (arg + 1), 5))
         elif op == NEG:

@@ -27,6 +27,7 @@ import numpy as np
 from . import expr as ex
 from .cones import (
     SpectralData,
+    adjoint,
     eig_sym,
     psd_distance,
     soc_distance,
@@ -335,11 +336,8 @@ def block_distances(pt):
 
 def apply_jacobian_adjoint(pt, j, multiplier):
     """Compute the gradient-space image J_g^T(mu) for block j."""
-    blk = pt.program.blocks[j]
     bv = pt.blocks[j]
-    if blk.kind == "soc":
-        return bv.jac.T @ np.asarray(multiplier)
-    return np.tensordot(bv.partials, np.asarray(multiplier), axes=([1, 2], [0, 1]))
+    return adjoint(bv.jac if pt.program.blocks[j].kind == "soc" else bv.partials, np.asarray(multiplier))
 
 
 def lagrangian_gradient(pt, lam, multipliers):

@@ -396,6 +396,22 @@ class TestCheck:
         if cq == "robinson":
             assert [r[3] for r in rows(out, "witness", cq, "lambda")] == ["h1", "h2"]
 
+    @pytest.mark.parametrize(
+        "tol_rank, basis, minus, plus",
+        [(None, ("h1",), (), ("a",)), ("1e-12", ("h1", "h2"), ("a",), ())],
+        ids=["default", "tol-rank-1e-12"],
+    )
+    def test_crsc_tests_j_minus_against_its_equality_basis(self, files, capsys, tol_rank, basis, minus, plus):
+        # -grad a = -e2 lies in span(h1, h2) but not in span(h1): J- follows the
+        # equality basis crsc chose at --tol-rank
+        argv = ["check", "--problem", files["near_parallel"], "--point", "0,0", "--cq", "crsc"]
+        code, out, err = run(argv + (["--tol-rank", tol_rank] if tol_rank else []), capsys)
+        assert (code, err) == (EXIT_OK, "")
+        assert row(out, "verdict") == ("verdict", "crsc", "Holds")
+        keys = ("equality-basis", "gradient-basis", "j-minus", "j-plus")
+        got = {key: row(out, "detail", "crsc", key)[3:] for key in keys}
+        assert got == {"equality-basis": basis, "gradient-basis": (), "j-minus": minus, "j-plus": plus}
+
     def test_undecided_subset_query_is_undecided(self, files, capsys):
         argv = ["check", "--problem", files["four_lines"], "--point", "0,0", "--cq", "rcpld"]
         code, out, _ = run(argv + ["--budget", "1"], capsys)

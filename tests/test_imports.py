@@ -1,6 +1,7 @@
 """Import hygiene of the library modules, read from their syntax trees."""
 
 import ast
+import re
 from pathlib import Path
 
 import coneguard
@@ -38,3 +39,11 @@ def test_modules_read_every_import_and_no_private_name_of_another_module():
                     if isinstance(node.value, ast.Name) and node.value.id == bound and node.attr.startswith("_"):
                         found.append("%s: reads the private name %s.%s" % (path.name, bound, node.attr))
     assert found == []
+
+
+def test_one_module_owns_each_numerical_convention():
+    # the number literal (expr.literal), the block adjoint (cones.adjoint)
+    # and the activity tolerance are each written down in one module
+    owners = {r"\.17g": "expr.py", r"axes=\(\[1, 2\], \[0, 1\]\)": "cones.py", r"(?m)^TOL_ACT\s*=": "cones.py"}
+    for pattern, owner in owners.items():
+        assert [p.name for p in MODULES if re.search(pattern, p.read_text())] == [owner], pattern
