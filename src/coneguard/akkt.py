@@ -458,7 +458,7 @@ def recover_kkt(
     names = cls.block_names
     reduced = cls.reduced()
 
-    eq_rows_star, _, basis_i = equality_basis(pt_star, tol_rank)
+    eq_rows_star, _, basis_i, *_ = equality_basis(pt_star, tol_rank)
     basis_names = tuple(prog.eq_names[i] for i in basis_i)
 
     tail = records[len(records) // 2 :]

@@ -49,26 +49,33 @@ def factored(result):
     return result
 
 
-def numerical_ranks(stack, tol_rank=TOL_RANK, scale=None):
-    """Ranks of a stack of matrices (..., m, n), from one SVD call.
-
-    A rank counts the singular values above tol_rank times scale, by default
-    the matrix's largest one; a zero matrix, or a scale <= 0, has rank 0.
-    """
-    svals = factored(np.linalg.svd(stack, compute_uv=False))
+def _ranked_svd(stack, tol_rank, scale=None):
+    """The one SVD of a stack of matrices (..., m, n), and its ranks: a rank
+    counts the singular values above tol_rank times scale, by default the
+    matrix's largest one; a zero matrix, or a scale <= 0, has rank 0.
+    Returns (ranks, u)."""
+    u, svals, _ = factored(np.linalg.svd(stack, full_matrices=True))
     scale = svals[..., :1] if scale is None else scale
-    return np.count_nonzero((svals > tol_rank * scale) & (scale > 0.0), axis=-1)
+    return np.count_nonzero((svals > tol_rank * scale) & (scale > 0.0), axis=-1), u
+
+
+def numerical_ranks(stack, tol_rank=TOL_RANK, scale=None):
+    """Ranks of a stack of matrices (..., m, n), from one SVD call, by
+    _ranked_svd's rule."""
+    return _ranked_svd(stack, tol_rank, scale)[0]
 
 
 def numerical_rank(vectors, tol_rank=TOL_RANK):
-    """Rank of a vector family, by numerical_ranks' rule, and a greedily
-    pivoted basis index set: repeated pivoting on the largest remaining
-    residual norm (deterministic)."""
+    """(rank, basis, combination, residual) of a vector family, from one SVD:
+    the rank by numerical_ranks' rule, a basis index set by repeated pivoting
+    on the largest remaining residual norm (deterministic), and the unit
+    coefficients of the family's most nearly vanishing combination (U's last
+    column) with that combination's norm."""
     vecs = [np.asarray(v, dtype=float).reshape(-1) for v in vectors]
     if not vecs:
-        return 0, ()
+        return 0, (), np.zeros(0), 0.0
     a = np.vstack(vecs)
-    rank = int(numerical_ranks(a, tol_rank))
+    rank, u = _ranked_svd(a, tol_rank)
     r = a.copy()
     chosen = []
     for _ in range(rank):
@@ -79,16 +86,8 @@ def numerical_rank(vectors, tol_rank=TOL_RANK):
         q = r[j] / norms[j]
         chosen.append(j)
         r = r - np.outer(r @ q, q)
-    return rank, tuple(sorted(chosen))
-
-
-def null_combination(vectors):
-    """Coefficients of a (near-)vanishing combination of the given vectors."""
-    a = np.vstack([np.asarray(v, dtype=float).reshape(-1) for v in vectors])
-    u, svals, _ = factored(np.linalg.svd(a, full_matrices=True))
     coeffs = u[:, -1]
-    residual = float(np.linalg.norm(coeffs @ a))
-    return coeffs, residual
+    return int(rank), tuple(sorted(chosen)), coeffs, float(np.linalg.norm(coeffs @ a))
 
 
 def nnls(a, b):
@@ -161,7 +160,7 @@ def caratheodory_reduce(fixed, coned, target, tol_rank=TOL_RANK):
     n = target.size
     p = len(fixed)
     if p:
-        rank_f, _ = numerical_rank(fixed, tol_rank)
+        rank_f = numerical_rank(fixed, tol_rank)[0]
         if rank_f < p:
             raise DimensionMismatchError("fixed vectors are not linearly independent")
     scale = max(1.0, float(np.linalg.norm(target)))
@@ -183,10 +182,9 @@ def caratheodory_reduce(fixed, coned, target, tol_rank=TOL_RANK):
 
     while kept:
         cols = fixed + [vecs[j] for j in kept]
-        rank, _ = numerical_rank(cols, tol_rank)
+        rank, _, gamma, _ = numerical_rank(cols, tol_rank)
         if rank == len(cols):
             break
-        gamma, _ = null_combination(cols)
         g_kept = gamma[p:]
         top = float(np.max(np.abs(gamma)))
         if float(np.max(np.abs(g_kept))) <= 1e-10 * top:

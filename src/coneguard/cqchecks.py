@@ -23,7 +23,6 @@ from .certificates import (
     TOL_RANK,
     cone_membership,
     conic_dependence,
-    null_combination,
     numerical_rank,
     numerical_ranks,
 )
@@ -136,11 +135,10 @@ def check_nondegeneracy(pt: EvaluatedPoint, cls: IndexClassification, *, tol_ran
         labels += ["%s:kernel[%d]" % (names[j], t) for t in range(coords.shape[1])]
     if not rows:
         return CqReport("nondegeneracy", "Holds", {"rows": 0, "rank": 0, "note": "no active rows"})
-    rank, basis_idx = numerical_rank(rows, tol_rank)
+    rank, basis_idx, coeffs, resid = numerical_rank(rows, tol_rank)
     detail = {"rows": len(rows), "rank": rank, "row_labels": tuple(labels), "tol_rank": tol_rank}
     if rank == len(rows):
         return CqReport("nondegeneracy", "Holds", detail)
-    coeffs, resid = null_combination(rows)
     detail["witness_combination"] = coeffs
     detail["witness_residual"] = resid
     detail["basis"] = basis_idx
@@ -190,9 +188,8 @@ def check_robinson(
     blocks.  A rank-deficient equality Jacobian fails outright; otherwise a
     dependence certificate decides.
     """
-    eq_rows, rank, _ = equality_basis(pt, tol_rank)
+    eq_rows, rank, _, coeffs, resid = equality_basis(pt, tol_rank)
     if rank < pt.program.p:
-        coeffs, resid = null_combination(eq_rows)
         reason = "equality gradients are linearly dependent"
         detail = {"reason": reason, "witness_combination": coeffs, "witness_residual": resid}
         return CqReport("robinson", "Fails", detail)
@@ -241,7 +238,7 @@ def check_rcpld(
     detail["samples_skipped"] = skipped
     if not len(points):
         return CqReport("rcpld", "Undecided", dict(detail, reason=_NO_SAMPLE))
-    eq_rows, rank_star, basis_i = equality_basis(pt, tol_rank)
+    eq_rows, rank_star, basis_i, *_ = equality_basis(pt, tol_rank)
     ranks = numerical_ranks(jacs, tol_rank)
     changed = np.flatnonzero(ranks != rank_star)
     if changed.size:
@@ -342,7 +339,7 @@ def check_crsc(
     names = cls.block_names
     ground = cls.reduced()
     detail = {"delta": delta, "samples": samples, "seed": seed}
-    eq_rows, _, basis_i = equality_basis(pt, tol_rank)
+    eq_rows, _, basis_i, *_ = equality_basis(pt, tol_rank)
     eq_basis = [eq_rows[i] for i in basis_i]  # the one equality span: J- and the gradient basis read it
     grads_star = {entry.block: entry.gradient for entry in reduced_view(pt, cls).entries}
     all_grads = [grads_star[j] for j in ground]

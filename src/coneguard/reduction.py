@@ -26,6 +26,7 @@ import numpy as np
 
 from .certificates import numerical_rank
 from .classify import eigen_gap
+from .cones import adjoint
 from .errors import NonSimpleEigenvalueError
 
 
@@ -78,7 +79,7 @@ def reduced_view(pt, cls, strict=True):
         if label == "boundary":
             z0, zbar = float(bv.value[0]), bv.value[1:]
             axis = np.concatenate(([z0], -zbar))  # R g
-            value, gradient = 0.5 * (z0**2 - float(zbar @ zbar)), bv.jac.T @ axis
+            value, gradient = 0.5 * (z0**2 - float(zbar @ zbar)), adjoint(bv.jac, axis)
         elif label == "vertex-scalar":
             value, gradient, axis = bv.value[0], bv.jac[0].copy(), np.ones(1)
         else:
@@ -101,10 +102,11 @@ def conic_base(pt, cls):
 
 
 def equality_basis(pt, tol_rank):
-    """Equality gradient rows at pt, their numerical rank and pivoted basis;
-    the rank is computed only when there are equalities."""
+    """Equality gradient rows at pt and numerical_rank's four values for them
+    (rank, pivoted basis, vanishing combination, its residual); the rank is
+    computed only when there are equalities."""
     rows = list(pt.jac_h)
-    return (rows, *numerical_rank(rows, tol_rank)) if rows else (rows, 0, ())
+    return (rows, *numerical_rank(rows, tol_rank)) if rows else (rows, 0, (), np.zeros(0), 0.0)
 
 
 def dependence_system(cls, eq, cones, rays):

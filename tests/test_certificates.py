@@ -13,13 +13,15 @@ from coneguard.certificates import (
     cone_membership,
     conic_dependence,
     nnls,
-    null_combination,
     numerical_rank,
     numerical_ranks,
     verify_dependence,
 )
 from coneguard import certificates
+from coneguard.classify import classify
+from coneguard.cqchecks import check_nondegeneracy, check_robinson
 from coneguard.errors import BudgetExhaustedError, DimensionMismatchError, ReconstructionError
+from coneguard.model import evaluate, loads
 
 from conftest import (
     brute_force_cone_membership,
@@ -46,20 +48,22 @@ def _random_rank_family(rng, n, rank, count):
 
 class TestNumericalRank:
     def test_zero_family_has_rank_zero(self):
-        rank, basis = numerical_rank([np.zeros(1)])
+        rank, basis, coeffs, residual = numerical_rank([np.zeros(1)])
         assert rank == 0
         assert basis == ()
-        assert numerical_rank([]) == (0, ())
+        assert coeffs.tolist() == [1.0] and residual == 0.0
+        rank, basis, coeffs, residual = numerical_rank([])
+        assert (rank, basis, coeffs.shape, residual) == (0, (), (0,), 0.0)
 
     def test_simple_dependent_family(self):
-        rank, basis = numerical_rank([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        rank, basis, *_ = numerical_rank([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         assert rank == 2
         assert len(basis) == 2
 
     def test_generic_vectors_fill_the_space(self):
         rng = np.random.default_rng(3)
         vecs = [rng.standard_normal(3) for _ in range(50)]
-        rank, basis = numerical_rank(vecs)
+        rank, basis, *_ = numerical_rank(vecs)
         assert rank == 3
         # Gram-determinant oracle: some 3-subset must be solidly independent
         assert any(
@@ -79,7 +83,7 @@ class TestNumericalRank:
                 if r
                 else [np.zeros(n) for _ in range(count)]
             )
-            rank, basis = numerical_rank(vecs)
+            rank, basis, *_ = numerical_rank(vecs)
             assert rank == np.linalg.matrix_rank(np.stack(vecs)) == r
             assert len(basis) == rank
             if rank:
@@ -89,7 +93,9 @@ class TestNumericalRank:
     def test_basis_selection_is_deterministic(self):
         rng = np.random.default_rng(8)
         vecs = [rng.standard_normal(4) for _ in range(9)]
-        assert numerical_rank(vecs) == numerical_rank(vecs)
+        first, again = numerical_rank(vecs), numerical_rank(vecs)
+        assert first[:2] == again[:2]
+        assert same_bits(first[2], again[2]) and same_bits(first[3], again[3])
 
 
 class TestNumericalRanks:
@@ -139,18 +145,71 @@ class TestNumericalRanks:
         assert [int(numerical_ranks(a, TOL_RANK, scale)) for a in stack] == at_scale
 
 
-class TestNullCombination:
+class TestVanishingCombination:
+    """numerical_rank's combination and residual: the family's most nearly
+    vanishing unit combination, from the SVD that ranks it."""
+
     def test_recovers_a_planted_dependency(self):
         v1 = np.array([1.0, 2.0, 0.0])
         v2 = np.array([0.0, 1.0, 1.0])
-        coeffs, residual = null_combination([v1, v2, v1 + v2])
+        rank, _, coeffs, residual = numerical_rank([v1, v2, v1 + v2])
+        assert rank == 2
         assert residual <= 1e-12
         assert np.linalg.norm(coeffs) == pytest.approx(1.0, abs=1e-12)
         assert abs(coeffs[2]) > 0.1
 
     def test_residual_reported_for_independent_family(self):
-        coeffs, residual = null_combination([[1.0, 0.0], [0.0, 1.0]])
+        rank, _, _, residual = numerical_rank([[1.0, 0.0], [0.0, 1.0]])
+        assert rank == 2
         assert residual == pytest.approx(1.0, abs=1e-12)
+
+
+def _counted(monkeypatch, module, name):
+    """The list that records each call of module.name from now on."""
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+class TestOneSvdPerFamily:
+    """A family is decomposed once for its rank and its vanishing combination."""
+
+    def test_each_thinning_step_of_caratheodory_takes_one_svd(self, monkeypatch):
+        rng = np.random.default_rng(37)
+        fixed = [np.array([1.0, 0.0, 0.0])]
+        vecs = [rng.standard_normal(3) for _ in range(6)]
+        target = 0.5 * fixed[0] + np.sum(vecs, axis=0)
+        svds = _counted(monkeypatch, np.linalg, "svd")
+        ranks = _counted(monkeypatch, certificates, "numerical_rank")
+        out = caratheodory_reduce(fixed, [(v, 1.0) for v in vecs], target)
+        assert len(out.kept) <= 2
+        # the fixed family's rank, one per thinning step, and the final independent family's
+        assert len(ranks) >= 3
+        assert len(svds) == len(ranks)
+
+    def test_a_nondegeneracy_fails_takes_one_svd(self, monkeypatch, psd_pair_program):
+        pt = evaluate(psd_pair_program, np.array([0.0]))
+        cls = classify(pt)
+        svds = _counted(monkeypatch, np.linalg, "svd")
+        rep = check_nondegeneracy(pt, cls)
+        assert rep.verdict == "Fails"
+        assert rep.detail["witness_residual"] <= 1e-12
+        assert len(svds) == 1
+
+    def test_robinson_on_dependent_equalities_takes_one_svd(self, monkeypatch):
+        pt = evaluate(loads("vars 1\nobjective x1\neq h1 x1\neq h2 2 * x1\n"), np.array([0.0]))
+        cls = classify(pt)
+        svds = _counted(monkeypatch, np.linalg, "svd")
+        rep = check_robinson(pt, cls)
+        assert rep.verdict == "Fails"
+        assert rep.detail["witness_residual"] <= 1e-12
+        assert len(svds) == 1
 
 
 class TestNnls:
@@ -452,8 +511,6 @@ class TestConicDependence:
         assert normalization >= 0.5
 
     def test_kernel_pair_blocks_are_dependent(self, psd_pair_program):
-        from coneguard.model import evaluate
-
         pt = evaluate(psd_pair_program, np.array([0.0]))
         psd_blocks = [pt.blocks[0].partials, pt.blocks[1].partials]
         cert = conic_dependence([], [], psd_blocks, [])

@@ -43,7 +43,34 @@ def test_modules_read_every_import_and_no_private_name_of_another_module():
 
 def test_one_module_owns_each_numerical_convention():
     # the number literal (expr.literal), the block adjoint (cones.adjoint)
-    # and the activity tolerance are each written down in one module
+    # and the activity tolerance are each written down in one module, and
+    # no module spells a block Jacobian's adjoint as .jac.T @
     owners = {r"\.17g": "expr.py", r"axes=\(\[1, 2\], \[0, 1\]\)": "cones.py", r"(?m)^TOL_ACT\s*=": "cones.py"}
     for pattern, owner in owners.items():
         assert [p.name for p in MODULES if re.search(pattern, p.read_text())] == [owner], pattern
+    assert [p.name for p in MODULES if re.search(r"\.jac\.T\s*@", p.read_text())] == []
+
+
+def test_every_factorization_is_checked_for_non_finite_values():
+    # an SVD, least-squares or pseudo-inverse result passes through
+    # certificates.factored, and eigendecompositions go through cones.eig_sym,
+    # so no verdict rests on a non-finite number
+    unchecked, eighs = [], []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Attribute) or node.attr not in ("svd", "lstsq", "pinv", "eigh"):
+                continue
+            if node.attr == "eigh":
+                scope = node
+                while not isinstance(scope, (ast.FunctionDef, ast.Module)):
+                    scope = parents[scope]
+                eighs.append((path.name, getattr(scope, "name", None)))
+                continue
+            call = parents[node]
+            outer = parents.get(call)
+            if not (isinstance(outer, ast.Call) and isinstance(outer.func, ast.Name) and outer.func.id == "factored"):
+                unchecked.append("%s:%d %s" % (path.name, node.lineno, node.attr))
+    assert unchecked == []
+    assert eighs == [("cones.py", "eig_sym")]
