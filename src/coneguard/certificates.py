@@ -28,6 +28,7 @@ import numpy as np
 from .cones import (
     adjoint,
     eig_sym,
+    factored,
     project_psd,
     project_soc,
     psd_distance,
@@ -40,13 +41,6 @@ from .errors import BudgetExhaustedError, DimensionMismatchError, Reconstruction
 TOL_RANK = 1e-8
 TOL_CERT = 1e-7
 DEFAULT_BUDGET = 20000
-
-
-def factored(result):
-    """A numpy.linalg result, which raises LinAlgError when it holds a non-finite value."""
-    if not all(np.isfinite(part).all() for part in (result if isinstance(result, tuple) else (result,))):
-        raise np.linalg.LinAlgError("a factorization returned a non-finite value")
-    return result
 
 
 def _ranked_svd(stack, tol_rank, scale=None):

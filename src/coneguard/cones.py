@@ -60,6 +60,13 @@ def soc_distance(z):
     return float(np.linalg.norm(z - project_soc(z)))
 
 
+def factored(result):
+    """A numpy.linalg result, which raises LinAlgError when it holds a non-finite value."""
+    if not all(np.isfinite(part).all() for part in (result if isinstance(result, tuple) else (result,))):
+        raise np.linalg.LinAlgError("a factorization returned a non-finite value")
+    return result
+
+
 class SpectralData(NamedTuple):
     eigenvalues: np.ndarray  # ascending
     eigenvectors: np.ndarray  # orthonormal columns, matching order
@@ -82,9 +89,7 @@ def eig_sym(a):
     skew = float(np.max(np.abs(a - a.T))) if a.size else 0.0
     if skew > limit:
         raise SymmetryError("matrix is not symmetric: max asymmetry %.3e exceeds %.3e" % (skew, limit))
-    vals, vecs = np.linalg.eigh(0.5 * (a + a.T))  # ascending
-    if not (np.isfinite(vals).all() and np.isfinite(vecs).all()):
-        raise np.linalg.LinAlgError("eigendecomposition returned a non-finite value")
+    vals, vecs = factored(np.linalg.eigh(0.5 * (a + a.T)))  # ascending
     mag = np.abs(vecs)
     lead = np.argmax(mag > 1e-12 * mag.max(axis=0, initial=0.0), axis=0)
     vecs[:, vecs[lead, np.arange(vecs.shape[1])] < 0.0] *= -1.0

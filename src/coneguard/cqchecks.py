@@ -27,7 +27,7 @@ from .certificates import (
     numerical_ranks,
 )
 from .classify import IndexClassification, kernel_basis
-from .cones import svec
+from .cones import factored, svec
 from .errors import DomainError, NonSimpleEigenvalueError
 from .model import EvaluatedPoint, evaluate
 from .reduction import conic_base, dependence_system, equality_basis, reduced_view
@@ -275,14 +275,23 @@ def check_rcpld(
     subset_log = []
     undecided = None
     dependent = []  # bit codes of subsets found dependent (and persisting)
+
+    def ask(subset):  # subset: positions in ground
+        system, witness_names = query([rays_star[ground[i]] for i in subset])
+        cert = conic_dependence(*system, budget=budget, tol_cert=tol_cert, tol_rank=tol_rank)
+        subset_log.append({"subset": witness_names[3], "system": cert.verdict})
+        return cert, witness_names, subset_log[-1]
+
     for code in codes:
         if any(code & d == d for d in dependent):
             continue
         subset = [i for i in range(len(ground)) if code >> i & 1]  # positions in ground
-        system, witness_names = query([rays_star[ground[i]] for i in subset])
-        cert = conic_dependence(*system, budget=budget, tol_cert=tol_cert, tol_rank=tol_rank)
-        entry = {"subset": witness_names[3], "system": cert.verdict}
-        subset_log.append(entry)
+        cert, witness_names, entry = ask(subset)
+        if capped and cert.verdict == "dependent":  # the witness's support (mass 1), when smaller, names it
+            support = [i for i, a in zip(subset, cert.witness.alpha) if a > tol_cert]
+            asked = ask(support) if len(support) < len(subset) else None
+            if asked and asked[0].verdict == "dependent":
+                subset, (cert, witness_names, entry) = support, asked
         if cert.verdict == "independent" and code == full:
             break
         if cert.verdict == "undecided":
@@ -353,7 +362,7 @@ def check_crsc(
     # in J- order, each gradient that raises the rank at the whole family's scale
     family_star = eq_rows + [grads_star[j] for j in j_minus]
     rank_star = numerical_rank(family_star, tol_rank)[0] if family_star else 0
-    scale = float(np.linalg.norm(np.vstack(family_star), 2)) if j_minus else 0.0
+    scale = float(factored(np.linalg.svd(np.vstack(family_star), compute_uv=False))[0]) if j_minus else 0.0
     rows, j_basis = list(eq_basis), []
     rank = numerical_ranks(np.array(rows), tol_rank, scale) if rows and j_minus else 0
     for j in j_minus:

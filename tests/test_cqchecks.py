@@ -6,6 +6,7 @@ import pytest
 from coneguard import cqchecks
 from coneguard.certificates import TOL_RANK, numerical_rank, verify_dependence
 from coneguard.classify import classify
+from coneguard.cli import EXIT_NEGATIVE, main, parse_report
 from coneguard.cones import svec
 from coneguard.cqchecks import (
     SAMPLING_NOTE,
@@ -242,6 +243,27 @@ class TestMinimalSubsets:
         assert rep.detail["sample_index"] == uncapped.detail["sample_index"]
         assert rep.witness_names == uncapped.witness_names
         assert _same(rep.certificate.witness.alpha, uncapped.certificate.witness.alpha)
+
+    def test_subset_cap_names_the_ground_witness_support(self, monkeypatch, tmp_path, capsys):
+        # two more scalar blocks x3, x4 >= 0 take the ground set past a cap of
+        # 8; the ground query's witness rests on a and b alone, so rcpld asks
+        # that pair again and names it, as the uncapped enumeration does
+        lines = ["vars 4", *self.OPPOSITE[1:], "psd c 1", "x3", "psd d 1", "x4"]
+        uncapped, _ = self._rcpld_queries(monkeypatch, lines, np.zeros(4))
+        rep, queries = self._rcpld_queries(monkeypatch, lines, np.zeros(4), subset_cap=8)
+        assert rep.verdict == uncapped.verdict == "Fails"
+        assert queries == [4, 2]
+        assert [entry["system"] for entry in rep.detail["subset_log"]] == ["dependent", "dependent"]
+        assert rep.detail["subset"] == uncapped.detail["subset"] == ("a", "b")
+        assert rep.detail["reason"] == "dependent system but gradients independent at a sample"
+        assert rep.witness_names == ((), (), (), ("a", "b"))
+        path = tmp_path / "opposite4.txt"
+        path.write_text("\n".join(lines) + "\n")
+        argv = ["check", "--cq", "rcpld", "--subset-cap", "8", "--problem", str(path), "--point", "0,0,0,0"]
+        assert main(argv) == EXIT_NEGATIVE
+        records = parse_report(capsys.readouterr().out)
+        assert ("detail", "rcpld", "subset", "a", "b") in records
+        assert [r[3] for r in records if r[:3] == ("witness", "rcpld", "alpha")] == ["a", "b"]
 
 
 class TestNoUsableSample:

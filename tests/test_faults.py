@@ -150,3 +150,22 @@ def test_block_data_that_overflows_inside_a_check_gives_no_verdict(tmp_path, cap
             assert code == EXIT_UNDECIDED, (cq, code, out)
             assert REPORT_BEGIN not in out
             assert err.startswith("error: overflow encountered in "), err
+
+
+def test_crsc_family_scale_is_a_checked_singular_value(tmp_path, capsys, monkeypatch):
+    # crsc measures its gradient-basis ranks against the largest singular value
+    # of the J- family (here a and b, 2x2); a NaN there must give no verdict,
+    # where an unchecked 2-norm answered Holds with an empty gradient basis
+    path = tmp_path / "near3.txt"
+    path.write_text("vars 2\nobjective x1 + x2\npsd a 1\nx1\npsd b 1\n-x1 + 1.7e-8 * x2\npsd c 1\nx2\n")
+    real = np.linalg.svd
+
+    def nan_values(a, *args, **kwargs):
+        result = real(a, *args, **kwargs)
+        return _nan(result) if kwargs.get("compute_uv") is False and np.shape(a) == (2, 2) else result
+
+    monkeypatch.setattr(np.linalg, "svd", nan_values)
+    code, out, err = run(["check", "--cq", "crsc", "--problem", str(path), "--point", "0,0"], capsys)
+    assert code == EXIT_UNDECIDED, (code, out)
+    assert REPORT_BEGIN not in out
+    assert err.startswith("error: ") and err.endswith(" returned a non-finite value\n"), err

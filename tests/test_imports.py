@@ -51,26 +51,42 @@ def test_one_module_owns_each_numerical_convention():
     assert [p.name for p in MODULES if re.search(r"\.jac\.T\s*@", p.read_text())] == []
 
 
+def _matrix_ord(call):
+    """The ord of an np.linalg.norm call, when it names a matrix norm other than Frobenius's."""
+    ords = call.args[1:2] + [kw.value for kw in call.keywords if kw.arg == "ord"]
+    return any(not (isinstance(o, ast.Constant) and o.value in (None, "fro")) for o in ords)
+
+
 def test_every_factorization_is_checked_for_non_finite_values():
-    # an SVD, least-squares or pseudo-inverse result passes through
-    # certificates.factored, and eigendecompositions go through cones.eig_sym,
-    # so no verdict rests on a non-finite number
+    # every np.linalg call is a vector, Frobenius or row norm, or sits directly
+    # inside cones.factored, so no verdict rests on a non-finite number; a
+    # matrix 2-norm is an SVD that factored would not see.  Eigendecompositions
+    # happen only in cones.eig_sym.
     unchecked, eighs = [], []
     for path in MODULES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        # numpy.linalg is reached only as np.linalg.<name>, so the rule sees every use
+        unchecked += [path.name + ": " + ast.unparse(node) for node in ast.walk(tree)
+                      if isinstance(node, (ast.Import, ast.ImportFrom)) and "linalg" in ast.unparse(node)]
         for node in ast.walk(tree):
-            if not isinstance(node, ast.Attribute) or node.attr not in ("svd", "lstsq", "pinv", "eigh"):
+            if not isinstance(node, ast.Attribute) or ast.unparse(node.value) != "np.linalg" or node.attr == "LinAlgError":
                 continue
+            call = parents[node]
+            if not (isinstance(call, ast.Call) and call.func is node):
+                unchecked.append("%s:%d %s is read, not called" % (path.name, node.lineno, node.attr))
+                continue
+            if node.attr == "norm" and not _matrix_ord(call):
+                continue
+            outer = parents.get(call)
+            if not (isinstance(outer, ast.Call) and isinstance(outer.func, ast.Name) and outer.func.id == "factored"):
+                unchecked.append("%s:%d %s" % (path.name, node.lineno, node.attr))
             if node.attr == "eigh":
                 scope = node
                 while not isinstance(scope, (ast.FunctionDef, ast.Module)):
                     scope = parents[scope]
                 eighs.append((path.name, getattr(scope, "name", None)))
-                continue
-            call = parents[node]
-            outer = parents.get(call)
-            if not (isinstance(outer, ast.Call) and isinstance(outer.func, ast.Name) and outer.func.id == "factored"):
-                unchecked.append("%s:%d %s" % (path.name, node.lineno, node.attr))
     assert unchecked == []
     assert eighs == [("cones.py", "eig_sym")]
+    owners = [p.name for p in MODULES if re.search(r"(?m)^def factored\(", p.read_text())]
+    assert owners == ["cones.py"]
